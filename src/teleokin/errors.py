@@ -13,7 +13,7 @@ class TeleokinError(Exception):
 
 
 class DegenerateQuaternion(TeleokinError):
-    """Quaternion norm too small to represent a rotation (corrupt data)."""
+    """Quaternion norm too small, or not finite, to represent a rotation (corrupt data)."""
 
 
 class DimensionMismatch(TeleokinError):

@@ -291,24 +291,10 @@ def datagram_sink(address) -> DatagramSink:
     return DatagramSink(address)
 
 
-class ValidatorSink:
-    """Streams commands into the incremental kinematic validator."""
-
-    def __init__(self, model, thresholds: Thresholds | None = None, period_us: float | None = None):
-        self.validator = IncrementalValidator(model, thresholds, period_us)
-
-    def emit(self, cmd: JointCommand) -> None:
-        self.validator.update(cmd)
-
-    def close(self) -> None:
-        pass
-
-    def report(self):
-        return self.validator.report()
-
-
-def validator_sink(model, thresholds: Thresholds | None = None, period_us: float | None = None) -> ValidatorSink:
-    return ValidatorSink(model, thresholds, period_us)
+def validator_sink(
+    model, thresholds: Thresholds | None = None, period_us: float | None = None
+) -> IncrementalValidator:
+    return IncrementalValidator(model, thresholds, period_us)
 
 
 class MultiSink:

@@ -111,8 +111,9 @@ def decode_frame(data: bytes) -> MocapFrame:
 
     Every failure raises a specific error (BadMagic, UnsupportedVersion,
     TruncatedFrame, CrcMismatch, DegenerateQuaternion); callers treat any of
-    them as "discard this frame".  Quaternions are re-normalized from their
-    float32 quantization and canonical-signed.
+    them as "discard this frame".  A quaternion whose norm is near zero or
+    not finite is degenerate; the rest are re-normalized from their float32
+    quantization and canonical-signed.
     """
     if len(data) < HEADER_SIZE:
         raise TruncatedFrame(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
@@ -133,8 +134,9 @@ def decode_frame(data: bytes) -> MocapFrame:
         .astype(np.float64)
     )
     norms = np.linalg.norm(quats, axis=1)
-    if (norms <= _WIRE_DEGENERATE_NORM).any():
-        bad = int(np.argmax(norms <= _WIRE_DEGENERATE_NORM))
+    usable = (norms > _WIRE_DEGENERATE_NORM) & (norms < np.inf)  # False for NaN too
+    if not usable.all():
+        bad = int(np.argmin(usable))
         raise DegenerateQuaternion(f"segment {bad} has norm {norms[bad]:.3e}")
     quats /= norms[:, None]
     return MocapFrame(seq, timestamp_us, _canonicalize_rows(quats))

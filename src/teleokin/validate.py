@@ -1,7 +1,11 @@
 """Kinematic audit of command traces: limits, continuity, self-collisions.
 
-The offline checker vectorizes over the whole trace; the incremental
-variant keeps only the previous two samples and is safe to call from a
+One core judges the rows of an (n, joints) angle window: soft limits,
+backward-difference velocity and acceleration, and sphere self-collision on
+forward kinematics.  The offline checker runs it once over the whole trace;
+the streaming validator keeps the last two samples and runs it on a 3-row
+window whose last row is the new command, so both report the same
+violations in the same order and the streaming one is safe to call from a
 control loop.  Velocity is judged against each joint's configured velocity
 limit using backward differences at the nominal period — the report header
 names that proxy so results can be re-thresholded.
@@ -14,11 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrace, ShapeMismatch
-from .geometry import quat_rotate_vector
-from .model import RobotModel, forward_kinematics, forward_kinematics_batch
+from .model import LinkPose, RobotModel, _brot, forward_kinematics, forward_kinematics_batch
 from .retarget import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
+
+# Trace rows per self-collision block: keeps the (rows, pairs) temporaries
+# small, so an audit's peak memory stays near that of its FK poses.
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -81,38 +88,119 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+class _SphereTable:
+    """A model's collision spheres and the pairs to check, as index arrays."""
+
+    def __init__(self, model: RobotModel):
+        per_link: dict[str, int] = {}
+        self.refs = []  # (link, index within the link) of every sphere
+        for s in model.spheres:
+            per_link[s.link] = per_link.get(s.link, 0) + 1
+            self.refs.append((s.link, per_link[s.link] - 1))
+        excluded = {frozenset(pair) for pair in model.exclusions}
+        pairs = [
+            (i, j)
+            for i, a in enumerate(self.refs)
+            for j, b in enumerate(self.refs[i + 1 :], start=i + 1)
+            if a[0] != b[0] and frozenset([a, b]) not in excluded
+        ]
+        self.a = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.b = np.array([j for _, j in pairs], dtype=np.intp)
+        self.ids = ["{}/{},{}/{}".format(*self.refs[i], *self.refs[j]) for i, j in pairs]
+        self.links = [s.link for s in model.spheres]
+        self.centers = np.array([s.center for s in model.spheres]).reshape(-1, 3)
+        radii = np.array([s.radius for s in model.spheres])
+        self.radii = radii[self.a] + radii[self.b]
+
+    def distances(self, poses: dict[str, LinkPose], rows: slice) -> np.ndarray:
+        """(m, pairs) sphere-centre distances for ``rows`` of batch-shaped poses."""
+        position = np.stack([poses[link].position[rows] for link in self.links], axis=1)
+        rotation = np.stack([poses[link].rotation[rows] for link in self.links], axis=1)
+        centers = position + _brot(rotation, self.centers)
+        # Per coordinate: gathering whole (m, pairs, 3) rows is several times slower.
+        return np.sqrt(sum((centers[:, self.a, c] - centers[:, self.b, c]) ** 2 for c in range(3)))
+
+
 def collision_pairs(model: RobotModel) -> list[tuple[tuple[str, int], tuple[str, int]]]:
     """All sphere pairs that must be checked: different links, not excluded."""
-    per_link: dict[str, int] = {}
-    indexed = []
-    for s in model.spheres:
-        idx = per_link.get(s.link, 0)
-        per_link[s.link] = idx + 1
-        indexed.append((s.link, idx, s))
-    excluded = {frozenset([a, b]) for a, b in model.exclusions}
-    pairs = []
-    for i in range(len(indexed)):
-        for j in range(i + 1, len(indexed)):
-            la, ia, _ = indexed[i]
-            lb, ib, _ = indexed[j]
-            if la == lb or frozenset([(la, ia), (lb, ib)]) in excluded:
-                continue
-            pairs.append(((la, ia), (lb, ib)))
-    return pairs
+    table = _SphereTable(model)
+    return [(table.refs[i], table.refs[j]) for i, j in zip(table.a, table.b)]
 
 
-def _sphere_by_ref(model: RobotModel):
-    per_link: dict[str, int] = {}
-    by_ref = {}
-    for s in model.spheres:
-        idx = per_link.get(s.link, 0)
-        per_link[s.link] = idx + 1
-        by_ref[(s.link, idx)] = s
-    return by_ref
+def _link_poses(model: RobotModel, angles: np.ndarray) -> dict[str, LinkPose]:
+    """FK of an (n, joints) window as (n, 3) positions and (n, 4) rotations.
+
+    One row takes the scalar FK, which is several times faster than the
+    batch FK at n=1.  Infinite angles become NaN first: the limit check
+    already flags them, and the scalar FK cannot take them.
+    """
+    angles = np.where(np.isinf(angles), np.nan, angles)
+    if len(angles) > 1:
+        return forward_kinematics_batch(model, angles)
+    poses = forward_kinematics(model, angles[0])
+    return {link: LinkPose(p[None], q[None]) for link, (p, q) in poses.items()}
 
 
-def _pair_id(a: tuple[str, int], b: tuple[str, int]) -> str:
-    return f"{a[0]}/{a[1]},{b[0]}/{b[1]}"
+def _judge(
+    model: RobotModel,
+    spheres: _SphereTable,
+    thresholds: Thresholds,
+    angles: np.ndarray,
+    dt: float,
+    first: int,
+    cycle: int,
+) -> list[Violation]:
+    """The four checks on rows ``first:`` of an (n, joints) angle window.
+
+    Row ``first`` is cycle ``cycle``; earlier rows only feed the backward
+    differences.  Returns violations sorted by cycle, kind, identifier.
+    """
+    names = model.joint_names
+    judged = angles[first:]
+    found: list[Violation] = []
+
+    inside = (judged >= model.soft_lower) & (judged <= model.soft_upper)  # False for NaN
+    for i, j in zip(*np.nonzero(~inside)):
+        value = judged[i, j]
+        bound = model.soft_upper[j] if value > model.soft_upper[j] else model.soft_lower[j]
+        found.append(Violation("limit", cycle + int(i), names[j], float(value), float(bound)))
+
+    rates = [("velocity", 1, dt, model.velocity_limits)]
+    if thresholds.acceleration_limit is not None:
+        limit = np.full(len(names), thresholds.acceleration_limit)
+        rates.append(("acceleration", 2, dt * dt, limit))
+    for kind, order, scale, limit in rates:
+        start = max(first - order, 0)  # difference row k judges window row start + order + k
+        rate = np.abs(np.diff(angles[start:], n=order, axis=0)) / scale
+        for i, j in zip(*np.nonzero(rate > limit)):
+            found.append(
+                Violation(
+                    kind,
+                    cycle + start + order - first + int(i),
+                    names[j],
+                    float(rate[i, j]),
+                    float(limit[j]),
+                )
+            )
+
+    if spheres.ids:
+        poses = _link_poses(model, judged)
+        limit = spheres.radii + thresholds.collision_margin
+        for block in range(0, len(judged), _BLOCK_ROWS):
+            dist = spheres.distances(poses, slice(block, block + _BLOCK_ROWS))
+            for i, k in zip(*np.nonzero(dist < limit)):
+                found.append(
+                    Violation(
+                        "self-collision",
+                        cycle + block + int(i),
+                        spheres.ids[k],
+                        float(dist[i, k]),
+                        float(limit[k]),
+                    )
+                )
+
+    found.sort(key=lambda v: (v.cycle, KINDS.index(v.kind), v.identifier))
+    return found
 
 
 def _angles_matrix(model: RobotModel, trace) -> np.ndarray:
@@ -143,81 +231,30 @@ def validate_trace(
 ) -> ValidationReport:
     """Audit a command sequence against the model.
 
-    Per sample: angles against the soft intervals; backward-difference
-    velocity against each joint's vmax; optional second-difference
-    acceleration; and sphere self-collision on forward kinematics.  Hold
-    commands participate like any other sample.  ``period_us`` defaults to
-    the median emission-timestamp delta of the trace.
+    Per sample: angles against the soft intervals (a non-finite angle is
+    outside them); backward-difference velocity against each joint's vmax;
+    optional second-difference acceleration; and sphere self-collision on
+    forward kinematics.  Hold commands participate like any other sample.
+    ``period_us`` defaults to the median emission-timestamp delta of the
+    trace.
     """
     trace = list(trace)
     thresholds = thresholds or Thresholds()
     angles = _angles_matrix(model, trace)
     if period_us is None:
         period_us = _infer_period_us(trace)
-    dt = period_us / 1e6
-    names = model.joint_names
-    violations: list[Violation] = []
-
-    over = angles > model.soft_upper[None, :]
-    under = angles < model.soft_lower[None, :]
-    for i, j in zip(*np.nonzero(over | under)):
-        bound = model.soft_upper[j] if over[i, j] else model.soft_lower[j]
-        violations.append(Violation("limit", int(i), names[j], float(angles[i, j]), float(bound)))
-
-    if len(trace) >= 2:
-        velocity = np.abs(np.diff(angles, axis=0)) / dt
-        for i, j in zip(*np.nonzero(velocity > model.velocity_limits[None, :])):
-            violations.append(
-                Violation(
-                    "velocity",
-                    int(i) + 1,
-                    names[j],
-                    float(velocity[i, j]),
-                    float(model.velocity_limits[j]),
-                )
-            )
-
-    if thresholds.acceleration_limit is not None and len(trace) >= 3:
-        accel = np.abs(np.diff(angles, n=2, axis=0)) / (dt * dt)
-        for i, j in zip(*np.nonzero(accel > thresholds.acceleration_limit)):
-            violations.append(
-                Violation(
-                    "acceleration",
-                    int(i) + 2,
-                    names[j],
-                    float(accel[i, j]),
-                    thresholds.acceleration_limit,
-                )
-            )
-
-    pairs = collision_pairs(model)
-    if pairs:
-        by_ref = _sphere_by_ref(model)
-        poses = forward_kinematics_batch(model, angles)
-        centers = {}
-        for ref, sphere in by_ref.items():
-            pose = poses[sphere.link]
-            centers[ref] = pose.position + _rotate_rows(pose.rotation, sphere.center)
-        for a, b in pairs:
-            limit = by_ref[a].radius + by_ref[b].radius + thresholds.collision_margin
-            dist = np.linalg.norm(centers[a] - centers[b], axis=1)
-            for i in np.nonzero(dist < limit)[0]:
-                violations.append(
-                    Violation("self-collision", int(i), _pair_id(a, b), float(dist[i]), limit)
-                )
-
-    violations.sort(key=lambda v: (v.cycle, KINDS.index(v.kind), v.identifier))
+    violations = _judge(model, _SphereTable(model), thresholds, angles, period_us / 1e6, 0, 0)
     return ValidationReport(violations, cycles=len(trace), period_us=period_us, thresholds=thresholds)
 
 
-def _rotate_rows(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
-    qv = quats[:, 1:]
-    t = 2.0 * np.cross(qv, v[None, :])
-    return v[None, :] + quats[:, :1] * t + np.cross(qv, t)
-
-
 class IncrementalValidator:
-    """Streaming variant: same checks, keeping only the last two samples."""
+    """Streaming validator with the sink protocol (``emit``/``close``/``report``).
+
+    Each command is judged by the same checks as ``validate_trace``, on a
+    window of the last two samples plus the new one.  Without ``period_us``
+    the first emission-timestamp delta (at least 1 us) sets the period for
+    the rest of the stream.
+    """
 
     def __init__(
         self,
@@ -229,78 +266,36 @@ class IncrementalValidator:
         self.thresholds = thresholds or Thresholds()
         self.period_us = period_us
         self.violations: list[Violation] = []
-        self._pairs = collision_pairs(model)
-        self._by_ref = _sphere_by_ref(model)
+        self._spheres = _SphereTable(model)
+        self._tail = np.empty((0, len(model)))
         self._cycle = 0
-        self._prev: np.ndarray | None = None
-        self._prev2: np.ndarray | None = None
-        self._prev_emission: int | None = None
+        self._first_emission_us = 0
 
-    def update(self, cmd: JointCommand) -> None:
-        model = self.model
-        angles = np.asarray(cmd.angles, dtype=float)
-        if angles.shape != (len(model),):
-            raise DimensionMismatch(
-                f"command has {angles.shape} angles, model has {len(model)} joints"
-            )
-        i = self._cycle
-        names = model.joint_names
-        if self.period_us is not None:
-            dt = self.period_us / 1e6
-        elif self._prev_emission is not None:
-            dt = max(cmd.emission_timestamp_us - self._prev_emission, 1) / 1e6
-        else:
-            dt = None
-        self._prev_emission = cmd.emission_timestamp_us
+    def _period_us(self) -> float:
+        return self.period_us if self.period_us is not None else 1.0
 
-        for j in np.nonzero((angles > model.soft_upper) | (angles < model.soft_lower))[0]:
-            bound = model.soft_upper[j] if angles[j] > model.soft_upper[j] else model.soft_lower[j]
-            self.violations.append(
-                Violation("limit", i, names[j], float(angles[j]), float(bound))
-            )
-        if self._prev is not None and dt is not None:
-            velocity = np.abs(angles - self._prev) / dt
-            for j in np.nonzero(velocity > model.velocity_limits)[0]:
-                self.violations.append(
-                    Violation(
-                        "velocity", i, names[j], float(velocity[j]), float(model.velocity_limits[j])
-                    )
-                )
-            acc_limit = self.thresholds.acceleration_limit
-            if acc_limit is not None and self._prev2 is not None:
-                accel = np.abs(angles - 2.0 * self._prev + self._prev2) / (dt * dt)
-                for j in np.nonzero(accel > acc_limit)[0]:
-                    self.violations.append(
-                        Violation("acceleration", i, names[j], float(accel[j]), acc_limit)
-                    )
-        if self._pairs:
-            poses = forward_kinematics(model, angles)
-            margin = self.thresholds.collision_margin
-            for a, b in self._pairs:
-                sa, sb = self._by_ref[a], self._by_ref[b]
-                pa = poses[sa.link].position + _rotate_one(poses[sa.link].rotation, sa.center)
-                pb = poses[sb.link].position + _rotate_one(poses[sb.link].rotation, sb.center)
-                limit = sa.radius + sb.radius + margin
-                dist = float(np.linalg.norm(pa - pb))
-                if dist < limit:
-                    self.violations.append(
-                        Violation("self-collision", i, _pair_id(a, b), dist, limit)
-                    )
-        self._prev2 = self._prev
-        self._prev = angles
+    def emit(self, cmd: JointCommand) -> None:
+        row = _angles_matrix(self.model, [cmd])
+        if self._cycle == 0:
+            self._first_emission_us = cmd.emission_timestamp_us
+        elif self.period_us is None:
+            self.period_us = float(max(cmd.emission_timestamp_us - self._first_emission_us, 1))
+        window = np.concatenate([self._tail, row])
+        dt = self._period_us() / 1e6
+        found = _judge(self.model, self._spheres, self.thresholds, window, dt, len(window) - 1, self._cycle)
+        self.violations.extend(found)
+        self._tail = window[-2:]
         self._cycle += 1
+
+    def close(self) -> None:
+        pass
 
     def report(self) -> ValidationReport:
         if self._cycle == 0:
             raise EmptyTrace("no commands were streamed into the validator")
-        period = self.period_us if self.period_us is not None else 1.0
         return ValidationReport(
-            list(self.violations), cycles=self._cycle, period_us=period, thresholds=self.thresholds
+            list(self.violations), cycles=self._cycle, period_us=self._period_us(), thresholds=self.thresholds
         )
-
-
-def _rotate_one(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_rotate_vector(q, v)
 
 
 @dataclass

@@ -112,15 +112,17 @@ class TestCodec:
             decode_frame(bytes(data))
 
     def test_degenerate_segment(self):
-        # build the bytes directly: a well-formed frame with a zero quaternion
-        frame = identity_frame(3)
-        frame.orientations[1] = 0.0
-        quats = np.ascontiguousarray(frame.orientations, dtype="<f4")
-        header = struct.pack("<4sBBIQB", FRAME_MAGIC, 1, 0, 0, 0, 3)
-        payload = header + quats.tobytes()
-        data = payload + struct.pack("<I", zlib.crc32(payload))
-        with pytest.raises(DegenerateQuaternion):
-            decode_frame(data)
+        # build the bytes directly: a well-formed frame whose segment 1 is
+        # (w, 0, 0, 0), a zero or non-finite quaternion
+        for w in (0.0, math.nan, math.inf):
+            frame = identity_frame(3)
+            frame.orientations[1, 0] = w
+            quats = np.ascontiguousarray(frame.orientations, dtype="<f4")
+            header = struct.pack("<4sBBIQB", FRAME_MAGIC, 1, 0, 0, 0, 3)
+            payload = header + quats.tobytes()
+            data = payload + struct.pack("<I", zlib.crc32(payload))
+            with pytest.raises(DegenerateQuaternion, match="segment 1"):
+                decode_frame(data)
 
     def test_decoder_never_crashes_on_noise(self):
         rng = np.random.default_rng(2)

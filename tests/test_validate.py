@@ -1,14 +1,19 @@
 """Trace audit: limit/velocity/acceleration checks, collisions, trace diffs."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from teleokin.clock import VirtualClock
 from teleokin.data import sample_text
 from teleokin.errors import DimensionMismatch, EmptyTrace, ShapeMismatch
 from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import FilterState, JointCommand, Pipeline
-from teleokin.runtime import run_loop
+from teleokin.runtime import run_loop, validator_sink
 from teleokin.stream import schedule, synth_motion
 from teleokin.validate import Thresholds, collision_pairs, compare_traces, validate_trace
 
@@ -218,6 +223,82 @@ class TestValidateTrace:
             int(cycle)
             float(value)
             float(threshold)
+
+
+def streamed(model, trace, **kwargs):
+    validator = validator_sink(model, **kwargs)
+    for cmd in trace:
+        validator.emit(cmd)
+    return validator.report()
+
+
+@st.composite
+def angle_traces(draw):
+    """Rows that hold, creep, or jump anywhere in [-3.5, 3.5] rad: the jumps
+    leave the soft limits, break the velocity check and collide spheres."""
+    n_joints = len(sample_model())
+    rows = [np.zeros(n_joints)]
+    for _ in range(draw(st.integers(0, 7))):
+        move = draw(st.sampled_from(["hold", "creep", "jump"]))
+        if move == "hold":
+            rows.append(rows[-1].copy())
+        elif move == "creep":
+            rows.append(rows[-1] + draw(arrays(float, n_joints, elements=st.floats(-0.02, 0.02))))
+        else:
+            rows.append(draw(arrays(float, n_joints, elements=st.floats(-3.5, 3.5))))
+    return np.array(rows)
+
+
+class TestStreamingValidator:
+    def test_non_finite_angle_is_a_limit_violation(self):
+        model = sample_model()
+        j = model.joint_index("left_knee")
+        for bad in (math.nan, math.inf):
+            rows = np.zeros((3, len(model)))
+            rows[1, j] = bad
+            trace = command_trace(model, rows)
+            offline = validate_trace(model, trace, period_us=10_000)
+            online = streamed(model, trace, period_us=10_000)
+            limit = [v for v in offline.violations if v.kind == "limit"]
+            assert [(v.cycle, v.identifier) for v in limit] == [(1, "left_knee")]
+            assert [v.line() for v in online.violations] == [v.line() for v in offline.violations]
+
+    def test_inferred_period_is_reported(self):
+        model = sample_model()
+        rows = np.zeros((4, len(model)))
+        rows[2, model.joint_index("waist_yaw")] = 0.5
+        trace = command_trace(model, rows, period_us=2000)
+        online = streamed(model, trace)
+        offline = validate_trace(model, trace)
+        assert online.period_us == offline.period_us == 2000
+        assert "period_us=2000\n" in online.format()
+        assert online.format() == offline.format()
+        assert streamed(model, trace[:1]).period_us == validate_trace(model, trace[:1]).period_us == 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=angle_traces(),
+        acceleration_limit=st.sampled_from([None, 200.0]),
+        margin=st.sampled_from([0.0, 0.05]),
+        period_us=st.sampled_from([2000, 10_000]),
+    )
+    def test_streaming_equals_offline(self, rows, acceleration_limit, margin, period_us):
+        model = sample_model()
+        trace = command_trace(model, rows, period_us=period_us)
+        thresholds = Thresholds(acceleration_limit, margin)
+        offline = validate_trace(model, trace, thresholds=thresholds, period_us=period_us)
+        online = streamed(model, trace, thresholds=thresholds, period_us=period_us)
+        assert online.cycles == offline.cycles
+        assert [(v.kind, v.cycle, v.identifier) for v in online.violations] == [
+            (v.kind, v.cycle, v.identifier) for v in offline.violations
+        ]
+        for a, b in zip(online.violations, offline.violations):
+            assert a.threshold == b.threshold
+            if a.kind == "self-collision":
+                # one streamed row takes the scalar FK, a trace the batch FK
+                assert a.value == pytest.approx(b.value, rel=0, abs=1e-9)
+            else:
+                assert a.value == b.value
 
 
 class TestCompareTraces:
