@@ -63,21 +63,25 @@ class UsageError(Exception):
     pass
 
 
-def _load_configs(args):
-    def read(path, loader, *extra):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-        try:
-            return loader(text, *extra)
-        except TeleokinError as exc:
-            raise UsageError(f"{path}: {exc}") from None
+def _read_file(path, read, *extra):
+    """``read(path, *extra)``, with an unreadable or malformed file as a UsageError naming it."""
+    try:
+        return read(path, *extra)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except TeleokinError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
-    model = read(args.robot, load_robot_model)
-    skeleton = read(args.skeleton, load_skeleton)
-    rmap = read(args.map, load_retarget_map, skeleton, model)
+
+def _read_config(path, loader, *extra):
+    with open(path, "r", encoding="utf-8") as fh:
+        return loader(fh.read(), *extra)
+
+
+def _load_configs(args):
+    model = _read_file(args.robot, _read_config, load_robot_model)
+    skeleton = _read_file(args.skeleton, _read_config, load_skeleton)
+    rmap = _read_file(args.map, _read_config, load_retarget_map, skeleton, model)
     return model, skeleton, rmap
 
 
@@ -122,13 +126,7 @@ def _parse_source(args, cycles_hint: float | None, skeleton=None):
                 speed = math.inf if speed_text in ("inf", "max") else float(speed_text)
             except ValueError:
                 raise UsageError(f"replay speed must be a number or 'inf', got {speed_text!r}") from None
-        try:
-            frames = read_recording(path)
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-        except TeleokinError as exc:
-            raise UsageError(f"{path}: {exc}") from None
-        return schedule(frames, speed=speed), False
+        return schedule(_read_file(path, read_recording), speed=speed), False
     if kind == "live":
         if not rest or not rest.isdigit():
             raise UsageError("live source needs a numeric port: live:<port>")
@@ -232,24 +230,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.robot, "r", encoding="utf-8") as fh:
-            model = load_robot_model(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.robot}: {exc.strerror or exc}") from None
-    except TeleokinError as exc:
-        raise UsageError(f"{args.robot}: {exc}") from None
-    try:
-        trace = read_trace(args.trace)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.trace}: {exc.strerror or exc}") from None
-    except TeleokinError as exc:
-        raise UsageError(f"{args.trace}: {exc}") from None
+    model = _read_file(args.robot, _read_config, load_robot_model)
+    trace = _read_file(args.trace, read_trace)
     period = round(1e6 / args.rate) if args.rate else None
-    try:
-        report = validate_trace(model, trace, thresholds=_thresholds_from(args), period_us=period)
-    except TeleokinError as exc:
-        raise UsageError(str(exc)) from None
+    report = validate_trace(model, trace, thresholds=_thresholds_from(args), period_us=period)
     sys.stdout.write(report.format())
     return 0 if report.passed else 1
 
@@ -365,10 +349,7 @@ def main(argv=None) -> int:
         _configure_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TeleokinError as exc:
+    except (UsageError, TeleokinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

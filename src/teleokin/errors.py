@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Decode errors (``BadMagic`` .. ``DegenerateQuaternion``) signal a frame that
-must be discarded, never a crash; loaders raise ``ParseError`` /
-``ValidationError`` with enough context to point at the offending line.
+Decode errors (``BadMagic``, ``UnsupportedVersion``, ``TruncatedFrame``,
+``CrcMismatch``, ``DegenerateQuaternion``) mean discard this frame, datagram,
+record or file, never a crash; all three wire formats raise only these.
+Loaders raise ``ParseError`` / ``ValidationError`` with enough context to
+point at the offending line.
 """
 
 from __future__ import annotations
@@ -43,19 +45,19 @@ class UnknownReference(ValidationError):
 
 
 class BadMagic(TeleokinError):
-    """Frame does not start with the expected magic bytes."""
+    """Frame, datagram or file does not start with the expected magic bytes."""
 
 
 class UnsupportedVersion(TeleokinError):
-    """Frame carries a protocol version this codec does not speak."""
+    """Frame or datagram carries a protocol version this codec does not speak."""
 
 
 class TruncatedFrame(TeleokinError):
-    """Frame is shorter (or longer) than its header declares."""
+    """Frame, datagram or record is shorter (or longer) than its header declares."""
 
 
 class CrcMismatch(TeleokinError):
-    """Frame checksum does not match its payload."""
+    """Frame, datagram or record checksum does not match its payload."""
 
 
 class EmptyRecording(TeleokinError):

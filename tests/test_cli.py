@@ -43,6 +43,14 @@ class TestRun:
         assert code == 2
         assert "nope.map" in capsys.readouterr().err
 
+    def test_missing_replay_file_names_path(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--source", f"replay:{tmp_path / 'nope.rec'}", "--sink", "null", "--frames", "10",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'nope.rec'}:" in err
+
     def test_validate_sink_on_compliant_motion(self, capsys):
         code = run_cli(
             "run", "--source", "synth:squat", "--sink", "validate",

@@ -12,12 +12,15 @@ import pytest
 from teleokin.errors import DegenerateQuaternion
 from teleokin.geometry import (
     EULER_ORDERS,
+    canonicalize_rows,
     euler_decompose,
     quat_conjugate,
     quat_from_axis_angle,
     quat_identity,
     quat_multiply,
+    quat_multiply_rows,
     quat_normalize,
+    quat_rotate_rows,
     quat_rotate_vector,
     swing_twist,
 )
@@ -244,3 +247,62 @@ def _recompose(angles, order):
     q = quat_from_axis_angle(axes[order[0]], float(angles[0]))
     q = quat_multiply(q, quat_from_axis_angle(axes[order[1]], float(angles[1])))
     return quat_multiply(q, quat_from_axis_angle(axes[order[2]], float(angles[2])))
+
+
+def random_unit_rows(rng, shape):
+    q = rng.normal(size=shape + (4,))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def cross_rotate(q, v):
+    """The np.cross form of the row rotate, kept as its bitwise reference."""
+    qv = q[..., 1:]
+    t = 2.0 * np.cross(qv, v)
+    return v + q[..., :1] * t + np.cross(qv, t)
+
+
+class TestRowKernels:
+    """The batched kernels against the scalar functions, row by row."""
+
+    def test_multiply_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        a, b = random_unit_rows(rng, (500,)), random_unit_rows(rng, (500,))
+        rows = canonicalize_rows(quat_multiply_rows(a, b))
+        for i in range(len(a)):
+            assert np.allclose(rows[i], quat_multiply(a[i], b[i]), rtol=0, atol=1e-12)
+
+    def test_multiply_broadcasts_one_quaternion(self):
+        rng = np.random.default_rng(12)
+        a, b = random_unit_rows(rng, (50,)), random_unit_quat(rng)
+        rows = canonicalize_rows(quat_multiply_rows(a, b))
+        for i in range(len(a)):
+            assert np.allclose(rows[i], quat_multiply(a[i], b), rtol=0, atol=1e-12)
+
+    def test_rotate_matches_scalar(self):
+        rng = np.random.default_rng(13)
+        q = random_unit_rows(rng, (40, 14))
+        v = rng.normal(size=(14, 3))
+        rows = quat_rotate_rows(q, v)
+        assert rows.shape == (40, 14, 3)
+        for i in range(40):
+            for j in range(14):
+                assert np.allclose(rows[i, j], quat_rotate_vector(q[i, j], v[j]), rtol=0, atol=1e-12)
+
+    def test_rotate_is_bitwise_the_cross_product_form(self):
+        rng = np.random.default_rng(14)
+        # The shapes the batch FK and the validator's sphere blocks use.
+        for q_shape, v_shape in (((1, 14), (14, 3)), ((128, 14), (14, 3)), ((1000,), (1, 3)), ((1000,), (3,))):
+            q = random_unit_rows(rng, q_shape)
+            v = rng.normal(size=v_shape)
+            assert np.array_equal(quat_rotate_rows(q, v), cross_rotate(q, v))
+
+    def test_canonical_sign_matches_scalar(self):
+        rng = np.random.default_rng(15)
+        q = rng.normal(size=(2000, 4))
+        # Zero leading components exercise every tie-break of the sign rule.
+        q[rng.random(q.shape) < 0.3] = 0.0
+        q = q[np.linalg.norm(q, axis=1) > 0]
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        rows = canonicalize_rows(q.copy())
+        for i in range(len(q)):
+            assert np.allclose(rows[i], quat_normalize(q[i]), rtol=0, atol=1e-12)

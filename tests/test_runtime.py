@@ -8,7 +8,14 @@ import pytest
 
 from teleokin.clock import VirtualClock, WallClock
 from teleokin.data import sample_text
-from teleokin.errors import CrcMismatch, SinkBackpressure, TruncatedFrame
+from teleokin.errors import (
+    BadMagic,
+    CrcMismatch,
+    DegenerateQuaternion,
+    SinkBackpressure,
+    TruncatedFrame,
+    UnsupportedVersion,
+)
 from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import (
@@ -111,6 +118,42 @@ class TestCommandCodec:
         with pytest.raises(TruncatedFrame):
             decode_command_datagram(data[:11])
 
+    def test_datagram_bad_magic(self):
+        data = b"XMD1" + encode_command_datagram(make_command(n=4))[4:]
+        with pytest.raises(BadMagic):
+            decode_command_datagram(data)
+
+    def test_datagram_bad_version(self):
+        data = bytearray(encode_command_datagram(make_command(n=4)))
+        data[4] = 2
+        with pytest.raises(UnsupportedVersion):
+            decode_command_datagram(bytes(data))
+
+    def test_datagram_decoder_raises_only_codec_errors(self):
+        codec_errors = (BadMagic, UnsupportedVersion, TruncatedFrame, CrcMismatch, DegenerateQuaternion)
+        rng = np.random.default_rng(5)
+        valid = encode_command_datagram(make_command(n=23))
+        prefix = valid[:5]
+        for i in range(100_000):
+            if i % 2:
+                # a valid datagram with 1-3 bytes flipped, sometimes cut or extended
+                data = bytearray(valid)
+                for pos in rng.integers(len(data), size=int(rng.integers(1, 4))):
+                    data[pos] ^= int(rng.integers(1, 256))
+                if i % 7 == 1:
+                    data = data[: int(rng.integers(len(data)))]
+                elif i % 7 == 3:
+                    data += bytes(int(rng.integers(1, 9)))
+            else:
+                # noise, half of it behind a valid magic and version
+                data = rng.integers(0, 256, size=int(rng.integers(0, 260)), dtype=np.uint8).tobytes()
+                if i % 4 == 0:
+                    data = prefix + data
+            try:
+                decode_command_datagram(bytes(data))
+            except codec_errors:
+                pass
+
 
 class TestTraceSink:
     def test_empty_trace_is_just_the_header(self, tmp_path):
@@ -141,6 +184,20 @@ class TestTraceSink:
             assert a.emission_timestamp_us == b.emission_timestamp_us
             assert np.array_equal(a.angles, b.angles)
             assert a.hold == b.hold
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "bad.trc"
+        path.write_bytes(b"CMDTRC02" + encode_command_record(make_command(n=23)))
+        with pytest.raises(BadMagic):
+            read_trace(path)
+
+    def test_truncated_tail_raises(self, tmp_path):
+        # unlike a recording, whose truncated final frame is dropped
+        path = tmp_path / "cut.trc"
+        record = encode_command_record(make_command(n=23))
+        path.write_bytes(b"CMDTRC01" + record + record[:-1])
+        with pytest.raises(TruncatedFrame):
+            read_trace(path)
 
 
 def frames_at_rate(n, rate_hz, pattern="arm-wave", noise=0.0, seed=0):

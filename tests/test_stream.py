@@ -1,13 +1,16 @@
 """Wire codec, stream accounting, recordings, replay, and synthesis."""
 
 import math
+import socket
 import struct
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
-from teleokin.clock import VirtualClock
+from teleokin import stream
+from teleokin.clock import VirtualClock, WallClock
 from teleokin.errors import (
     BadMagic,
     CrcMismatch,
@@ -18,8 +21,10 @@ from teleokin.errors import (
 )
 from teleokin.geometry import swing_twist
 from teleokin.model import canonical_skeleton
+from teleokin.runtime import LatestFrameSlot
 from teleokin.stream import (
     FRAME_MAGIC,
+    DatagramSource,
     MocapFrame,
     StreamStats,
     decode_frame,
@@ -312,3 +317,25 @@ class TestSynth:
             synth_motion("static", rate=100, duration=1, noise_std=-0.1)
         with pytest.raises(ValueError):
             synth_motion("moonwalk", rate=100, duration=1)
+
+
+class TestDatagramSource:
+    def test_programming_error_is_not_counted_as_a_decode_error(self, monkeypatch):
+        def broken_decode(data):
+            raise RuntimeError("bug in the decoder")
+
+        raised = []
+        monkeypatch.setattr(stream, "decode_frame", broken_decode)
+        monkeypatch.setattr(threading, "excepthook", lambda args: raised.append(args.exc_type))
+        source = DatagramSource(port=0)
+        source.start(LatestFrameSlot(), WallClock())
+        thread = source._thread
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                out.sendto(encode_frame(identity_frame(3)), ("127.0.0.1", source.port))
+            thread.join(timeout=2.0)
+        finally:
+            source.stop()
+        assert not thread.is_alive()
+        assert raised == [RuntimeError]
+        assert source.decode_errors == {}
