@@ -200,7 +200,6 @@ def cmd_run(args) -> int:
             max_cycles=args.frames,
             duration_s=args.duration,
             clock=clock,
-            dt_mode=args.dt_mode,
             sink_budget_us=args.sink_budget_us,
         )
     except SinkBackpressure as exc:
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--frames", type=int, default=None, help="cycle budget")
     run.add_argument("--duration", type=float, default=None, help="run duration in seconds")
     run.add_argument("--tau", type=float, default=0.020, help="filter time constant in seconds (default 0.02)")
-    run.add_argument("--dt-mode", choices=("nominal", "measured"), default="nominal")
     run.add_argument("--clock", choices=("auto", "virtual", "wall"), default="auto",
                      help="virtual for offline sources, wall for live (default auto)")
     run.add_argument("--source-rate", type=float, default=100.0, help="synth source rate in Hz")

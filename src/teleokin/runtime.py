@@ -56,13 +56,15 @@ class LatestFrameSlot:
 
     ``written = consumed + overwritten (+1 if a frame is pending)`` at all
     times; ``drain`` folds a leftover pending frame into ``overwritten`` so
-    the equality is exact once the loop stops.
+    the equality is exact once the loop stops.  A live source whose thread
+    dies calls ``fail``; every later ``take`` raises that exception.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._frame = None
         self._arrival_us = 0
+        self._error: BaseException | None = None
         self.written = 0
         self.overwritten = 0
         self.consumed = 0
@@ -75,8 +77,14 @@ class LatestFrameSlot:
             self._arrival_us = arrival_us
             self.written += 1
 
+    def fail(self, exc: BaseException) -> None:
+        with self._lock:
+            self._error = exc
+
     def take(self):
         with self._lock:
+            if self._error is not None:
+                raise self._error
             if self._frame is None:
                 return None
             frame, arrival = self._frame, self._arrival_us
@@ -108,7 +116,6 @@ class LoopMetrics:
     frames_written: int = 0
     frames_consumed: int = 0
     frames_overwritten: int = 0
-    sink_errors: int = 0
     compute_us: Histogram = field(default_factory=Histogram)
     frame_age_us: Histogram = field(default_factory=Histogram)
     jitter_us: Histogram = field(default_factory=Histogram)
@@ -121,7 +128,6 @@ class LoopMetrics:
             f"frames_written={self.frames_written}",
             f"frames_consumed={self.frames_consumed}",
             f"frames_overwritten={self.frames_overwritten}",
-            f"sink_errors={self.sink_errors}",
         ]
         for name, hist in (
             ("compute_us", self.compute_us),
@@ -315,7 +321,6 @@ def run_loop(
     max_cycles: int | None = None,
     duration_s: float | None = None,
     clock=None,
-    dt_mode: str = "nominal",
     sink_budget_us: int | None = None,
 ) -> LoopMetrics:
     """Drive the pipeline at a fixed rate until the budget or source ends.
@@ -328,22 +333,21 @@ def run_loop(
 
     Each cycle takes the newest pending frame and emits exactly one command;
     with no pending frame it emits a hold command repeating the last emitted
-    angles (model defaults before the first frame).  The filter sees
-    ``dt = 1/rate`` in nominal mode or the measured cycle spacing in
-    measured mode.
+    angles (model defaults before the first frame).  A fresh frame is
+    smoothed with ``dt`` equal to the loop time since the previous fresh
+    frame, in whole periods (one period for the first), so the filter's time
+    constant holds whatever the source and loop rates.  A live source that
+    fails (``LatestFrameSlot.fail``) stops the loop with its exception.
 
     Raises SinkBackpressure (metrics attached) after BACKPRESSURE_LIMIT
     consecutive sink calls above ``sink_budget_us`` (default: one period).
     """
     if not (rate_hz > 0):
         raise ValueError("rate_hz must be positive")
-    if dt_mode not in ("nominal", "measured"):
-        raise ValueError("dt_mode must be 'nominal' or 'measured'")
     clk = clock if clock is not None else WallClock()
     period_us = max(1, round(1e6 / rate_hz))
     if sink_budget_us is None:
         sink_budget_us = period_us
-    nominal_dt = period_us / 1e6
 
     slot = LatestFrameSlot()
     live = hasattr(source, "start")
@@ -355,7 +359,7 @@ def run_loop(
     last_source_seq = 0
     last_source_ts = 0
     over_budget = 0
-    prev_cycle_now: int | None = None
+    last_fresh_cycle = -1
 
     if live:
         source.start(slot, clk)
@@ -389,11 +393,10 @@ def run_loop(
             taken = slot.take()
             if taken is not None:
                 frame, arrival_us = taken
-                if dt_mode == "nominal" or prev_cycle_now is None:
-                    dt = nominal_dt
-                else:
-                    dt = max(now - prev_cycle_now, 1) / 1e6
-                command, _diag = pipeline.step(frame, dt, clk)
+                # integer us, so equal spans give bit-equal dt
+                periods = cycle - last_fresh_cycle if last_fresh_cycle >= 0 else 1
+                command, _diag = pipeline.step(frame, periods * period_us / 1e6, clk)
+                last_fresh_cycle = cycle
                 command = replace(command, seq=cycle)
                 metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
                 last_angles = command.angles
@@ -416,11 +419,9 @@ def run_loop(
             metrics.compute_us.record(clk.now_us() - work_start)
             metrics.cycles += 1
             metrics.commands += 1
-            prev_cycle_now = now
             if sink_elapsed > sink_budget_us:
                 over_budget += 1
                 if over_budget >= BACKPRESSURE_LIMIT:
-                    _finalize(metrics, slot)
                     raise SinkBackpressure(
                         f"sink exceeded {sink_budget_us} us for {over_budget} consecutive cycles",
                         metrics=metrics,
@@ -432,7 +433,9 @@ def run_loop(
         if live:
             source.stop()
         slot.drain()
-        _finalize(metrics, slot)
+        metrics.frames_written = slot.written
+        metrics.frames_consumed = slot.consumed
+        metrics.frames_overwritten = slot.overwritten
         log.info(
             "loop finished: %d cycles, %d holds, %d frames consumed, %d overwritten",
             metrics.cycles,
@@ -441,9 +444,3 @@ def run_loop(
             metrics.frames_overwritten,
         )
     return metrics
-
-
-def _finalize(metrics: LoopMetrics, slot: LatestFrameSlot) -> None:
-    metrics.frames_written = slot.written
-    metrics.frames_consumed = slot.consumed
-    metrics.frames_overwritten = slot.overwritten

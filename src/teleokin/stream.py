@@ -50,7 +50,6 @@ from .errors import (
     UnsupportedVersion,
 )
 from .geometry import canonicalize_rows, quat_multiply_rows
-from .metrics import Histogram
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +180,7 @@ def frames_equal(a: MocapFrame, b: MocapFrame) -> bool:
 
 
 class StreamStats:
-    """Sequence and timing accounting for a live frame stream.
+    """Sequence accounting for a live frame stream.
 
     ``received`` counts every observed frame including duplicates;
     ``dropped`` is the count of sequence numbers inside the observed span
@@ -192,17 +191,13 @@ class StreamStats:
         self.received = 0
         self.duplicates = 0
         self.out_of_order = 0
-        self.jitter = Histogram()
         self._seen: set[int] = set()
         self._first_seq: int | None = None
         self._max_seq: int | None = None
-        self._last_arrival: int | None = None
 
     def observe(self, seq: int, arrival_us: int) -> None:
+        """Count one received frame; ``arrival_us`` is accepted but not kept."""
         self.received += 1
-        if self._last_arrival is not None:
-            self.jitter.record(arrival_us - self._last_arrival)
-        self._last_arrival = arrival_us
         if seq in self._seen:
             self.duplicates += 1
             return
@@ -423,7 +418,8 @@ class DatagramSource:
 
     Undecodable datagrams are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
-    Any other exception is a bug: it ends the source thread with a traceback.
+    Any other exception is a bug: it ends the source thread with a traceback
+    and fails the slot, which stops the loop with the same exception.
     """
 
     def __init__(self, port: int, host: str = "127.0.0.1"):
@@ -447,22 +443,26 @@ class DatagramSource:
         self._thread.start()
 
     def _run(self, slot, clock) -> None:
-        while self._running:
-            try:
-                data, _ = self._sock.recvfrom(65535)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                frame = decode_frame(data)
-            except TeleokinError as exc:  # decode errors are counted drops
-                name = type(exc).__name__
-                self.decode_errors[name] = self.decode_errors.get(name, 0) + 1
-                continue
-            now = clock.now_us()
-            self.stats.observe(frame.seq, now)
-            slot.write(frame, now)
+        try:
+            while self._running:
+                try:
+                    data, _ = self._sock.recvfrom(65535)
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+                try:
+                    frame = decode_frame(data)
+                except TeleokinError as exc:  # decode errors are counted drops
+                    name = type(exc).__name__
+                    self.decode_errors[name] = self.decode_errors.get(name, 0) + 1
+                    continue
+                now = clock.now_us()
+                self.stats.observe(frame.seq, now)
+                slot.write(frame, now)
+        except BaseException as exc:
+            slot.fail(exc)  # the loop's next take raises it
+            raise
 
     def stop(self) -> None:
         self._running = False

@@ -219,7 +219,7 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--robot", "--source", "--sink", "--rate", "--frames", "--tau",
-                     "--dt-mode", "--clock", "--seed"):
+                     "--clock", "--seed"):
             assert flag in out
 
 

@@ -1,6 +1,8 @@
 """Control loop, latest-frame slot, sinks, and command codecs."""
 
+import math
 import socket
+import threading
 import time
 
 import numpy as np
@@ -31,7 +33,8 @@ from teleokin.runtime import (
     trace_sink,
     validator_sink,
 )
-from teleokin.stream import identity_frame, schedule, synth_motion
+from teleokin import stream
+from teleokin.stream import DatagramSource, MocapFrame, encode_frame, identity_frame, schedule, synth_motion
 
 
 def sample_pipeline(tau=0.020):
@@ -330,7 +333,9 @@ class TestRunLoop:
                 clock=WallClock(),
                 sink_budget_us=500,
             )
-        assert exc.value.metrics.cycles == 8
+        metrics = exc.value.metrics
+        assert metrics.cycles == 8
+        assert metrics.frames_written == metrics.frames_consumed + metrics.frames_overwritten
 
     def test_validator_sink_matches_offline_validation(self):
         from teleokin.validate import validate_trace
@@ -352,18 +357,59 @@ class TestRunLoop:
         assert online.counts == offline.counts
         assert online.cycles == offline.cycles
 
-    def test_measured_dt_mode_runs(self):
-        pipeline = sample_pipeline()
-        frames = frames_at_rate(20, 100)
-        metrics = run_loop(
-            schedule(frames),
-            pipeline,
-            NullSink(),
-            rate_hz=100,
-            clock=VirtualClock(),
-            dt_mode="measured",
-        )
-        assert metrics.commands == 20
+    def test_fresh_commands_do_not_depend_on_loop_rate(self):
+        frames = frames_at_rate(100, 100, pattern="walk-cycle", noise=0.01, seed=5)
+        fresh = {}
+        for rate in (100, 500, 1000):
+            capture = _CaptureSink()
+            run_loop(schedule(frames), sample_pipeline(), capture, rate_hz=rate, clock=VirtualClock())
+            fresh[rate] = np.array([c.angles for c in capture.commands if not c.hold])
+        assert len(fresh[100]) == 100
+        assert np.array_equal(fresh[100], fresh[500])
+        assert np.array_equal(fresh[100], fresh[1000])
+
+    def test_step_from_slow_source_honours_tau(self):
+        tau = 0.020
+        poses = frames_at_rate(40, 100)
+        steps = [poses[0]] + [
+            MocapFrame(seq=k, timestamp_us=k * 10_000, orientations=poses[30].orientations)
+            for k in range(1, 30)
+        ]
+        raw0, raw1 = (sample_pipeline(tau=0.0).step(f, 0.01, VirtualClock())[0].angles
+                      for f in (poses[0], poses[30]))
+        capture = _CaptureSink()
+        run_loop(schedule(steps), sample_pipeline(tau), capture, rate_hz=500, clock=VirtualClock())
+        fresh = [c for c in capture.commands if not c.hold]
+        assert len(fresh) == len(steps)
+        assert not any(c.clamped.any() for c in fresh)
+        assert np.abs(raw1 - raw0).max() > 0.1
+        for k, cmd in enumerate(fresh):
+            expected = raw0 + (raw1 - raw0) * (1.0 - math.exp(-k * 0.010 / tau))
+            assert np.abs(cmd.angles - expected).max() < 1e-12
+
+    def test_dead_live_source_stops_the_loop(self, monkeypatch):
+        def broken_decode(data):
+            raise RuntimeError("bug in the decoder")
+
+        class SendOnStart:  # forwards only start/stop, like a wrapping harness
+            def __init__(self):
+                self.inner = DatagramSource(port=0)
+
+            def start(self, slot, clock):
+                self.inner.start(slot, clock)
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                    out.sendto(encode_frame(identity_frame(23)), ("127.0.0.1", self.inner.port))
+
+            def stop(self):
+                self.inner.stop()
+
+        monkeypatch.setattr(stream, "decode_frame", broken_decode)
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="bug in the decoder"):
+            run_loop(SendOnStart(), sample_pipeline(), NullSink(), rate_hz=500,
+                     duration_s=10.0, clock=WallClock())
+        assert time.monotonic() - started < 5.0
 
     def test_metrics_dump_format(self):
         pipeline = sample_pipeline()
