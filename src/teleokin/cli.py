@@ -254,6 +254,7 @@ def cmd_bench(args) -> int:
         raise UsageError("--repetitions must be at least 1")
     model, skeleton, rmap = _load_configs(args)
     compute = Histogram()
+    fresh_compute = Histogram()
     frame_age = Histogram()
     for rep in range(args.repetitions):
         pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
@@ -274,11 +275,15 @@ def cmd_bench(args) -> int:
             clock=WallClock(),
         )
         compute.samples.extend(metrics.compute_us.samples)
+        fresh_compute.samples.extend(metrics.fresh_compute_us.samples)
         frame_age.samples.extend(metrics.frame_age_us.samples)
     sys.stdout.write(
         f"repetitions={args.repetitions}\ncycles_per_repetition={args.cycles}\nrate_hz={args.rate}\n"
         f"compute_us_p50={compute.percentile(50)}\ncompute_us_p99={compute.percentile(99)}\n"
         f"compute_us_max={compute.maximum()}\n"
+        f"fresh_compute_us_p50={fresh_compute.percentile(50)}\n"
+        f"fresh_compute_us_p99={fresh_compute.percentile(99)}\n"
+        f"fresh_compute_us_max={fresh_compute.maximum()}\n"
         f"frame_age_us_p50={frame_age.percentile(50)}\nframe_age_us_p99={frame_age.percentile(99)}\n"
         f"frame_age_us_max={frame_age.maximum()}\n"
     )

@@ -12,7 +12,11 @@ Conventions, fixed once here and used everywhere in the package:
 
 The implementations unpack to plain floats internally; at 4 elements that is
 several times faster than numpy elementwise ops, which matters in the
-per-frame retargeting path.
+per-frame retargeting path.  The twist angle and the three-angle
+decomposition are written once, as private plain-float helpers
+(``_twist_angle``, ``_euler_angles``, ``_euler_axes``); ``swing_twist`` and
+``euler_decompose`` call them, and so does the retarget map compiled at load
+time, which runs them on the floats of a whole frame without building arrays.
 
 The row kernels at the end are the package's one copy of this algebra over
 stacked ``(..., 4)`` quaternions; the scalar functions are their test oracle.
@@ -125,6 +129,15 @@ def _wrap_angle(a: float) -> float:
     return a
 
 
+def _twist_angle(w: float, x: float, y: float, z: float, ax: float, ay: float, az: float):
+    # Twist of (w, x, y, z) about the unit axis, in (-pi, pi]; None when the
+    # vector part is orthogonal to the axis and there is no twist component.
+    proj = x * ax + y * ay + z * az
+    if math.hypot(w, proj) <= DEGENERATE_NORM:
+        return None
+    return _wrap_angle(2.0 * math.atan2(proj, w))
+
+
 def swing_twist(q, axis) -> tuple[np.ndarray, float]:
     """Split a rotation into swing and twist about ``axis``.
 
@@ -138,10 +151,9 @@ def swing_twist(q, axis) -> tuple[np.ndarray, float]:
     """
     w, x, y, z = (float(c) for c in q)
     ax, ay, az = (float(c) for c in axis)
-    proj = x * ax + y * ay + z * az
-    if math.hypot(w, proj) <= DEGENERATE_NORM:
+    angle = _twist_angle(w, x, y, z, ax, ay, az)
+    if angle is None:
         return _canonical(w, x, y, z), 0.0
-    angle = _wrap_angle(2.0 * math.atan2(proj, w))
     # swing = q * twist^-1
     half = 0.5 * angle
     tw = math.cos(half)
@@ -170,6 +182,24 @@ def _matrix(w: float, x: float, y: float, z: float):
     )
 
 
+def _euler_axes(order: str) -> tuple[int, int, int, float]:
+    # Axis indices of an order and the sign of its permutation.
+    i, j, k = (_AXIS_INDEX[c] for c in order)
+    return i, j, k, 1.0 if (i, j, k) in _CYCLIC else -1.0
+
+
+def _euler_angles(w: float, x: float, y: float, z: float, i: int, j: int, k: int, s: float):
+    # (a1, a2, a3, gimbal) for the axes of _euler_axes; a1 and a3 are only
+    # meaningful when gimbal is False (callers tie-break the gimbal case).
+    m = _matrix(w, x, y, z)
+    a2 = math.asin(max(-1.0, min(1.0, s * m[i][k])))
+    if (math.pi / 2.0 - abs(a2)) <= GIMBAL_MARGIN:
+        return 0.0, a2, 0.0, True
+    a1 = math.atan2(-s * m[j][k], m[k][k])
+    a3 = math.atan2(-s * m[i][j], m[i][i])
+    return _wrap_angle(a1), a2, _wrap_angle(a3), False
+
+
 def euler_decompose(q, order: str) -> tuple[np.ndarray, bool]:
     """Decompose a rotation into three intrinsic rotations.
 
@@ -186,24 +216,15 @@ def euler_decompose(q, order: str) -> tuple[np.ndarray, bool]:
     order = order.upper()
     if order not in EULER_ORDERS:
         raise ValueError(f"unsupported axis order {order!r}; expected one of {EULER_ORDERS}")
-    i, j, k = (_AXIS_INDEX[c] for c in order)
-    s = 1.0 if (i, j, k) in _CYCLIC else -1.0
-
+    i, j, k, s = _euler_axes(order)
     w, x, y, z = (float(c) for c in q)
-    m = _matrix(w, x, y, z)
-    sin_a2 = max(-1.0, min(1.0, s * m[i][k]))
-    a2 = math.asin(sin_a2)
-    gimbal = (math.pi / 2.0 - abs(a2)) <= GIMBAL_MARGIN
-    if not gimbal:
-        a1 = math.atan2(-s * m[j][k], m[k][k])
-        a3 = math.atan2(-s * m[i][j], m[i][i])
-    else:
-        # Near the singularity a1/a3 trade off freely; fix a3 = 0 and take
-        # a1 as the twist of the residual q * R(axis_j, a2)^-1 about axis_i.
-        a3 = 0.0
+    a1, a2, a3, gimbal = _euler_angles(w, x, y, z, i, j, k, s)
+    if gimbal:
+        # Near the singularity a1/a3 trade off freely; a3 stays 0 and a1 is
+        # the twist of the residual q * R(axis_j, a2)^-1 about axis_i.
         residual = quat_multiply(q, quat_conjugate(quat_from_axis_angle(_UNIT_AXES[j], a2)))
         _, a1 = swing_twist(residual, _UNIT_AXES[i])
-    return np.array([_wrap_angle(a1), a2, _wrap_angle(a3)]), gimbal
+    return np.array([a1, a2, a3]), gimbal
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +265,11 @@ def quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def canonicalize_rows(quats: np.ndarray) -> np.ndarray:
     """Flip rows of ``(..., 4)`` quaternions into canonical sign, in place; returns ``quats``."""
-    w, x, y, z = quats[..., 0], quats[..., 1], quats[..., 2], quats[..., 3]
-    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
-    quats[flip] *= -1.0
+    w = quats[..., 0]
+    flip = w < 0
+    zero = w == 0
+    if zero.any():  # the x/y/z tie-break is needed only for an exact w == 0
+        x, y, z = quats[..., 1], quats[..., 2], quats[..., 3]
+        flip |= zero & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0)))))
+    np.negative(quats, out=quats, where=flip[..., None])
     return quats

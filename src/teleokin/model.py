@@ -33,6 +33,7 @@ from .errors import (
 )
 from .geometry import (
     EULER_ORDERS,
+    _euler_axes,
     quat_from_axis_angle,
     quat_identity,
     quat_multiply,
@@ -297,8 +298,15 @@ class TripleRule:
 class RetargetMap:
     """Total, validated human-segment to robot-joint projection rules.
 
-    Joint and segment references are resolved to indices at load time so the
-    per-frame mapping needs no name lookups.
+    Joint and segment references are resolved to indices at load time, and
+    the rules are compiled into plain-float tuples the per-frame mapping
+    unpacks directly:
+
+    - ``twist_rules``: ``(segment, ax, ay, az, gain, offset, joint)``;
+    - ``triple_rules``: ``(segment, order, i, j, k, s, ((joint, gain, offset) x 3))``,
+      with the axis indices and permutation sign of ``order``.
+
+    ``gain`` is ``sign * scale``, the product the angle is multiplied by.
     """
 
     def __init__(self, rules: list, unmapped: list[str], skeleton: HumanSkeleton, model: RobotModel):
@@ -329,6 +337,21 @@ class RetargetMap:
             raise CoverageError(f"joints not covered by the map: {missing}")
 
         self.rules = list(rules)
+        self.twist_rules = tuple(
+            (r.segment_index, *(float(c) for c in r.axis), r.sign * r.scale, r.offset, r.joint_index)
+            for r in rules
+            if isinstance(r, TwistRule)
+        )
+        self.triple_rules = tuple(
+            (
+                r.segment_index,
+                r.order,
+                *_euler_axes(r.order),
+                tuple(zip(r.joint_indices, (g * c for g, c in zip(r.signs, r.scales)), r.offsets)),
+            )
+            for r in rules
+            if isinstance(r, TripleRule)
+        )
         self.unmapped = list(unmapped)
         self.joint_count = len(model)
         self.default_angles = model.default_angles.copy()

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import euler_decompose, swing_twist
-from .model import HumanSkeleton, RetargetMap, RobotModel, TwistRule
+from .geometry import _euler_angles, _twist_angle, euler_decompose
+from .model import HumanSkeleton, RetargetMap, RobotModel
 from .stream import MocapFrame
 
 
@@ -25,12 +25,16 @@ class FilterState:
 
     ``tau`` is the time constant in seconds (0 disables smoothing for that
     joint).  The first smoothed frame passes through unchanged, so there is
-    no startup transient from an arbitrary initial state.
+    no startup transient from an arbitrary initial state.  The gains for
+    the last ``dt`` are kept (one entry, so memory is bounded however many
+    distinct steps a run sees); ``tau`` is read when a new ``dt`` arrives.
     """
 
     previous: np.ndarray
     tau: np.ndarray
     initialized: bool = False
+    # (dt, alpha, 1 - alpha) for the last dt smooth() saw
+    _gains: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, joint_count: int, tau=0.020) -> "FilterState":
@@ -67,27 +71,28 @@ class RetargetDiagnostics:
 
 
 def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[np.ndarray, int]:
+    # Runs the map's compiled rules on the frame's floats; a triple rule near
+    # gimbal lock takes euler_decompose's tie-break.
     if frame.segment_count != rmap.segment_count:
         raise DimensionMismatch(
             f"frame has {frame.segment_count} segments, map expects {rmap.segment_count}"
         )
-    angles = rmap.default_angles.copy()
-    orientations = frame.orientations
+    quats = frame.orientations.tolist()
+    out = rmap.default_angles.tolist()
+    for segment, ax, ay, az, gain, offset, joint in rmap.twist_rules:
+        w, x, y, z = quats[segment]
+        twist = _twist_angle(w, x, y, z, ax, ay, az)
+        out[joint] = gain * (0.0 if twist is None else twist) + offset
     gimbal_warnings = 0
-    for rule in rmap.rules:
-        if isinstance(rule, TwistRule):
-            _, twist = swing_twist(orientations[rule.segment_index], rule.axis)
-            angles[rule.joint_index] = rule.sign * rule.scale * twist + rule.offset
-        else:
-            decomposed, gimbal = euler_decompose(orientations[rule.segment_index], rule.order)
-            if gimbal:
-                gimbal_warnings += 1
-            for slot, joint_index in enumerate(rule.joint_indices):
-                angles[joint_index] = (
-                    rule.signs[slot] * rule.scales[slot] * float(decomposed[slot])
-                    + rule.offsets[slot]
-                )
-    return angles, gimbal_warnings
+    for segment, order, i, j, k, s, slots in rmap.triple_rules:
+        w, x, y, z = quats[segment]
+        a1, a2, a3, gimbal = _euler_angles(w, x, y, z, i, j, k, s)
+        if gimbal:
+            a1, a2, a3 = euler_decompose(quats[segment], order)[0].tolist()
+            gimbal_warnings += 1
+        for (joint, gain, offset), angle in zip(slots, (a1, a2, a3)):
+            out[joint] = gain * angle + offset
+    return np.array(out), gimbal_warnings
 
 
 def map_frame(rmap: RetargetMap, skeleton: HumanSkeleton, frame: MocapFrame) -> np.ndarray:
@@ -127,10 +132,14 @@ def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
             f"expected {state.previous.shape[0]} angles, got shape {angles.shape}"
         )
     if state.initialized:
-        alpha = np.ones_like(state.tau)
-        active = state.tau > 0
-        alpha[active] = 1.0 - np.exp(-dt / state.tau[active])
-        out = alpha * angles + (1.0 - alpha) * state.previous
+        cached_dt, alpha, keep = state._gains
+        if cached_dt != dt:
+            alpha = np.ones_like(state.tau)
+            active = state.tau > 0
+            alpha[active] = 1.0 - np.exp(-dt / state.tau[active])
+            keep = 1.0 - alpha
+            state._gains = (dt, alpha, keep)
+        out = alpha * angles + keep * state.previous
     else:
         out = angles.astype(float, copy=True)
         state.initialized = True
@@ -151,11 +160,8 @@ def retarget_step(
     raw, gimbal_warnings = _map_frame(rmap, frame)
     smoothed = smooth(state, raw, dt)
     angles, flags = enforce_limits(model, smoothed)
-    excursion = max(
-        0.0,
-        float(np.max(model.soft_lower - smoothed)),
-        float(np.max(smoothed - model.soft_upper)),
-    )
+    # The clamp moved each joint exactly as far as it was beyond its bound.
+    excursion = max(0.0, float(np.max(np.abs(angles - smoothed))))
     command = JointCommand(
         seq=0,
         source_seq=frame.seq,
@@ -164,7 +170,7 @@ def retarget_step(
         angles=angles,
         clamped=flags,
     )
-    return command, RetargetDiagnostics(int(flags.sum()), excursion, gimbal_warnings)
+    return command, RetargetDiagnostics(int(np.count_nonzero(flags)), excursion, gimbal_warnings)
 
 
 @dataclass

@@ -26,7 +26,7 @@ import logging
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,7 +116,11 @@ class LoopMetrics:
     frames_written: int = 0
     frames_consumed: int = 0
     frames_overwritten: int = 0
+    clamped_joints: int = 0  # joints the soft-limit clamp changed, summed over fresh commands
+    worst_excursion_rad: float = 0.0  # largest distance beyond a soft bound before clamping
+    gimbal_warnings: int = 0
     compute_us: Histogram = field(default_factory=Histogram)
+    fresh_compute_us: Histogram = field(default_factory=Histogram)  # compute_us of fresh cycles
     frame_age_us: Histogram = field(default_factory=Histogram)
     jitter_us: Histogram = field(default_factory=Histogram)
 
@@ -128,9 +132,13 @@ class LoopMetrics:
             f"frames_written={self.frames_written}",
             f"frames_consumed={self.frames_consumed}",
             f"frames_overwritten={self.frames_overwritten}",
+            f"clamped_joints={self.clamped_joints}",
+            f"worst_excursion_rad={self.worst_excursion_rad!r}",
+            f"gimbal_warnings={self.gimbal_warnings}",
         ]
         for name, hist in (
             ("compute_us", self.compute_us),
+            ("fresh_compute_us", self.fresh_compute_us),
             ("frame_age_us", self.frame_age_us),
             ("jitter_us", self.jitter_us),
         ):
@@ -395,9 +403,12 @@ def run_loop(
                 frame, arrival_us = taken
                 # integer us, so equal spans give bit-equal dt
                 periods = cycle - last_fresh_cycle if last_fresh_cycle >= 0 else 1
-                command, _diag = pipeline.step(frame, periods * period_us / 1e6, clk)
+                command, diag = pipeline.step(frame, periods * period_us / 1e6, clk)
                 last_fresh_cycle = cycle
-                command = replace(command, seq=cycle)
+                command.seq = cycle  # the step's command is this loop's own
+                metrics.clamped_joints += diag.clamped_count
+                metrics.worst_excursion_rad = max(metrics.worst_excursion_rad, diag.worst_excursion)
+                metrics.gimbal_warnings += diag.gimbal_warnings
                 metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
                 last_angles = command.angles
                 last_source_seq = command.source_seq
@@ -416,7 +427,10 @@ def run_loop(
             sink_start = clk.now_us()
             sink.emit(command)
             sink_elapsed = clk.now_us() - sink_start
-            metrics.compute_us.record(clk.now_us() - work_start)
+            compute = clk.now_us() - work_start
+            metrics.compute_us.record(compute)
+            if taken is not None:
+                metrics.fresh_compute_us.record(compute)
             metrics.cycles += 1
             metrics.commands += 1
             if sink_elapsed > sink_budget_us:

@@ -298,11 +298,17 @@ class TestRowKernels:
 
     def test_canonical_sign_matches_scalar(self):
         rng = np.random.default_rng(15)
-        q = rng.normal(size=(2000, 4))
+        with_zeros = rng.normal(size=(2000, 4))
         # Zero leading components exercise every tie-break of the sign rule.
-        q[rng.random(q.shape) < 0.3] = 0.0
-        q = q[np.linalg.norm(q, axis=1) > 0]
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        rows = canonicalize_rows(q.copy())
-        for i in range(len(q)):
-            assert np.allclose(rows[i], quat_normalize(q[i]), rtol=0, atol=1e-12)
+        with_zeros[rng.random(with_zeros.shape) < 0.3] = 0.0
+        # No exact-zero w: the sign rule is w < 0 alone, without the tie-break.
+        without_zeros = rng.normal(size=(2000, 4))
+        without_zeros[without_zeros[:, 0] == 0.0, 0] = 0.5
+        for q in (with_zeros, without_zeros):
+            q = q[np.linalg.norm(q, axis=1) > 0]
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+            rows = canonicalize_rows(q.copy())
+            for i in range(len(q)):
+                assert np.allclose(rows[i], quat_normalize(q[i]), rtol=0, atol=1e-12)
+        assert (with_zeros[:, 0] == 0).any() and not (without_zeros[:, 0] == 0).any()
+        assert (without_zeros[:, 0] < 0).any()

@@ -8,11 +8,20 @@ import pytest
 from teleokin.clock import VirtualClock
 from teleokin.data import sample_text
 from teleokin.errors import DimensionMismatch
-from teleokin.geometry import euler_decompose, quat_from_axis_angle, quat_multiply
-from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
+from teleokin.geometry import (
+    GIMBAL_MARGIN,
+    canonicalize_rows,
+    euler_decompose,
+    quat_from_axis_angle,
+    quat_multiply,
+    quat_multiply_rows,
+    swing_twist,
+)
+from teleokin.model import TwistRule, load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import (
     FilterState,
     Pipeline,
+    _map_frame,
     enforce_limits,
     map_frame,
     retarget_step,
@@ -91,6 +100,79 @@ class TestMapFrame:
         model, skel, rmap = small_setup()
         with pytest.raises(DimensionMismatch):
             map_frame(rmap, skel, identity_frame(5))
+
+
+def _reference_map(rmap, quats):
+    """Rule by rule through the scalar swing_twist / euler_decompose."""
+    angles = rmap.default_angles.copy()
+    gimbal_warnings = 0
+    for rule in rmap.rules:
+        if isinstance(rule, TwistRule):
+            _, twist = swing_twist(quats[rule.segment_index], rule.axis)
+            angles[rule.joint_index] = rule.sign * rule.scale * twist + rule.offset
+        else:
+            decomposed, gimbal = euler_decompose(quats[rule.segment_index], rule.order)
+            gimbal_warnings += gimbal
+            for slot, joint_index in enumerate(rule.joint_indices):
+                angles[joint_index] = (
+                    rule.signs[slot] * rule.scales[slot] * float(decomposed[slot])
+                    + rule.offsets[slot]
+                )
+    return angles, gimbal_warnings
+
+
+def _axis_rows(axis: str, angles: np.ndarray) -> np.ndarray:
+    rows = np.zeros((len(angles), 4))
+    rows[:, 0] = np.cos(angles / 2)
+    rows[:, 1 + "XYZ".index(axis)] = np.sin(angles / 2)
+    return rows
+
+
+def _intrinsic_rows(order: str, a1, a2, a3) -> np.ndarray:
+    q = quat_multiply_rows(_axis_rows(order[0], a1), _axis_rows(order[1], a2))
+    return quat_multiply_rows(q, _axis_rows(order[2], a3))
+
+
+def test_compiled_map_matches_scalar_rules():
+    """10^5 seeded frames: the compiled map equals the per-rule scalar path bit for bit."""
+    model, skel, rmap = sample_setup()
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    quats = rng.normal(size=(n, len(skel), 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    # Every 7th frame: both ZXY thighs and both YXZ upper arms within twice
+    # GIMBAL_MARGIN of the singularity, so the flag goes both ways.
+    near = np.arange(0, n, 7)
+    for segment, order in (
+        ("left_thigh", "ZXY"), ("right_thigh", "ZXY"),
+        ("left_upper_arm", "YXZ"), ("right_upper_arm", "YXZ"),
+    ):
+        middle = rng.choice([-1.0, 1.0], len(near)) * (
+            math.pi / 2 - rng.uniform(0.0, 2 * GIMBAL_MARGIN, len(near))
+        )
+        outer = rng.uniform(-math.pi, math.pi, (2, len(near)))
+        quats[near, skel.index(segment)] = _intrinsic_rows(order, outer[0], middle, outer[1])
+    # Every 11th frame: the left shank (twist about y) has w = 0 and a vector
+    # part orthogonal to y, so it has no twist component.
+    flat = np.arange(0, n, 11)
+    shank = np.zeros((len(flat), 4))
+    shank[:, [1, 3]] = rng.normal(size=(len(flat), 2))
+    shank /= np.linalg.norm(shank, axis=-1, keepdims=True)
+    quats[flat, skel.index("left_shank")] = shank
+    canonicalize_rows(quats)
+
+    got = np.empty((n, len(model)))
+    expected = np.empty((n, len(model)))
+    got_gimbal = np.empty(n, dtype=int)
+    expected_gimbal = np.empty(n, dtype=int)
+    for f in range(n):
+        got[f], got_gimbal[f] = _map_frame(rmap, MocapFrame(f, f, quats[f]))
+        expected[f], expected_gimbal[f] = _reference_map(rmap, quats[f])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got_gimbal, expected_gimbal)
+    # The near-gimbal and degenerate inputs reached their branches.
+    assert 0 < expected_gimbal[near].sum() < 4 * len(near)
+    assert np.all(got[flat, model.joint_index("left_knee")] == 0.0)
 
 
 class TestEnforceLimits:

@@ -18,6 +18,7 @@ from teleokin.errors import (
     TruncatedFrame,
     UnsupportedVersion,
 )
+from teleokin.geometry import quat_from_axis_angle
 from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import (
@@ -425,14 +426,49 @@ class TestRunLoop:
             "frames_written=",
             "frames_consumed=",
             "frames_overwritten=",
+            "clamped_joints=",
+            "worst_excursion_rad=",
+            "gimbal_warnings=",
             "compute_us_p50=",
             "compute_us_p99=",
+            "fresh_compute_us_p50=",
+            "fresh_compute_us_p99=",
+            "fresh_compute_us_max=",
             "frame_age_us_max=",
             "jitter_us_p50=",
         ):
             assert key in dump
         parsed = dict(line.split("=", 1) for line in dump.strip().splitlines())
         assert parsed["cycles"] == "50"
+
+    def test_metrics_carry_retarget_diagnostics(self):
+        pipeline = sample_pipeline(tau=0.0)
+        skel = pipeline.skeleton
+        frames = []
+        # left knee = 0.8 * twist of the left shank about y; its soft interval
+        # starts at -0.05, so twists of -0.5 and -1.0 are clamped by 0.35 and 0.75.
+        for seq, (segment, axis, angle) in enumerate(
+            [
+                ("left_shank", [0, 1, 0], 0.0),
+                ("left_shank", [0, 1, 0], -0.5),
+                ("left_shank", [0, 1, 0], -1.0),
+                ("left_thigh", [1, 0, 0], math.pi / 2),  # ZXY middle angle at the singularity
+                ("left_shank", [0, 1, 0], 0.5),
+            ]
+        ):
+            frame = identity_frame(len(skel), seq=seq, timestamp_us=seq * 10_000)
+            frame.orientations[skel.index(segment)] = quat_from_axis_angle(axis, angle)
+            frames.append(frame)
+        metrics = run_loop(schedule(frames), pipeline, NullSink(), rate_hz=100, clock=VirtualClock())
+        assert metrics.holds == 0
+        assert metrics.clamped_joints == 2
+        assert metrics.worst_excursion_rad == pytest.approx(0.75, abs=1e-12)
+        assert metrics.gimbal_warnings == 1
+        parsed = dict(line.split("=", 1) for line in metrics.format().strip().splitlines())
+        assert parsed["clamped_joints"] == "2"
+        assert float(parsed["worst_excursion_rad"]) == metrics.worst_excursion_rad
+        assert parsed["gimbal_warnings"] == "1"
+        assert len(metrics.fresh_compute_us) == len(frames)
 
 
 class _CaptureSink:
