@@ -15,7 +15,7 @@ from teleokin import (
     decode_frame,
     encode_frame,
     read_recording,
-    replay,
+    schedule,
     swing_twist,
     synth_motion,
     write_recording,
@@ -49,6 +49,8 @@ write_recording("/tmp/arm_wave.rec", frames)
 loaded = read_recording("/tmp/arm_wave.rec")
 print(f"\nrecording round trip: {len(loaded)} frames from /tmp/arm_wave.rec")
 
-# Replay reproduces recorded gaps in wall time; speed=inf skips the waiting.
-instant = list(replay(loaded, speed=math.inf))
-print(f"replay at speed=inf: {len(instant)} frames immediately, order preserved")
+# The control loop replays a recording from a schedule of due times that
+# reproduce the recorded gaps; speed=inf makes every frame due at once.
+instant = schedule(loaded, math.inf)
+ordered = [f.seq for _, f in instant] == [f.seq for f in loaded]
+print(f"schedule at speed=inf: {len(instant)} frames due at {instant[0][0]} us, order preserved: {ordered}")

@@ -5,7 +5,7 @@ Submodules:
 
 - ``geometry``  quaternion algebra, swing-twist and Euler decompositions
 - ``model``     robot / skeleton / map configs and forward kinematics
-- ``stream``    motion-frame wire codec, recordings, replay, synthesis
+- ``stream``    motion-frame wire codec, recordings, synthesis, UDP source
 - ``retarget``  the per-frame map -> smooth -> clamp pipeline
 - ``runtime``   fixed-rate loop, latest-frame slot, sinks, metrics
 - ``validate``  limit / continuity / self-collision audit of command traces
@@ -65,7 +65,6 @@ from .stream import (
     encode_frame,
     identity_frame,
     read_recording,
-    replay,
     schedule,
     synth_motion,
     write_recording,
@@ -121,7 +120,6 @@ __all__ = [
     "encode_frame",
     "identity_frame",
     "read_recording",
-    "replay",
     "schedule",
     "synth_motion",
     "write_recording",

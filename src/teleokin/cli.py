@@ -213,13 +213,15 @@ def cmd_run(args) -> int:
     for s in all_sinks:
         if hasattr(s, "send_errors"):
             sys.stdout.write(f"datagram_sent={s.sent}\ndatagram_send_errors={s.send_errors}\n")
-    if live and hasattr(source, "stats"):
+    if live:
         stats = source.stats
         sys.stdout.write(
             f"stream_received={stats.received}\nstream_dropped={stats.dropped}\n"
             f"stream_duplicates={stats.duplicates}\nstream_out_of_order={stats.out_of_order}\n"
             f"stream_decode_errors={sum(source.decode_errors.values())}\n"
         )
+        for name, count in sorted(source.decode_errors.items()):
+            sys.stdout.write(f"stream_decode_errors_{name}={count}\n")
     if validator is not None:
         report = validator.report()
         sys.stdout.write(report.format())

@@ -1,9 +1,10 @@
 """Injected time sources.
 
-The control loop, the replay source, and every timestamp in the pipeline go
-through one of these, never through the time module directly.  That is what
-lets the whole system run under a virtual clock for bit-deterministic tests
-and under the monotonic wall clock in live mode.
+The control loop and every timestamp in the pipeline go through one of
+these, never through the time module directly (the UDP source reads the
+wall time only to move kernel receive stamps onto the loop's clock).  That
+is what lets the whole system run under a virtual clock for
+bit-deterministic tests and under the monotonic wall clock in live mode.
 """
 
 from __future__ import annotations

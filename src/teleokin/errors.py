@@ -61,7 +61,7 @@ class CrcMismatch(TeleokinError):
 
 
 class EmptyRecording(TeleokinError):
-    """A recording with zero frames cannot be replayed."""
+    """A recording with zero frames cannot be scheduled."""
 
 
 class SinkBackpressure(TeleokinError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,56 +51,49 @@ _RECORD_HEAD = struct.Struct("<IIQQB")  # seq, source seq, source ts, emission t
 
 
 class LatestFrameSlot:
-    """Single-frame mailbox with atomic replace/take semantics.
+    """Single-frame mailbox with replace/take semantics.
 
     ``written = consumed + overwritten (+1 if a frame is pending)`` at all
     times; ``drain`` folds a leftover pending frame into ``overwritten`` so
-    the equality is exact once the loop stops.  A live source whose thread
-    dies calls ``fail``; every later ``take`` raises that exception.
+    the equality is exact once the loop stops.  A live source sets ``poll``
+    to its drain; the loop calls it at the top of each live cycle.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._frame = None
         self._arrival_us = 0
-        self._error: BaseException | None = None
+        self.poll = _no_poll
         self.written = 0
         self.overwritten = 0
         self.consumed = 0
 
     def write(self, frame, arrival_us: int) -> None:
-        with self._lock:
-            if self._frame is not None:
-                self.overwritten += 1
-            self._frame = frame
-            self._arrival_us = arrival_us
-            self.written += 1
-
-    def fail(self, exc: BaseException) -> None:
-        with self._lock:
-            self._error = exc
+        if self._frame is not None:
+            self.overwritten += 1
+        self._frame = frame
+        self._arrival_us = arrival_us
+        self.written += 1
 
     def take(self):
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            if self._frame is None:
-                return None
-            frame, arrival = self._frame, self._arrival_us
-            self._frame = None
-            self.consumed += 1
-            return frame, arrival
+        if self._frame is None:
+            return None
+        frame, arrival = self._frame, self._arrival_us
+        self._frame = None
+        self.consumed += 1
+        return frame, arrival
 
     @property
     def pending(self) -> bool:
-        with self._lock:
-            return self._frame is not None
+        return self._frame is not None
 
     def drain(self) -> None:
-        with self._lock:
-            if self._frame is not None:
-                self._frame = None
-                self.overwritten += 1
+        if self._frame is not None:
+            self._frame = None
+            self.overwritten += 1
+
+
+def _no_poll() -> None:
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +328,15 @@ def run_loop(
     ``source`` is either an iterable of ``(due_us, frame)`` pairs (scheduled
     mode: the loop feeds the slot itself, deterministic under a virtual
     clock; due times count from loop start) or an object with
-    ``start(slot, clock)`` / ``stop()`` (live mode: the source writes the
-    slot from its own thread).
+    ``start(slot, clock)`` / ``stop()`` (live mode: ``start`` registers the
+    slot's ``poll``, which each cycle calls first, inside the compute time).
 
     Each cycle takes the newest pending frame and emits exactly one command;
     with no pending frame it emits a hold command repeating the last emitted
     angles (model defaults before the first frame).  A fresh frame is
     smoothed with ``dt`` equal to the loop time since the previous fresh
     frame, in whole periods (one period for the first), so the filter's time
-    constant holds whatever the source and loop rates.  A live source that
-    fails (``LatestFrameSlot.fail``) stops the loop with its exception.
+    constant holds whatever the source and loop rates.
 
     Raises SinkBackpressure (metrics attached) after BACKPRESSURE_LIMIT
     consecutive sink calls above ``sink_budget_us`` (default: one period).
@@ -398,6 +389,8 @@ def run_loop(
                     break  # source end; an explicit budget keeps the loop holding instead
             metrics.jitter_us.record(abs(now - target_us))
             work_start = clk.now_us()
+            if live:
+                slot.poll()
             taken = slot.take()
             if taken is not None:
                 frame, arrival_us = taken

@@ -1,4 +1,4 @@
-"""Motion-frame wire codec, recordings, replay, and synthetic motion.
+"""Motion-frame wire codec, recordings, scheduling, synthetic motion, UDP source.
 
 Wire format (all integers little-endian):
 
@@ -32,14 +32,13 @@ import logging
 import math
 import socket
 import struct
-import threading
+import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .clock import WallClock
 from .errors import (
     BadMagic,
     CrcMismatch,
@@ -195,8 +194,8 @@ class StreamStats:
         self._first_seq: int | None = None
         self._max_seq: int | None = None
 
-    def observe(self, seq: int, arrival_us: int) -> None:
-        """Count one received frame; ``arrival_us`` is accepted but not kept."""
+    def observe(self, seq: int) -> None:
+        """Count one received frame."""
         self.received += 1
         if seq in self._seen:
             self.duplicates += 1
@@ -219,7 +218,7 @@ class StreamStats:
 
 
 # ---------------------------------------------------------------------------
-# Recordings and replay
+# Recordings and scheduling
 
 
 def write_recording(path, frames: Iterable[MocapFrame]) -> int:
@@ -275,24 +274,6 @@ def schedule(frames: Iterable[MocapFrame], speed: float = 1.0, start_us: int = 0
         offset = 0 if math.isinf(speed) else int(round((f.timestamp_us - t0) / speed))
         out.append((start_us + offset, f))
     return out
-
-
-def replay(frames: Iterable[MocapFrame], speed: float = 1.0, clock=None) -> Iterator[MocapFrame]:
-    """Timed frame source: yields frames with recorded gaps divided by ``speed``.
-
-    With ``speed=math.inf`` all frames are yielded immediately (deterministic
-    offline mode).  Timing uses the injected clock, wall clock by default.
-    """
-    timed = schedule(frames, speed)
-    if math.isinf(speed):
-        for _, frame in timed:
-            yield frame
-        return
-    clk = clock if clock is not None else WallClock()
-    origin = clk.now_us()
-    for due, frame in timed:
-        clk.sleep_until(origin + due)
-        yield frame
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +394,25 @@ def synth_motion(
 # Live transport
 
 
-class DatagramSource:
-    """UDP frame source: one encoded frame per datagram, pushed into a slot.
+# Linux's SO_TIMESTAMPNS (asm-generic/socket.h), which Python's socket module
+# does not name: each datagram carries its kernel receive time as a timespec.
+_SO_TIMESTAMPNS = 35
+_TIMESPEC = struct.Struct("@qq")  # tv_sec, tv_nsec
+_STAMP_SPACE = socket.CMSG_SPACE(_TIMESPEC.size)
+_MAX_DATAGRAM = 65535
 
+
+class DatagramSource:
+    """UDP frame source: one encoded frame per datagram, polled by the loop.
+
+    ``start`` binds a non-blocking socket and registers its drain as the
+    slot's ``poll``, which the loop calls at the top of each cycle.  The
+    drain decodes every waiting datagram and writes each valid frame to the
+    slot, stamped with its kernel receive time on the loop's clock, so
+    ``frame_age_us`` includes the time the datagram waited in the socket.
     Undecodable datagrams are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
-    Any other exception is a bug: it ends the source thread with a traceback
-    and fails the slot, which stops the loop with the same exception.
+    Any other exception is a bug and propagates out of the loop.
     """
 
     def __init__(self, port: int, host: str = "127.0.0.1"):
@@ -428,47 +421,40 @@ class DatagramSource:
         self.stats = StreamStats()
         self.decode_errors: dict[str, int] = {}
         self._sock: socket.socket | None = None
-        self._thread: threading.Thread | None = None
-        self._running = False
+        self._slot = None
+        self._clock = None
 
     def start(self, slot, clock) -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((self.host, self.port))
-        self._sock.settimeout(0.05)
+        self._sock.setblocking(False)
+        self._sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
         self.port = self._sock.getsockname()[1]
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._run, args=(slot, clock), name="teleokin-source", daemon=True
-        )
-        self._thread.start()
+        self._slot, self._clock = slot, clock
+        slot.poll = self._drain
 
-    def _run(self, slot, clock) -> None:
-        try:
-            while self._running:
-                try:
-                    data, _ = self._sock.recvfrom(65535)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                try:
-                    frame = decode_frame(data)
-                except TeleokinError as exc:  # decode errors are counted drops
-                    name = type(exc).__name__
-                    self.decode_errors[name] = self.decode_errors.get(name, 0) + 1
-                    continue
-                now = clock.now_us()
-                self.stats.observe(frame.seq, now)
-                slot.write(frame, now)
-        except BaseException as exc:
-            slot.fail(exc)  # the loop's next take raises it
-            raise
+    def _drain(self) -> None:
+        """Decode every datagram waiting on the socket into the slot."""
+        while True:
+            try:
+                data, ancdata, _flags, _addr = self._sock.recvmsg(_MAX_DATAGRAM, _STAMP_SPACE)
+            except BlockingIOError:
+                return
+            try:
+                frame = decode_frame(data)
+            except TeleokinError as exc:  # decode errors are counted drops
+                name = type(exc).__name__
+                self.decode_errors[name] = self.decode_errors.get(name, 0) + 1
+                continue
+            self.stats.observe(frame.seq)
+            self._slot.write(frame, self._arrival_us(ancdata))
+
+    def _arrival_us(self, ancdata) -> int:
+        """The datagram's kernel receive stamp (wall time) on the loop's clock."""
+        sec, nsec = _TIMESPEC.unpack(ancdata[0][2])
+        return self._clock.now_us() - (time.time_ns() - (sec * 1_000_000_000 + nsec)) // 1000
 
     def stop(self) -> None:
-        self._running = False
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
         if self._sock is not None:
             self._sock.close()
             self._sock = None

@@ -1,12 +1,15 @@
 """Command-line interface: flows, exit codes, determinism."""
 
+import socket
 import subprocess
 import sys
 
 import pytest
 
+from teleokin import cli
 from teleokin.cli import main
 from teleokin.runtime import read_trace
+from teleokin.stream import DatagramSource, encode_frame, identity_frame
 
 
 def run_cli(*argv):
@@ -80,6 +83,26 @@ class TestRun:
         )
         assert code == 0
         assert len(read_trace(trace)) == 5
+
+    def test_live_run_counts_decode_errors_by_reason(self, monkeypatch, capsys):
+        class SelfFeeding(DatagramSource):  # sends four bad datagrams to itself
+            def start(self, slot, clock):
+                super().start(slot, clock)
+                good = encode_frame(identity_frame(23))
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                    for data in (b"JUNK" + good[4:], good[:-1] + bytes([good[-1] ^ 0xFF]),
+                                 good[:10], good[:-1]):
+                        out.sendto(data, ("127.0.0.1", self.port))
+
+        monkeypatch.setattr(cli, "DatagramSource", SelfFeeding)
+        code = run_cli("run", "--source", "live:0", "--sink", "null", "--rate", "500", "--frames", "25")
+        assert code == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["stream_decode_errors"] == "4"
+        assert kv["stream_decode_errors_BadMagic"] == "1"
+        assert kv["stream_decode_errors_CrcMismatch"] == "1"
+        assert kv["stream_decode_errors_TruncatedFrame"] == "2"
+        assert kv["stream_received"] == "0"
 
     def test_deterministic_under_seed_and_virtual_clock(self, tmp_path, capsys):
         blobs = []

@@ -1,0 +1,35 @@
+"""Golden traces: virtual-clock CLI runs are pinned byte for byte.
+
+Each digest is the SHA-256 of the CMDTRC01 file that
+``teleokin run --source synth:<pattern> --source-rate 100 --rate 500
+--noise 0.01 --frames 1000`` writes under the virtual clock: 200 fresh
+commands and 800 hold commands.  A change that alters any command byte
+fails here; one that alters the output on purpose updates the digest and
+says why.
+"""
+
+import hashlib
+
+import pytest
+
+from teleokin.cli import main
+
+GOLDEN_SHA256 = {
+    "arm-wave": "0eef5b8a68f761d7af68c58075dc0b1858bf3a3f88d02376f8488a68bd7fe2f0",
+    "squat": "ae023edc61ab18cc40789b3b9f279a502c57e405941222b2e9ff8060930a65d4",
+    "walk-cycle": "a0c106aabff18bcef3d26f0b7caa348184af76bfacf3abdf34d3cc4eb5a66cf6",
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(GOLDEN_SHA256))
+def test_virtual_clock_trace_matches_golden_digest(pattern, tmp_path, capsys):
+    trace = tmp_path / f"{pattern}.trc"
+    code = main([
+        "run", "--source", f"synth:{pattern}", "--sink", f"trace:{trace}",
+        "--source-rate", "100", "--rate", "500", "--noise", "0.01", "--frames", "1000",
+        "--clock", "virtual",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "holds=800\n" in out
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_SHA256[pattern]

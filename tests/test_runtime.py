@@ -2,7 +2,6 @@
 
 import math
 import socket
-import threading
 import time
 
 import numpy as np
@@ -405,12 +404,40 @@ class TestRunLoop:
                 self.inner.stop()
 
         monkeypatch.setattr(stream, "decode_frame", broken_decode)
-        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        source = SendOnStart()
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="bug in the decoder"):
-            run_loop(SendOnStart(), sample_pipeline(), NullSink(), rate_hz=500,
+            run_loop(source, sample_pipeline(), NullSink(), rate_hz=500,
                      duration_s=10.0, clock=WallClock())
         assert time.monotonic() - started < 5.0
+        assert source.inner.decode_errors == {}
+
+    def test_frame_age_counts_the_wait_in_the_socket(self):
+        # The frame is sent during cycle 1's emit, after that cycle polled, so
+        # it waits in the socket until cycle 2 polls 20 ms later.  Cycle 1,
+        # not 0: the kernel may switch receive stamps on a little after the
+        # socket asks for them, and stamps at recvmsg until then.
+        clock = WallClock()
+        source = DatagramSource(port=0)
+
+        class SendOnSecondEmit(_CaptureSink):
+            sent_us = None
+
+            def emit(self, cmd):
+                super().emit(cmd)
+                if len(self.commands) == 2:
+                    self.sent_us = clock.now_us()
+                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                        out.sendto(encode_frame(identity_frame(23)), ("127.0.0.1", source.port))
+
+        sink = SendOnSecondEmit()
+        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=clock)
+        fresh = [c for c in sink.commands if not c.hold]
+        assert len(fresh) == 1 and len(metrics.frame_age_us) == 1
+        waited = fresh[0].emission_timestamp_us - sink.sent_us
+        assert waited >= 10_000
+        # the arrival is the kernel's receive stamp just after the send, not the poll
+        assert waited - 2_000 <= metrics.frame_age_us.samples[0] <= waited + 50
 
     def test_metrics_dump_format(self):
         pipeline = sample_pipeline()

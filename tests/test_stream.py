@@ -1,16 +1,16 @@
-"""Wire codec, stream accounting, recordings, replay, and synthesis."""
+"""Wire codec, stream accounting, recordings, scheduling, synthesis, UDP source."""
 
 import math
 import socket
 import struct
-import threading
+import time
 import zlib
 
 import numpy as np
 import pytest
 
 from teleokin import stream
-from teleokin.clock import VirtualClock, WallClock
+from teleokin.clock import WallClock
 from teleokin.errors import (
     BadMagic,
     CrcMismatch,
@@ -32,7 +32,6 @@ from teleokin.stream import (
     frames_equal,
     identity_frame,
     read_recording,
-    replay,
     schedule,
     synth_motion,
     write_recording,
@@ -160,7 +159,7 @@ class TestStreamStats:
     def test_clean_sequence(self):
         stats = StreamStats()
         for seq in range(10):
-            stats.observe(seq, seq * 10_000)
+            stats.observe(seq)
         assert stats.received == 10
         assert stats.dropped == 0
         assert stats.duplicates == 0
@@ -169,13 +168,13 @@ class TestStreamStats:
     def test_gap_counts_as_drops(self):
         stats = StreamStats()
         for seq in (0, 1, 5, 6):
-            stats.observe(seq, seq * 10_000)
+            stats.observe(seq)
         assert stats.dropped == 3  # 2, 3, 4
 
     def test_duplicates_and_reordering(self):
         stats = StreamStats()
         for seq in (0, 2, 2, 1, 3):
-            stats.observe(seq, 1000)
+            stats.observe(seq)
         assert stats.duplicates == 1
         assert stats.out_of_order == 1  # the late 1
         assert stats.dropped == 0
@@ -185,8 +184,8 @@ class TestStreamStats:
         for _ in range(200):
             stats = StreamStats()
             seqs = rng.integers(0, 40, size=rng.integers(1, 80))
-            for t, seq in enumerate(seqs):
-                stats.observe(int(seq), t * 100)
+            for seq in seqs:
+                stats.observe(int(seq))
             assert stats.received + stats.dropped >= stats.span
 
 
@@ -222,48 +221,18 @@ class TestRecording:
 class TestReplay:
     def test_empty_recording(self):
         with pytest.raises(EmptyRecording):
-            list(replay([], speed=1.0))
-
-    def test_real_time_gaps(self):
-        frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(2)]
-        clock = _RecordingClock()
-        emitted = [(clock.now_us(), f.seq) for f in replay(frames, speed=1.0, clock=clock)]
-        gap = emitted[1][0] - emitted[0][0]
-        assert abs(gap - 10_000) <= 1000  # +-1 ms
-
-    def test_double_speed(self):
-        frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(2)]
-        clock = _RecordingClock()
-        emitted = [(clock.now_us(), f.seq) for f in replay(frames, speed=2.0, clock=clock)]
-        gap = emitted[1][0] - emitted[0][0]
-        assert abs(gap - 5_000) <= 1000
+            schedule([], speed=1.0)
 
     def test_infinite_speed_is_immediate_and_ordered(self):
         frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(5)]
-        out = list(replay(frames, speed=math.inf))
-        assert [f.seq for f in out] == [0, 1, 2, 3, 4]
+        out = schedule(frames, speed=math.inf)
+        assert [(due, f.seq) for due, f in out] == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_schedule_offsets(self):
         frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(3)]
         assert [due for due, _ in schedule(frames, speed=1.0)] == [0, 10_000, 20_000]
         assert [due for due, _ in schedule(frames, speed=2.0)] == [0, 5_000, 10_000]
         assert [due for due, _ in schedule(frames, speed=math.inf)] == [0, 0, 0]
-
-    def test_wall_clock_timing(self):
-        # The stated +-1 ms applies to real wall-clock emission.
-        frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(3)]
-        times = []
-        from teleokin.clock import WallClock
-
-        clock = WallClock()
-        for _ in replay(frames, speed=1.0, clock=clock):
-            times.append(clock.now_us())
-        gaps = np.diff(times)
-        assert np.all(np.abs(gaps - 10_000) <= 1000)
-
-
-class _RecordingClock(VirtualClock):
-    """Virtual clock that also jumps when asked to sleep (replay timing tests)."""
 
 
 class TestSynth:
@@ -324,18 +293,18 @@ class TestDatagramSource:
         def broken_decode(data):
             raise RuntimeError("bug in the decoder")
 
-        raised = []
         monkeypatch.setattr(stream, "decode_frame", broken_decode)
-        monkeypatch.setattr(threading, "excepthook", lambda args: raised.append(args.exc_type))
         source = DatagramSource(port=0)
-        source.start(LatestFrameSlot(), WallClock())
-        thread = source._thread
+        slot = LatestFrameSlot()
+        source.start(slot, WallClock())
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
                 out.sendto(encode_frame(identity_frame(3)), ("127.0.0.1", source.port))
-            thread.join(timeout=2.0)
+            deadline = time.monotonic() + 5.0
+            with pytest.raises(RuntimeError, match="bug in the decoder"):
+                while time.monotonic() < deadline:
+                    slot.poll()
         finally:
             source.stop()
-        assert not thread.is_alive()
-        assert raised == [RuntimeError]
         assert source.decode_errors == {}
+        assert slot.written == 0
