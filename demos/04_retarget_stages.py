@@ -33,7 +33,7 @@ frame = identity_frame(len(skeleton))
 frame.orientations[skeleton.index("left_hand")] = quat_from_axis_angle([0, 0, 1], 2.8)
 
 wrist = model.joint_index("left_wrist_roll")
-raw = map_frame(rmap, skeleton, frame)
+raw = map_frame(rmap, frame)
 print(f"stage 1 map:    wrist raw angle {raw[wrist]:+.3f} rad")
 
 state = FilterState.create(len(model), tau=0.050)
@@ -48,7 +48,7 @@ print(f"stage 3 clamp:  [{lo:+.2f}, {hi:+.2f}] -> {clamped[wrist]:+.3f} rad, fla
 
 # retarget_step is exactly that composition, once, with provenance attached.
 command, diagnostics = retarget_step(
-    rmap, skeleton, model, FilterState.create(len(model), tau=0.0), frame, 0.002, VirtualClock()
+    rmap, model, FilterState.create(len(model), tau=0.0), frame, 0.002, VirtualClock()
 )
 print(
     f"\none step:       wrist {command.angles[wrist]:+.3f} rad, "

@@ -43,4 +43,5 @@ print("\nbucketed compute histogram (upper bound us = count):")
 for upper, count in compute.bucket_counts().items():
     print(f"  <{upper:>5} us: {count}")
 
-# The same numbers come from the CLI:  teleokin bench --rate 500 --cycles 5000
+# The same numbers come from the CLI, whose bench is run with a null sink and
+# the wall clock:  teleokin bench --rate 500 --frames 5000

@@ -69,7 +69,7 @@ from .stream import (
     synth_motion,
     write_recording,
 )
-from .validate import Thresholds, ValidationReport, compare_traces, validate_trace
+from .validate import Thresholds, ValidationReport, validate_trace
 
 __version__ = "0.1.0"
 
@@ -125,6 +125,5 @@ __all__ = [
     "write_recording",
     "Thresholds",
     "ValidationReport",
-    "compare_traces",
     "validate_trace",
 ]

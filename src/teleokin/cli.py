@@ -6,7 +6,7 @@ one or more sinks together:
 - ``run``       drive the control loop (synth / replay / live source)
 - ``validate``  audit a recorded command trace, exit 1 on violations
 - ``gen``       write a synthetic motion recording
-- ``bench``     measure per-cycle compute latency with a null sink
+- ``bench``     ``run`` with latency defaults: arm-wave, null sink, wall clock
 
 Exit codes: 0 success, 1 violations or sink backpressure, 2 usage or config
 errors.  Machine-readable output goes to stdout; diagnostics go to stderr at
@@ -25,7 +25,6 @@ import sys
 from .clock import VirtualClock, WallClock
 from .data import sample_path
 from .errors import SinkBackpressure, TeleokinError
-from .metrics import Histogram
 from .model import load_retarget_map, load_robot_model, load_skeleton
 from .retarget import FilterState, Pipeline
 from .runtime import (
@@ -78,22 +77,56 @@ def _read_config(path, loader, *extra):
         return loader(fh.read(), *extra)
 
 
-def _load_configs(args):
-    model = _read_file(args.robot, _read_config, load_robot_model)
-    skeleton = _read_file(args.skeleton, _read_config, load_skeleton)
-    rmap = _read_file(args.map, _read_config, load_retarget_map, skeleton, model)
-    return model, skeleton, rmap
+def _checked(convert, ok, what: str):
+    """An argparse ``type``: ``convert`` the text, then reject values failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)  # argparse reports a ValueError as "invalid <type> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+
+
+def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, frames=None):
+    """The flags of ``run``; ``bench`` is ``run`` with other defaults."""
     parser.add_argument("--robot", default=str(sample_path("g1_sample.cfg")), help="robot config file")
     parser.add_argument(
         "--skeleton", default=str(sample_path("human_sample.cfg")), help="skeleton config file"
     )
     parser.add_argument("--map", default=str(sample_path("g1_sample.map")), help="retarget map file")
+    parser.add_argument("--source", required=source is None, default=source,
+                        help="synth:<pattern> | replay:<file>[:speed] | live:<port>")
+    parser.add_argument("--sink", action="append", help="trace:<file> | datagram:<host>:<port> | validate | null (repeatable)")
+    parser.add_argument("--rate", type=_POSITIVE, default=500.0, help="loop rate in Hz (default 500)")
+    parser.add_argument("--frames", type=_POSITIVE_INT, default=frames, help="cycle budget (default %(default)s)")
+    parser.add_argument("--duration", type=_POSITIVE, default=None, help="run duration in seconds")
+    parser.add_argument("--tau", type=_NON_NEGATIVE, default=0.020, help="filter time constant in seconds (default 0.02)")
+    parser.add_argument("--clock", choices=("auto", "virtual", "wall"), default=clock,
+                        help="virtual for offline sources, wall for live (default %(default)s)")
+    parser.add_argument("--source-rate", type=_POSITIVE, default=100.0, help="synth source rate in Hz")
+    parser.add_argument("--noise", type=_NON_NEGATIVE, default=noise, help="synth noise std in radians (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sink-budget-us", type=_POSITIVE_INT, default=None, help="per-cycle sink time budget")
+    parser.add_argument("--acc-limit", default="off", help="validator acceleration limit rad/s^2, or 'off'")
+    parser.add_argument("--margin", type=float, default=0.0, help="validator collision margin in meters")
+    # not --sink's own default: an appending flag adds to its default, never replaces it
+    parser.set_defaults(func=cmd_run, default_sinks=[sink] if sink else [])
 
 
-def _parse_source(args, cycles_hint: float | None, skeleton=None):
+def _port(text: str, what: str) -> int:
+    if not text.isdecimal() or int(text) > 65535:
+        raise UsageError(f"{what} needs a port in 0..65535, got {text!r}")
+    return int(text)
+
+
+def _parse_source(args, skeleton):
     """Build (source, is_live) from the --source spec."""
     spec = args.source
     kind, _, rest = spec.partition(":")
@@ -103,8 +136,8 @@ def _parse_source(args, cycles_hint: float | None, skeleton=None):
             raise UsageError(f"unknown synth pattern {pattern!r}; expected one of {SYNTH_PATTERNS}")
         if args.duration is not None:
             duration = args.duration
-        elif cycles_hint is not None:
-            duration = cycles_hint / args.rate
+        elif args.frames is not None:
+            duration = args.frames / args.rate
         else:
             raise UsageError("synth source needs --frames or --duration")
         frames = synth_motion(
@@ -120,26 +153,25 @@ def _parse_source(args, cycles_hint: float | None, skeleton=None):
         path, _, speed_text = rest.partition(":")
         if not path:
             raise UsageError("replay source needs a path: replay:<file>[:speed]")
-        speed = 1.0
-        if speed_text:
-            try:
-                speed = math.inf if speed_text in ("inf", "max") else float(speed_text)
-            except ValueError:
-                raise UsageError(f"replay speed must be a number or 'inf', got {speed_text!r}") from None
+        try:
+            speed = math.inf if speed_text == "max" else float(speed_text or 1.0)
+        except ValueError:
+            speed = math.nan  # rejected below, with the speeds that are not positive
+        if not (speed > 0):
+            raise UsageError(f"replay speed must be a positive number or 'inf', got {speed_text!r}")
         return schedule(_read_file(path, read_recording), speed=speed), False
     if kind == "live":
-        if not rest or not rest.isdigit():
-            raise UsageError("live source needs a numeric port: live:<port>")
+        port = _port(rest, "live source")
         if args.frames is None and args.duration is None:
             raise UsageError("live source needs --frames or --duration to bound the run")
-        return DatagramSource(int(rest)), True
+        return DatagramSource(port), True
     raise UsageError(f"unknown source {spec!r}; expected synth:*, replay:*, or live:*")
 
 
 def _parse_sinks(args, model):
     sinks = []
     validator = None
-    for spec in args.sink:
+    for spec in args.sink or args.default_sinks:
         kind, _, rest = spec.partition(":")
         if kind == "trace":
             if not rest:
@@ -148,10 +180,11 @@ def _parse_sinks(args, model):
         elif kind == "datagram":
             if not rest:
                 raise UsageError("datagram sink needs an address: datagram:<host>:<port>")
+            _port(rest.rpartition(":")[2], "datagram sink")
             sinks.append(datagram_sink(rest))
         elif kind == "validate":
             validator = validator_sink(
-                model, _thresholds_from(args), period_us=round(1e6 / args.rate)
+                model, _thresholds_from(args), period_us=max(1, round(1e6 / args.rate))
             )
             sinks.append(validator)
         elif kind == "null":
@@ -164,30 +197,29 @@ def _parse_sinks(args, model):
 
 
 def _thresholds_from(args) -> Thresholds:
-    acc = getattr(args, "acc_limit", "off")
-    if acc in (None, "off"):
+    if args.acc_limit == "off":
         limit = None
     else:
         try:
-            limit = float(acc)
+            limit = float(args.acc_limit)
         except ValueError:
-            raise UsageError(f"--acc-limit must be a number or 'off', got {acc!r}") from None
+            raise UsageError(f"--acc-limit must be a number or 'off', got {args.acc_limit!r}") from None
     try:
-        return Thresholds(acceleration_limit=limit, collision_margin=getattr(args, "margin", 0.0))
+        return Thresholds(acceleration_limit=limit, collision_margin=args.margin)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _pick_clock(args, live: bool):
-    choice = args.clock
-    if choice == "auto":
-        choice = "wall" if live else "virtual"
-    return WallClock() if choice == "wall" else VirtualClock()
+    wall = args.clock == "wall" or (args.clock == "auto" and live)
+    return WallClock() if wall else VirtualClock()
 
 
 def cmd_run(args) -> int:
-    model, skeleton, rmap = _load_configs(args)
-    source, live = _parse_source(args, cycles_hint=args.frames, skeleton=skeleton)
+    model = _read_file(args.robot, _read_config, load_robot_model)
+    skeleton = _read_file(args.skeleton, _read_config, load_skeleton)
+    rmap = _read_file(args.map, _read_config, load_retarget_map, skeleton, model)
+    source, live = _parse_source(args, skeleton)
     sink, all_sinks, validator = _parse_sinks(args, model)
     pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
     clock = _pick_clock(args, live)
@@ -233,7 +265,7 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     model = _read_file(args.robot, _read_config, load_robot_model)
     trace = _read_file(args.trace, read_trace)
-    period = round(1e6 / args.rate) if args.rate else None
+    period = None if args.rate is None else max(1, round(1e6 / args.rate))
     report = validate_trace(model, trace, thresholds=_thresholds_from(args), period_us=period)
     sys.stdout.write(report.format())
     return 0 if report.passed else 1
@@ -251,47 +283,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.repetitions < 1:
-        raise UsageError("--repetitions must be at least 1")
-    model, skeleton, rmap = _load_configs(args)
-    compute = Histogram()
-    fresh_compute = Histogram()
-    frame_age = Histogram()
-    for rep in range(args.repetitions):
-        pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
-        frames = synth_motion(
-            args.pattern,
-            rate=args.source_rate,
-            duration=args.cycles / args.rate,
-            noise_std=args.noise,
-            seed=args.seed + rep,
-            skeleton=skeleton,
-        )
-        metrics = run_loop(
-            schedule(frames),
-            pipeline,
-            NullSink(),
-            rate_hz=args.rate,
-            max_cycles=args.cycles,
-            clock=WallClock(),
-        )
-        compute.samples.extend(metrics.compute_us.samples)
-        fresh_compute.samples.extend(metrics.fresh_compute_us.samples)
-        frame_age.samples.extend(metrics.frame_age_us.samples)
-    sys.stdout.write(
-        f"repetitions={args.repetitions}\ncycles_per_repetition={args.cycles}\nrate_hz={args.rate}\n"
-        f"compute_us_p50={compute.percentile(50)}\ncompute_us_p99={compute.percentile(99)}\n"
-        f"compute_us_max={compute.maximum()}\n"
-        f"fresh_compute_us_p50={fresh_compute.percentile(50)}\n"
-        f"fresh_compute_us_p99={fresh_compute.percentile(99)}\n"
-        f"fresh_compute_us_max={fresh_compute.maximum()}\n"
-        f"frame_age_us_p50={frame_age.percentile(50)}\nframe_age_us_p99={frame_age.percentile(99)}\n"
-        f"frame_age_us_max={frame_age.maximum()}\n"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teleokin",
@@ -299,28 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="drive the control loop")
-    _add_config_flags(run)
-    run.add_argument("--source", required=True, help="synth:<pattern> | replay:<file>[:speed] | live:<port>")
-    run.add_argument("--sink", action="append", default=[], help="trace:<file> | datagram:<host>:<port> | validate | null (repeatable)")
-    run.add_argument("--rate", type=float, default=500.0, help="loop rate in Hz (default 500)")
-    run.add_argument("--frames", type=int, default=None, help="cycle budget")
-    run.add_argument("--duration", type=float, default=None, help="run duration in seconds")
-    run.add_argument("--tau", type=float, default=0.020, help="filter time constant in seconds (default 0.02)")
-    run.add_argument("--clock", choices=("auto", "virtual", "wall"), default="auto",
-                     help="virtual for offline sources, wall for live (default auto)")
-    run.add_argument("--source-rate", type=float, default=100.0, help="synth source rate in Hz")
-    run.add_argument("--noise", type=float, default=0.0, help="synth noise std in radians")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--sink-budget-us", type=int, default=None, help="per-cycle sink time budget")
-    run.add_argument("--acc-limit", default="off", help="validator acceleration limit rad/s^2, or 'off'")
-    run.add_argument("--margin", type=float, default=0.0, help="validator collision margin in meters")
-    run.set_defaults(func=cmd_run)
+    _add_loop_flags(sub.add_parser("run", help="drive the control loop"))
 
     val = sub.add_parser("validate", help="audit a recorded command trace")
     val.add_argument("--robot", default=str(sample_path("g1_sample.cfg")), help="robot config file")
     val.add_argument("--trace", required=True, help="CMDTRC01 trace file")
-    val.add_argument("--rate", type=float, default=None, help="nominal loop rate; default: inferred")
+    val.add_argument("--rate", type=_POSITIVE, default=None, help="nominal loop rate; default: inferred")
     val.add_argument("--acc-limit", default="off", help="acceleration limit rad/s^2, or 'off'")
     val.add_argument("--margin", type=float, default=0.0, help="collision margin in meters")
     val.set_defaults(func=cmd_validate)
@@ -334,17 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output MOCREC01 file")
     gen.set_defaults(func=cmd_gen)
 
-    bench = sub.add_parser("bench", help="measure per-cycle compute latency")
-    _add_config_flags(bench)
-    bench.add_argument("--rate", type=float, default=500.0, help="loop rate in Hz (default 500)")
-    bench.add_argument("--cycles", type=int, default=10_000, help="cycles per repetition")
-    bench.add_argument("--repetitions", type=int, default=1)
-    bench.add_argument("--pattern", choices=SYNTH_PATTERNS, default="arm-wave")
-    bench.add_argument("--source-rate", type=float, default=100.0)
-    bench.add_argument("--noise", type=float, default=0.01)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--tau", type=float, default=0.020)
-    bench.set_defaults(func=cmd_bench)
+    bench = sub.add_parser("bench", help="run with an arm-wave source, a null sink and the wall clock by default")
+    _add_loop_flags(bench, source="synth:arm-wave", sink="null", clock="wall", noise=0.01, frames=10_000)
 
     return parser
 

@@ -77,7 +77,3 @@ class SinkBackpressure(TeleokinError):
 
 class EmptyTrace(TeleokinError):
     """A trace with zero commands cannot be validated."""
-
-
-class ShapeMismatch(TeleokinError):
-    """Two traces differ in length or joint count and cannot be compared."""

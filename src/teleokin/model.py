@@ -107,9 +107,6 @@ class HumanSkeleton:
         except KeyError:
             raise UnknownReference(f"unknown segment {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HumanSkeleton) and self.segments == other.segments
 
@@ -222,10 +219,9 @@ class RobotModel:
             ):
                 raise ValidationError(f"default angle outside the soft interval on joint {j.name}")
 
-        links = known
         per_link_counts: dict[str, int] = {}
         for s in spheres:
-            if s.link not in links:
+            if s.link not in known:
                 raise UnknownReference(f"collision sphere references unknown link {s.link!r}")
             if not (s.radius > 0):
                 raise ValidationError(f"non-positive sphere radius on link {s.link}")
@@ -238,7 +234,6 @@ class RobotModel:
         self.joints = list(joints)
         self.spheres = spheres
         self.exclusions = exclusions
-        self.links = [self.base_link] + [j.child_link for j in joints]
         self._joint_index = {j.name: i for i, j in enumerate(joints)}
         self.soft_lower = np.array([j.limit_min + j.soft_margin for j in joints])
         self.soft_upper = np.array([j.limit_max - j.soft_margin for j in joints])
@@ -352,7 +347,6 @@ class RetargetMap:
             for r in rules
             if isinstance(r, TripleRule)
         )
-        self.unmapped = list(unmapped)
         self.joint_count = len(model)
         self.default_angles = model.default_angles.copy()
         self.segment_count = len(skeleton)

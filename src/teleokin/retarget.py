@@ -95,17 +95,14 @@ def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[np.ndarray, int]:
     return np.array(out), gimbal_warnings
 
 
-def map_frame(rmap: RetargetMap, skeleton: HumanSkeleton, frame: MocapFrame) -> np.ndarray:
+def map_frame(rmap: RetargetMap, frame: MocapFrame) -> np.ndarray:
     """Project one frame onto raw joint angles (no limit clamping here).
 
     Twist rules read the rotation component about their axis; triple rules
     read a three-angle decomposition in their configured order; unmapped
     joints sit at their default angle.
     """
-    if len(skeleton) != rmap.segment_count:
-        raise DimensionMismatch("skeleton does not match the one the map was loaded against")
-    angles, _ = _map_frame(rmap, frame)
-    return angles
+    return _map_frame(rmap, frame)[0]
 
 
 def enforce_limits(model: RobotModel, raw) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +146,6 @@ def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
 
 def retarget_step(
     rmap: RetargetMap,
-    skeleton: HumanSkeleton,
     model: RobotModel,
     state: FilterState,
     frame: MocapFrame,
@@ -183,10 +179,10 @@ class Pipeline:
     filter_state: FilterState = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if len(self.skeleton) != self.rmap.segment_count:
+            raise DimensionMismatch("skeleton does not match the one the map was loaded against")
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
 
     def step(self, frame: MocapFrame, dt: float, clock):
-        return retarget_step(
-            self.rmap, self.skeleton, self.model, self.filter_state, frame, dt, clock
-        )
+        return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock)

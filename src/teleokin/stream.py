@@ -252,12 +252,12 @@ def read_recording(path) -> list[MocapFrame]:
     return frames
 
 
-def schedule(frames: Iterable[MocapFrame], speed: float = 1.0, start_us: int = 0):
+def schedule(frames: Iterable[MocapFrame], speed: float = 1.0):
     """Turn a recording into ``(due_us, frame)`` pairs for the control loop.
 
     Due times reproduce the recorded timestamp gaps divided by ``speed``;
-    ``speed=math.inf`` makes everything due at ``start_us`` (as fast as the
-    consumer can take them, order preserved).
+    ``speed=math.inf`` makes everything due at 0 (as fast as the consumer
+    can take them, order preserved).
     """
     frames = list(frames)
     if not frames:
@@ -272,7 +272,7 @@ def schedule(frames: Iterable[MocapFrame], speed: float = 1.0, start_us: int = 0
             raise ValueError("recording timestamps must be non-decreasing")
         last = f.timestamp_us
         offset = 0 if math.isinf(speed) else int(round((f.timestamp_us - t0) / speed))
-        out.append((start_us + offset, f))
+        out.append((offset, f))
     return out
 
 

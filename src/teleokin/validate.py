@@ -13,11 +13,12 @@ names that proxy so results can be re-thresholded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTrace, ShapeMismatch
+from .errors import DimensionMismatch, EmptyTrace
 from .geometry import quat_rotate_rows
 from .model import LinkPose, RobotModel, forward_kinematics, forward_kinematics_batch
 from .retarget import JointCommand
@@ -216,6 +217,13 @@ def _angles_matrix(model: RobotModel, trace) -> np.ndarray:
     return np.stack([np.asarray(cmd.angles, dtype=float) for cmd in trace])
 
 
+def _checked_period_us(period_us: float) -> float:
+    # A negative period makes every rate negative, so no rate check could trip.
+    if not (0 < period_us < math.inf):
+        raise ValueError(f"period_us must be positive and finite, got {period_us}")
+    return period_us
+
+
 def _infer_period_us(trace) -> float:
     if len(trace) < 2:
         return 1.0
@@ -236,14 +244,13 @@ def validate_trace(
     outside them); backward-difference velocity against each joint's vmax;
     optional second-difference acceleration; and sphere self-collision on
     forward kinematics.  Hold commands participate like any other sample.
-    ``period_us`` defaults to the median emission-timestamp delta of the
-    trace.
+    ``period_us`` must be positive and finite; it defaults to the median
+    emission-timestamp delta of the trace.
     """
     trace = list(trace)
     thresholds = thresholds or Thresholds()
     angles = _angles_matrix(model, trace)
-    if period_us is None:
-        period_us = _infer_period_us(trace)
+    period_us = _infer_period_us(trace) if period_us is None else _checked_period_us(period_us)
     violations = _judge(model, _SphereTable(model), thresholds, angles, period_us / 1e6, 0, 0)
     return ValidationReport(violations, cycles=len(trace), period_us=period_us, thresholds=thresholds)
 
@@ -265,7 +272,7 @@ class IncrementalValidator:
     ):
         self.model = model
         self.thresholds = thresholds or Thresholds()
-        self.period_us = period_us
+        self.period_us = period_us if period_us is None else _checked_period_us(period_us)
         self.violations: list[Violation] = []
         self._spheres = _SphereTable(model)
         self._tail = np.empty((0, len(model)))
@@ -297,38 +304,3 @@ class IncrementalValidator:
         return ValidationReport(
             list(self.violations), cycles=self._cycle, period_us=self._period_us(), thresholds=self.thresholds
         )
-
-
-@dataclass
-class TraceDiff:
-    max_abs_diff: float
-    first_divergence: int | None
-    tolerance: float
-    equal: bool
-
-    def format(self) -> str:
-        lines = [
-            f"max_abs_diff={self.max_abs_diff:.9g}",
-            f"tolerance={self.tolerance:.9g}",
-            f"equal={'yes' if self.equal else 'no'}",
-        ]
-        if self.first_divergence is not None:
-            lines.append(f"first_divergence={self.first_divergence}")
-        return "\n".join(lines) + "\n"
-
-
-def compare_traces(a, b, tol: float = 0.0) -> TraceDiff:
-    """Per-sample max-abs angle comparison of two equally-shaped traces."""
-    a, b = list(a), list(b)
-    if len(a) != len(b):
-        raise ShapeMismatch(f"trace lengths differ: {len(a)} vs {len(b)}")
-    if not a:
-        return TraceDiff(0.0, None, tol, True)
-    wa = np.stack([np.asarray(c.angles, dtype=float) for c in a])
-    wb = np.stack([np.asarray(c.angles, dtype=float) for c in b])
-    if wa.shape != wb.shape:
-        raise ShapeMismatch(f"joint counts differ: {wa.shape[1]} vs {wb.shape[1]}")
-    per_sample = np.abs(wa - wb).max(axis=1)
-    beyond = np.nonzero(per_sample > tol)[0]
-    first = int(beyond[0]) if len(beyond) else None
-    return TraceDiff(float(per_sample.max()), first, tol, first is None)

@@ -55,7 +55,7 @@ from teleokin.stream import (
     schedule,
     synth_motion,
 )
-from teleokin.validate import Thresholds, collision_pairs, compare_traces, validate_trace
+from teleokin.validate import Thresholds, collision_pairs, validate_trace
 
 from test_model import oracle_fk
 from test_retarget import _measured_phase_lag
@@ -98,7 +98,7 @@ def test_criterion_1_safety_battery():
     velocity check passes deterministically.  The acceleration check is off;
     the core battery is limits, velocity, and self-collision.
     """
-    model, skel, rmap = load_sample()
+    model, _, rmap = load_sample()
     alpha = 1.0 - math.exp(-0.01 / 0.4)
     assert alpha * 2.0 * math.pi / 0.01 < model.velocity_limits.min()
 
@@ -109,7 +109,7 @@ def test_criterion_1_safety_battery():
     commands = []
     for i in range(100_000):
         frame = MocapFrame(i, i * 10_000, random_unit_rows(rng))
-        cmd, _ = retarget_step(rmap, skel, model, state, frame, 0.010, clock)
+        cmd, _ = retarget_step(rmap, model, state, frame, 0.010, clock)
         commands.append(cmd)
     angles = np.stack([c.angles for c in commands])
     assert (angles >= model.soft_lower[None, :]).all()
@@ -201,8 +201,7 @@ def test_criterion_3_sim2real_parity(tmp_path):
     from_file = read_trace(tmp_path / "a.trc")
     assert len(from_file) == 400
     assert [c.seq for c in captured] == [c.seq for c in from_file]
-    diff = compare_traces(from_file, captured, tol=0.0)
-    assert diff.equal and diff.max_abs_diff == 0.0
+    assert all(np.array_equal(a.angles, b.angles) for a, b in zip(from_file, captured))
 
     one_run(tmp_path / "b.trc", with_datagram=False)
     assert (tmp_path / "a.trc").read_bytes() == (tmp_path / "b.trc").read_bytes()
@@ -244,10 +243,10 @@ def test_criterion_5_ema_step_and_phase_lag():
 
 
 def test_criterion_6_latency_bound(capsys):
-    """cmd_bench, 23-joint model, 500 Hz: p99 per-cycle compute < 1 ms."""
+    """teleokin bench, 23-joint model, 500 Hz: p99 per-cycle compute < 1 ms."""
     from teleokin.cli import main
 
-    code = main(["bench", "--rate", "500", "--cycles", "5000", "--repetitions", "1"])
+    code = main(["bench", "--rate", "500", "--frames", "5000"])
     out = capsys.readouterr().out
     assert code == 0
     stats = dict(line.split("=", 1) for line in out.strip().splitlines())

@@ -4,12 +4,22 @@ import socket
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from teleokin import cli
 from teleokin.cli import main
-from teleokin.runtime import read_trace
-from teleokin.stream import DatagramSource, encode_frame, identity_frame
+from teleokin.data import sample_text
+from teleokin.model import load_robot_model
+from teleokin.retarget import JointCommand
+from teleokin.runtime import read_trace, trace_sink
+from teleokin.stream import (
+    DatagramSource,
+    encode_frame,
+    identity_frame,
+    synth_motion,
+    write_recording,
+)
 
 
 def run_cli(*argv):
@@ -164,6 +174,25 @@ class TestValidateCommand:
         code = run_cli("validate", "--trace", str(trace), "--rate", "100")
         assert code == 2
 
+    def test_non_positive_rate_exits_2(self, tmp_path, capsys):
+        # waist_yaw jumps 0.5 rad in one 2 ms step; at a negative rate every rate
+        # would be negative, and no velocity check could trip on the jump.
+        model = load_robot_model(sample_text("g1_sample.cfg"))
+        rows = np.zeros((4, len(model)))
+        rows[2, model.joint_index("waist_yaw")] = 0.5
+        trace = tmp_path / "jump.trc"
+        sink = trace_sink(trace)
+        for i, row in enumerate(rows):
+            sink.emit(JointCommand(i, i, i * 2000, i * 2000, row, np.zeros(len(model), dtype=bool)))
+        sink.close()
+        assert run_cli("validate", "--trace", str(trace), "--rate", "500") == 1
+        assert "velocity=2" in capsys.readouterr().out
+        for rate in ("-500", "0"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("validate", "--trace", str(trace), "--rate", rate)
+            assert exc.value.code == 2
+            assert "--rate" in capsys.readouterr().err
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("validate", "--trace", str(tmp_path / "none.trc")) == 2
 
@@ -204,10 +233,10 @@ class TestGen:
 
 class TestBench:
     def test_prints_statistics(self, capsys):
-        code = run_cli("bench", "--cycles", "300", "--rate", "1000", "--repetitions", "2")
+        code = run_cli("bench", "--source", "synth:static", "--frames", "300", "--rate", "1000")
         assert code == 0
         kv = parse_kv(capsys.readouterr().out)
-        assert kv["repetitions"] == "2"
+        assert kv["cycles"] == "300"
         assert int(kv["compute_us_p99"]) >= int(kv["compute_us_p50"])
         assert "frame_age_us_max" in kv
 
@@ -220,19 +249,50 @@ class TestBench:
         # matched source and loop rates so every cycle pays the mapping cost
         run_cli(
             "bench", "--robot", str(robot), "--skeleton", str(_two_segment_skeleton(tmp_path)),
-            "--map", str(_one_joint_map(tmp_path)), "--pattern", "static",
-            "--cycles", "600", "--rate", "500", "--source-rate", "500",
+            "--map", str(_one_joint_map(tmp_path)), "--source", "synth:static",
+            "--frames", "600", "--rate", "500", "--source-rate", "500",
         )
         small = parse_kv(capsys.readouterr().out)
         run_cli(
-            "bench", "--pattern", "static", "--cycles", "600", "--rate", "500",
+            "bench", "--source", "synth:static", "--frames", "600", "--rate", "500",
             "--source-rate", "500",
         )
         full = parse_kv(capsys.readouterr().out)
         assert int(small["compute_us_p50"]) < int(full["compute_us_p50"])
 
-    def test_zero_repetitions_exits_2(self, capsys):
-        assert run_cli("bench", "--repetitions", "0", "--cycles", "10") == 2
+    def test_validate_sink(self, capsys):
+        # The streaming validator's speed is not under test here, so a slow
+        # emit on a loaded machine must not abort the run as backpressure.
+        code = run_cli("bench", "--frames", "200", "--sink", "validate", "--sink-budget-us", "1000000")
+        assert code == 0
+        assert "verdict=pass" in capsys.readouterr().out
+
+
+BAD_NUMBERS = [
+    ("run", "--source", "replay:{rec}:nan", "--sink", "null", "--frames", "5"),
+    ("run", "--source", "replay:{rec}:-1", "--sink", "null", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "null", "--frames", "5", "--rate", "0"),
+    ("run", "--source", "synth:static", "--sink", "null", "--frames", "5", "--tau", "-1"),
+    ("run", "--source", "synth:static", "--sink", "null", "--frames", "5", "--source-rate", "0"),
+    ("run", "--source", "synth:static", "--sink", "null", "--frames", "-5"),
+    ("run", "--source", "synth:static", "--sink", "datagram:127.0.0.1:abc", "--frames", "5"),
+    ("run", "--source", "live:99999", "--sink", "null", "--frames", "5"),
+    ("bench", "--rate", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS, ids=[" ".join(a) for a in BAD_NUMBERS])
+def test_bad_number_is_a_usage_error(argv, tmp_path, capsys):
+    rec = tmp_path / "static.rec"
+    write_recording(rec, synth_motion("static", rate=100, duration=0.1))
+    try:
+        code = run_cli(*(arg.format(rec=rec) for arg in argv))
+    except SystemExit as exc:  # argparse rejects a bad flag value this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 class TestHelp:

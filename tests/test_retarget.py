@@ -54,14 +54,14 @@ def small_setup(default=0.25):
 class TestMapFrame:
     def test_identity_frame_gives_zeros_and_defaults(self):
         model, skel, rmap = small_setup(default=0.25)
-        angles = map_frame(rmap, skel, identity_frame(2))
+        angles = map_frame(rmap, identity_frame(2))
         assert np.array_equal(angles, [0.0, 0.25])
 
     def test_pure_twist_passthrough(self):
         model, skel, rmap = small_setup()
         frame = identity_frame(2)
         frame.orientations[1] = quat_from_axis_angle([0, 1, 0], math.pi / 2)
-        angles = map_frame(rmap, skel, frame)
+        angles = map_frame(rmap, frame)
         assert math.isclose(angles[0], math.pi / 2, abs_tol=1e-12)
 
     def test_sign_scale_offset(self):
@@ -74,7 +74,7 @@ class TestMapFrame:
         )
         frame = identity_frame(2)
         frame.orientations[1] = quat_from_axis_angle([0, 1, 0], 0.8)
-        angles = map_frame(rmap, skel, frame)
+        angles = map_frame(rmap, frame)
         assert math.isclose(angles[0], -1.0 * 0.5 * 0.8 + 0.1, abs_tol=1e-12)
 
     def test_triple_rule_matches_decomposition(self):
@@ -87,7 +87,7 @@ class TestMapFrame:
             ),
         )
         frame.orientations[skel.index("left_thigh")] = q
-        angles = map_frame(rmap, skel, frame)
+        angles = map_frame(rmap, frame)
         decomposed, gimbal = euler_decompose(q, "ZXY")
         assert not gimbal
         assert np.allclose(decomposed, [0.4, 0.2, -0.3], atol=1e-9)
@@ -99,7 +99,7 @@ class TestMapFrame:
     def test_segment_count_checked(self):
         model, skel, rmap = small_setup()
         with pytest.raises(DimensionMismatch):
-            map_frame(rmap, skel, identity_frame(5))
+            map_frame(rmap, identity_frame(5))
 
 
 def _reference_map(rmap, quats):
@@ -302,8 +302,8 @@ class TestRetargetStep:
     def test_identity_composition(self):
         model, skel, rmap = small_setup(default=0.25)
         state = FilterState.create(2, tau=0.0)
-        cmd, diag = retarget_step(rmap, skel, model, state, identity_frame(2), 0.01, VirtualClock())
-        assert np.array_equal(cmd.angles, map_frame(rmap, skel, identity_frame(2)))
+        cmd, diag = retarget_step(rmap, model, state, identity_frame(2), 0.01, VirtualClock())
+        assert np.array_equal(cmd.angles, map_frame(rmap, identity_frame(2)))
         assert not cmd.clamped.any()
         assert not cmd.hold
         assert diag.clamped_count == 0
@@ -314,7 +314,7 @@ class TestRetargetStep:
         state = FilterState.create(2, tau=0.0)
         frame = identity_frame(2)
         frame.orientations[1] = quat_from_axis_angle([0, 1, 0], 3.0)  # past the 2.9 soft bound
-        cmd, diag = retarget_step(rmap, skel, model, state, frame, 0.01, VirtualClock())
+        cmd, diag = retarget_step(rmap, model, state, frame, 0.01, VirtualClock())
         assert cmd.angles[0] == 2.9
         assert cmd.clamped[0]
         assert diag.clamped_count == 1
@@ -325,7 +325,7 @@ class TestRetargetStep:
         state = FilterState.create(2)
         clock = VirtualClock(start_us=5000)
         frame = identity_frame(2, seq=17, timestamp_us=424242)
-        cmd, _ = retarget_step(rmap, skel, model, state, frame, 0.01, clock)
+        cmd, _ = retarget_step(rmap, model, state, frame, 0.01, clock)
         assert cmd.source_seq == 17
         assert cmd.source_timestamp_us == 424242
         assert cmd.emission_timestamp_us == 5000
@@ -338,12 +338,12 @@ class TestRetargetStep:
         clock = VirtualClock()
         stepped = []
         for f in frames:
-            cmd, _ = retarget_step(rmap, skel, model, state, f, 0.010, clock)
+            cmd, _ = retarget_step(rmap, model, state, f, 0.010, clock)
             stepped.append(cmd.angles)
 
         ref_state = FilterState.create(len(model), tau=0.020)
         for f, got in zip(frames, stepped):
-            raw = map_frame(rmap, skel, f)
+            raw = map_frame(rmap, f)
             smoothed = smooth(ref_state, raw, 0.010)
             expected, _ = enforce_limits(model, smoothed)
             assert np.array_equal(got, expected)
@@ -357,7 +357,7 @@ class TestRetargetStep:
             quats = rng.normal(size=(23, 4))
             quats /= np.linalg.norm(quats, axis=1)[:, None]
             frame = MocapFrame(i, i * 10_000, quats)
-            cmd, _ = retarget_step(rmap, skel, model, state, frame, 0.010, clock)
+            cmd, _ = retarget_step(rmap, model, state, frame, 0.010, clock)
             assert (cmd.angles >= model.soft_lower).all()
             assert (cmd.angles <= model.soft_upper).all()
 
@@ -386,7 +386,7 @@ class TestRetargetStep:
         for i in range(200):
             inputs = rng.uniform(-math.pi + 1e-6, math.pi, size=n)
             quats = np.stack([quat_from_axis_angle([0, 0, 1], a) for a in inputs])
-            cmd, _ = retarget_step(rmap, skel, model, state, MocapFrame(i, i, quats), 0.01, clock)
+            cmd, _ = retarget_step(rmap, model, state, MocapFrame(i, i, quats), 0.01, clock)
             assert np.allclose(cmd.angles, inputs, atol=1e-9)
 
     def test_gimbal_warning_counted(self):
@@ -397,7 +397,7 @@ class TestRetargetStep:
             [1, 0, 0], math.pi / 2
         )
         state = FilterState.create(len(model))
-        _, diag = retarget_step(rmap, skel, model, state, frame, 0.01, VirtualClock())
+        _, diag = retarget_step(rmap, model, state, frame, 0.01, VirtualClock())
         assert diag.gimbal_warnings >= 1
 
     def test_pipeline_wrapper(self):
@@ -405,3 +405,9 @@ class TestRetargetStep:
         pipeline = Pipeline(skel, rmap, model)
         cmd, _ = pipeline.step(identity_frame(23), 0.002, VirtualClock())
         assert np.array_equal(cmd.angles, model.default_angles)
+
+    def test_pipeline_rejects_a_skeleton_the_map_was_not_loaded_against(self):
+        model, _, rmap = sample_setup()
+        _, two_segments, _ = small_setup()
+        with pytest.raises(DimensionMismatch):
+            Pipeline(two_segments, rmap, model)

@@ -260,7 +260,7 @@ class TestRunLoop:
         frames = [identity_frame(23, seq=0, timestamp_us=50_000)]  # due at 50 ms
         capture = _CaptureSink()
         run_loop(
-            schedule(frames, start_us=50_000),
+            [(due_us + 50_000, frame) for due_us, frame in schedule(frames)],
             pipeline,
             capture,
             rate_hz=100,

@@ -1,4 +1,4 @@
-"""Trace audit: limit/velocity/acceleration checks, collisions, trace diffs."""
+"""Trace audit: limit/velocity/acceleration checks, collisions, the streaming validator."""
 
 import math
 
@@ -10,12 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from teleokin.clock import VirtualClock
 from teleokin.data import sample_text
-from teleokin.errors import DimensionMismatch, EmptyTrace, ShapeMismatch
+from teleokin.errors import DimensionMismatch, EmptyTrace
 from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import run_loop, validator_sink
 from teleokin.stream import schedule, synth_motion
-from teleokin.validate import Thresholds, collision_pairs, compare_traces, validate_trace
+from teleokin.validate import Thresholds, collision_pairs, validate_trace
 
 from test_model import oracle_fk
 
@@ -105,6 +105,19 @@ class TestValidateTrace:
         assert all(v.identifier == "waist_yaw" for v in vel)
         assert vel[0].value == pytest.approx(50.0)
         assert vel[0].threshold == model.joints[model.joint_index("waist_yaw")].velocity_limit
+
+    @pytest.mark.parametrize("period_us", [-2000, 0, math.nan, math.inf])
+    def test_period_must_be_positive_and_finite(self, period_us):
+        # A negative period would make every rate negative, so no rate check could
+        # trip on this 0.5 rad jump.
+        model = sample_model()
+        rows = np.zeros((4, len(model)))
+        rows[2, model.joint_index("waist_yaw")] = 0.5
+        trace = command_trace(model, rows, period_us=2000)
+        with pytest.raises(ValueError, match="period_us"):
+            validate_trace(model, trace, period_us=period_us)
+        with pytest.raises(ValueError, match="period_us"):
+            validator_sink(model, period_us=period_us)
 
     def test_velocity_check_is_translation_invariant(self):
         model, trace = pipeline_trace("arm-wave", seconds=0.5)
@@ -299,45 +312,3 @@ class TestStreamingValidator:
                 assert a.value == pytest.approx(b.value, rel=0, abs=1e-9)
             else:
                 assert a.value == b.value
-
-
-class TestCompareTraces:
-    def test_reflexive_at_zero_tolerance(self):
-        model, trace = pipeline_trace("arm-wave", seconds=0.3)
-        diff = compare_traces(trace, trace, tol=0.0)
-        assert diff.equal
-        assert diff.max_abs_diff == 0.0
-        assert diff.first_divergence is None
-
-    def test_symmetric(self):
-        model, a = pipeline_trace("arm-wave", seconds=0.3, seed=1)
-        _, b = pipeline_trace("arm-wave", seconds=0.3, seed=2)
-        dab = compare_traces(a, b, tol=1e-6)
-        dba = compare_traces(b, a, tol=1e-6)
-        assert dab.max_abs_diff == dba.max_abs_diff
-        assert dab.first_divergence == dba.first_divergence
-
-    def test_perturbation_detected(self):
-        model, trace = pipeline_trace("static", seconds=0.2, noise=0.0)
-        copy = [
-            JointCommand(
-                c.seq,
-                c.source_seq,
-                c.source_timestamp_us,
-                c.emission_timestamp_us,
-                c.angles.copy(),
-                c.clamped.copy(),
-                c.hold,
-            )
-            for c in trace
-        ]
-        copy[40].angles[2] += 1e-3
-        diff = compare_traces(trace, copy, tol=1e-6)
-        assert not diff.equal
-        assert diff.first_divergence == 40
-        assert diff.max_abs_diff == pytest.approx(1e-3)
-
-    def test_shape_mismatch(self):
-        model, trace = pipeline_trace("static", seconds=0.1, noise=0.0)
-        with pytest.raises(ShapeMismatch):
-            compare_traces(trace, trace[:-1])
