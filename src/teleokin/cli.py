@@ -115,7 +115,7 @@ def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, 
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sink-budget-us", type=_POSITIVE_INT, default=None, help="per-cycle sink time budget")
     parser.add_argument("--acc-limit", default="off", help="validator acceleration limit rad/s^2, or 'off'")
-    parser.add_argument("--margin", type=float, default=0.0, help="validator collision margin in meters")
+    parser.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="validator collision margin in meters")
     # not --sink's own default: an appending flag adds to its default, never replaces it
     parser.set_defaults(func=cmd_run, default_sinks=[sink] if sink else [])
 
@@ -297,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--trace", required=True, help="CMDTRC01 trace file")
     val.add_argument("--rate", type=_POSITIVE, default=None, help="nominal loop rate; default: inferred")
     val.add_argument("--acc-limit", default="off", help="acceleration limit rad/s^2, or 'off'")
-    val.add_argument("--margin", type=float, default=0.0, help="collision margin in meters")
+    val.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="collision margin in meters")
     val.set_defaults(func=cmd_validate)
 
     gen = sub.add_parser("gen", help="write a synthetic motion recording")
     gen.add_argument("--pattern", choices=SYNTH_PATTERNS, required=True)
-    gen.add_argument("--rate", type=float, default=100.0, help="frame rate in Hz (default 100)")
-    gen.add_argument("--duration", type=float, required=True, help="seconds of motion")
-    gen.add_argument("--noise", type=float, default=0.0, help="noise std in radians")
+    gen.add_argument("--rate", type=_POSITIVE, default=100.0, help="frame rate in Hz (default 100)")
+    gen.add_argument("--duration", type=_POSITIVE, required=True, help="seconds of motion")
+    gen.add_argument("--noise", type=_NON_NEGATIVE, default=0.0, help="noise std in radians")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output MOCREC01 file")
     gen.set_defaults(func=cmd_gen)

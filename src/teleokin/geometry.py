@@ -12,11 +12,12 @@ Conventions, fixed once here and used everywhere in the package:
 
 The implementations unpack to plain floats internally; at 4 elements that is
 several times faster than numpy elementwise ops, which matters in the
-per-frame retargeting path.  The twist angle and the three-angle
-decomposition are written once, as private plain-float helpers
-(``_twist_angle``, ``_euler_angles``, ``_euler_axes``); ``swing_twist`` and
-``euler_decompose`` call them, and so does the retarget map compiled at load
-time, which runs them on the floats of a whole frame without building arrays.
+per-frame retargeting path.  The algebra is written once, as private
+plain-float helpers: ``_quat_mul`` and ``_quat_rotate`` on float tuples, and
+``_twist_angle``, ``_euler_angles`` and ``_euler_axes``.  The public
+functions call them, and so do the retarget map compiled at load time and the
+validator's one-row forward kinematics, which run them on the floats of a
+whole frame or command without building arrays.
 
 The row kernels at the end are the package's one copy of this algebra over
 stacked ``(..., 4)`` quaternions; the scalar functions are their test oracle.
@@ -55,6 +56,33 @@ def _canonical(w: float, x: float, y: float, z: float) -> np.ndarray:
     return np.array([w, x, y, z])
 
 
+def _quat_mul(a: tuple, b: tuple) -> tuple:
+    # Hamilton product a * b of two float quadruples, without re-normalization or sign fixing.
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by + ay * bw + az * bx - ax * bz,
+        aw * bz + az * bw + ax * by - ay * bx,
+    )
+
+
+def _quat_rotate(q: tuple, v: tuple) -> tuple:
+    # The 3-vector v rotated by the unit quadruple q:
+    # v' = v + w*t + q_vec x t  with  t = 2 * (q_vec x v).
+    w, x, y, z = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + y * tz - z * ty,
+        vy + w * ty + z * tx - x * tz,
+        vz + w * tz + x * ty - y * tx,
+    )
+
+
 def quat_normalize(q) -> np.ndarray:
     """Scale a quadruple to unit norm and canonical sign.
 
@@ -81,16 +109,7 @@ def quat_conjugate(q) -> np.ndarray:
 
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product ``a * b``, re-normalized to canonical sign."""
-    aw, ax, ay, az = (float(c) for c in a)
-    bw, bx, by, bz = (float(c) for c in b)
-    return quat_normalize(
-        (
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        )
-    )
+    return quat_normalize(_quat_mul(tuple(float(c) for c in a), tuple(float(c) for c in b)))
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -105,19 +124,7 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 def quat_rotate_vector(q, v) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion (active rotation)."""
-    w, x, y, z = (float(c) for c in q)
-    vx, vy, vz = (float(c) for c in v)
-    # v' = v + w*t + q_vec x t  with  t = 2 * (q_vec x v)
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.array(
-        [
-            vx + w * tx + y * tz - z * ty,
-            vy + w * ty + z * tx - x * tz,
-            vz + w * tz + x * ty - y * tx,
-        ]
-    )
+    return np.array(_quat_rotate(tuple(float(c) for c in q), tuple(float(c) for c in v)))
 
 
 def _wrap_angle(a: float) -> float:
@@ -158,15 +165,7 @@ def swing_twist(q, axis) -> tuple[np.ndarray, float]:
     half = 0.5 * angle
     tw = math.cos(half)
     ts = math.sin(half)
-    tx, ty, tz = -ts * ax, -ts * ay, -ts * az
-    swing = quat_normalize(
-        (
-            w * tw - x * tx - y * ty - z * tz,
-            w * tx + x * tw + y * tz - z * ty,
-            w * ty + y * tw + z * tx - x * tz,
-            w * tz + z * tw + x * ty - y * tx,
-        )
-    )
+    swing = quat_normalize(_quat_mul((w, x, y, z), (tw, -ts * ax, -ts * ay, -ts * az)))
     return swing, angle
 
 

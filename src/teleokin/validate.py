@@ -5,10 +5,15 @@ backward-difference velocity and acceleration, and sphere self-collision on
 forward kinematics.  The offline checker runs it once over the whole trace;
 the streaming validator keeps the last two samples and runs it on a 3-row
 window whose last row is the new command, so both report the same
-violations in the same order and the streaming one is safe to call from a
-control loop.  Velocity is judged against each joint's configured velocity
-limit using backward differences at the nominal period — the report header
-names that proxy so results can be re-thresholded.
+violations in the same order.  Velocity is judged against each joint's
+configured velocity limit using backward differences at the nominal period —
+the report header names that proxy so results can be re-thresholded.
+
+Self-collision of many rows takes the batch FK and numpy sphere distances in
+blocks.  Self-collision of one row (each streamed command) takes a
+plain-float FK, sphere centres and pair distances over tables compiled from
+the model when the validator is built, so the streaming validator fits in a
+500 Hz control loop.  The scalar ``forward_kinematics`` is its test oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrace
-from .geometry import quat_rotate_rows
-from .model import LinkPose, RobotModel, forward_kinematics, forward_kinematics_batch
+from .geometry import _quat_mul, _quat_rotate, quat_rotate_rows
+from .model import LinkPose, RobotModel, forward_kinematics_batch
 from .retarget import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
@@ -30,12 +35,13 @@ KINDS = ("limit", "velocity", "acceleration", "self-collision")
 _BLOCK_ROWS = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thresholds:
     """Audit thresholds beyond the per-joint limits carried by the model.
 
     ``acceleration_limit=None`` disables the acceleration check, leaving the
-    core battery: limits, velocity, and self-collision.
+    core battery: limits, velocity, and self-collision.  Frozen, because a
+    validator compiles the collision margin into its pair limits once.
     """
 
     acceleration_limit: float | None = 200.0  # rad/s^2
@@ -44,8 +50,9 @@ class Thresholds:
     def __post_init__(self):
         if self.acceleration_limit is not None and not (self.acceleration_limit > 0):
             raise ValueError("acceleration_limit must be positive or None")
-        if self.collision_margin < 0:
-            raise ValueError("collision_margin must be non-negative")
+        # NaN fails this too: every distance would compare False, so no pair could collide.
+        if not (0 <= self.collision_margin < math.inf):
+            raise ValueError(f"collision_margin must be finite and non-negative, got {self.collision_margin}")
 
 
 @dataclass
@@ -91,36 +98,88 @@ class ValidationReport:
 
 
 class _SphereTable:
-    """A model's collision spheres and the pairs to check, as index arrays."""
+    """A model's collision spheres and the pairs to check, compiled twice.
 
-    def __init__(self, model: RobotModel):
+    Index arrays serve a window of rows: ``distances`` on the batch FK.
+    Plain-float tuples serve one row, which ``row_distances`` runs through
+    its own forward kinematics without building arrays:
+
+    - ``joints``: ``(parent, origin translation, *r, *u)``, with links numbered
+      as in ``link_names`` (the base, then each joint's child), ``r`` the
+      origin rotation and ``u = r * (0, axis)`` (see ``row_poses``);
+    - ``spheres``: ``(link, centre)``;
+    - ``pairs``: ``(a, b, id, limit)``, sphere indices and ``ra + rb + margin``.
+    """
+
+    def __init__(self, model: RobotModel, margin: float = 0.0):
         per_link: dict[str, int] = {}
         self.refs = []  # (link, index within the link) of every sphere
         for s in model.spheres:
             per_link[s.link] = per_link.get(s.link, 0) + 1
             self.refs.append((s.link, per_link[s.link] - 1))
-        excluded = {frozenset(pair) for pair in model.exclusions}
+        number = {ref: k for k, ref in enumerate(self.refs)}
+        excluded = {tuple(sorted((number[tuple(a)], number[tuple(b)]))) for a, b in model.exclusions}
         pairs = [
             (i, j)
-            for i, a in enumerate(self.refs)
-            for j, b in enumerate(self.refs[i + 1 :], start=i + 1)
-            if a[0] != b[0] and frozenset([a, b]) not in excluded
+            for i, (link, _) in enumerate(self.refs)
+            for j in range(i + 1, len(self.refs))
+            if link != self.refs[j][0] and (i, j) not in excluded
         ]
         self.a = np.array([i for i, _ in pairs], dtype=np.intp)
         self.b = np.array([j for _, j in pairs], dtype=np.intp)
-        self.ids = ["{}/{},{}/{}".format(*self.refs[i], *self.refs[j]) for i, j in pairs]
-        self.links = [s.link for s in model.spheres]
+        labels = [f"{link}/{k}" for link, k in self.refs]
+        self.ids = [f"{labels[i]},{labels[j]}" for i, j in pairs]
+        self.sphere_links = [s.link for s in model.spheres]
         self.centers = np.array([s.center for s in model.spheres]).reshape(-1, 3)
         radii = np.array([s.radius for s in model.spheres])
-        self.radii = radii[self.a] + radii[self.b]
+        self.limits = radii[self.a] + radii[self.b] + margin
+
+        self.link_names = [model.base_link] + [j.child_link for j in model.joints]
+        index = {link: i for i, link in enumerate(self.link_names)}
+        joints = []
+        for j in model.joints:
+            r = tuple(j.origin_rotation.tolist())
+            u = _quat_mul(r, (0.0, *j.axis.tolist()))
+            joints.append((index[j.parent_link], tuple(j.origin_translation.tolist()), *r, *u))
+        self.joints = tuple(joints)
+        self.spheres = tuple((index[s.link], tuple(s.center.tolist())) for s in model.spheres)
+        self.pairs = tuple(zip(self.a.tolist(), self.b.tolist(), self.ids, self.limits.tolist()))
 
     def distances(self, poses: dict[str, LinkPose], rows: slice) -> np.ndarray:
         """(m, pairs) sphere-centre distances for ``rows`` of batch-shaped poses."""
-        position = np.stack([poses[link].position[rows] for link in self.links], axis=1)
-        rotation = np.stack([poses[link].rotation[rows] for link in self.links], axis=1)
+        position = np.stack([poses[link].position[rows] for link in self.sphere_links], axis=1)
+        rotation = np.stack([poses[link].rotation[rows] for link in self.sphere_links], axis=1)
         centers = position + quat_rotate_rows(rotation, self.centers)
         # Per coordinate: gathering whole (m, pairs, 3) rows is several times slower.
         return np.sqrt(sum((centers[:, self.a, c] - centers[:, self.b, c]) ** 2 for c in range(3)))
+
+    def row_poses(self, angles) -> list[tuple[tuple, tuple]]:
+        """``(position, rotation)`` float tuples of every link in ``link_names``
+        for one row of finite or NaN angles.
+
+        A joint turns its child by ``r * (cos(a/2), sin(a/2) * axis)``, which
+        is ``cos(a/2) * r + sin(a/2) * u`` for the compiled ``r`` and
+        ``u = r * (0, axis)``.  Like the batch FK, rotations are composed
+        without renormalisation.
+        """
+        poses = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))]
+        for (parent, origin, rw, rx, ry, rz, uw, ux, uy, uz), angle in zip(self.joints, angles):
+            (px, py, pz), q = poses[parent]
+            dx, dy, dz = _quat_rotate(q, origin)
+            c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+            turn = (c * rw + s * uw, c * rx + s * ux, c * ry + s * uy, c * rz + s * uz)
+            poses.append(((px + dx, py + dy, pz + dz), _quat_mul(q, turn)))
+        return poses
+
+    def row_distances(self, angles) -> list[float]:
+        """Sphere-centre distance of every pair for one row of finite or NaN angles."""
+        poses = self.row_poses(angles)
+        centers = []
+        for link, center in self.spheres:
+            (px, py, pz), q = poses[link]
+            dx, dy, dz = _quat_rotate(q, center)
+            centers.append((px + dx, py + dy, pz + dz))
+        return [math.dist(centers[a], centers[b]) for a, b, _, _ in self.pairs]
 
 
 def collision_pairs(model: RobotModel) -> list[tuple[tuple[str, int], tuple[str, int]]]:
@@ -129,18 +188,36 @@ def collision_pairs(model: RobotModel) -> list[tuple[tuple[str, int], tuple[str,
     return [(table.refs[i], table.refs[j]) for i, j in zip(table.a, table.b)]
 
 
-def _link_poses(model: RobotModel, angles: np.ndarray) -> dict[str, LinkPose]:
-    """FK of an (n, joints) window as (n, 3) positions and (n, 4) rotations.
+def _collisions(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cycle: int) -> list[Violation]:
+    """Self-collision violations of an (n, joints) window whose row 0 is ``cycle``.
 
-    One row takes the scalar FK, which is several times faster than the
-    batch FK at n=1.  Infinite angles become NaN first: the limit check
-    already flags them, and the scalar FK cannot take them.
+    One row takes the compiled plain-float FK, many rows the batch FK in
+    blocks.  Infinite angles become NaN first: the limit check already flags
+    them, and ``sin`` cannot take them.  A NaN distance is no collision.
     """
     angles = np.where(np.isinf(angles), np.nan, angles)
-    if len(angles) > 1:
-        return forward_kinematics_batch(model, angles)
-    poses = forward_kinematics(model, angles[0])
-    return {link: LinkPose(p[None], q[None]) for link, (p, q) in poses.items()}
+    if len(angles) == 1:
+        distances = spheres.row_distances(angles[0].tolist())
+        return [
+            Violation("self-collision", cycle, pair, d, limit)
+            for (_, _, pair, limit), d in zip(spheres.pairs, distances)
+            if d < limit
+        ]
+    found = []
+    poses = forward_kinematics_batch(model, angles)
+    for block in range(0, len(angles), _BLOCK_ROWS):
+        dist = spheres.distances(poses, slice(block, block + _BLOCK_ROWS))
+        for i, k in zip(*np.nonzero(dist < spheres.limits)):
+            found.append(
+                Violation(
+                    "self-collision",
+                    cycle + block + int(i),
+                    spheres.ids[k],
+                    float(dist[i, k]),
+                    float(spheres.limits[k]),
+                )
+            )
+    return found
 
 
 def _judge(
@@ -185,21 +262,8 @@ def _judge(
                 )
             )
 
-    if spheres.ids:
-        poses = _link_poses(model, judged)
-        limit = spheres.radii + thresholds.collision_margin
-        for block in range(0, len(judged), _BLOCK_ROWS):
-            dist = spheres.distances(poses, slice(block, block + _BLOCK_ROWS))
-            for i, k in zip(*np.nonzero(dist < limit)):
-                found.append(
-                    Violation(
-                        "self-collision",
-                        cycle + block + int(i),
-                        spheres.ids[k],
-                        float(dist[i, k]),
-                        float(limit[k]),
-                    )
-                )
+    if spheres.pairs:
+        found.extend(_collisions(model, spheres, judged, cycle))
 
     found.sort(key=lambda v: (v.cycle, KINDS.index(v.kind), v.identifier))
     return found
@@ -251,7 +315,8 @@ def validate_trace(
     thresholds = thresholds or Thresholds()
     angles = _angles_matrix(model, trace)
     period_us = _infer_period_us(trace) if period_us is None else _checked_period_us(period_us)
-    violations = _judge(model, _SphereTable(model), thresholds, angles, period_us / 1e6, 0, 0)
+    spheres = _SphereTable(model, thresholds.collision_margin)
+    violations = _judge(model, spheres, thresholds, angles, period_us / 1e6, 0, 0)
     return ValidationReport(violations, cycles=len(trace), period_us=period_us, thresholds=thresholds)
 
 
@@ -274,7 +339,7 @@ class IncrementalValidator:
         self.thresholds = thresholds or Thresholds()
         self.period_us = period_us if period_us is None else _checked_period_us(period_us)
         self.violations: list[Violation] = []
-        self._spheres = _SphereTable(model)
+        self._spheres = _SphereTable(model, self.thresholds.collision_margin)
         self._tail = np.empty((0, len(model)))
         self._cycle = 0
         self._first_emission_us = 0

@@ -1,5 +1,6 @@
 """Trace audit: limit/velocity/acceleration checks, collisions, the streaming validator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,18 @@ from hypothesis.extra.numpy import arrays
 from teleokin.clock import VirtualClock
 from teleokin.data import sample_text
 from teleokin.errors import DimensionMismatch, EmptyTrace
-from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
+from teleokin.geometry import canonicalize_rows
+from teleokin.model import (
+    forward_kinematics,
+    forward_kinematics_batch,
+    load_retarget_map,
+    load_robot_model,
+    load_skeleton,
+)
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import run_loop, validator_sink
 from teleokin.stream import schedule, synth_motion
-from teleokin.validate import Thresholds, collision_pairs, validate_trace
+from teleokin.validate import KINDS, Thresholds, _SphereTable, collision_pairs, validate_trace
 
 from test_model import oracle_fk
 
@@ -165,6 +173,18 @@ class TestValidateTrace:
         assert flagged.violations[0].identifier == "base/0,arm/0"
         assert flagged.violations[0].value == pytest.approx(0.15)
 
+    @pytest.mark.parametrize("margin", [-0.01, math.nan, math.inf])
+    def test_collision_margin_must_be_finite_and_non_negative(self, margin):
+        # Every distance compares False against a NaN limit, so a NaN margin
+        # would turn the self-collision check off.
+        with pytest.raises(ValueError, match="collision_margin"):
+            Thresholds(collision_margin=margin)
+
+    def test_thresholds_are_frozen(self):
+        # A validator bakes the margin into its pair limits when it is built.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Thresholds().collision_margin = 1.0
+
     def test_collisions_agree_with_brute_force(self):
         model = sample_model()
         pairs = collision_pairs(model)
@@ -296,19 +316,86 @@ class TestStreamingValidator:
         period_us=st.sampled_from([2000, 10_000]),
     )
     def test_streaming_equals_offline(self, rows, acceleration_limit, margin, period_us):
+        assert_streaming_equals_offline(rows, Thresholds(acceleration_limit, margin), period_us)
+
+    def test_streaming_equals_offline_on_infinite_angles(self):
         model = sample_model()
-        trace = command_trace(model, rows, period_us=period_us)
-        thresholds = Thresholds(acceleration_limit, margin)
-        offline = validate_trace(model, trace, thresholds=thresholds, period_us=period_us)
-        online = streamed(model, trace, thresholds=thresholds, period_us=period_us)
-        assert online.cycles == offline.cycles
-        assert [(v.kind, v.cycle, v.identifier) for v in online.violations] == [
-            (v.kind, v.cycle, v.identifier) for v in offline.violations
-        ]
-        for a, b in zip(online.violations, offline.violations):
-            assert a.threshold == b.threshold
-            if a.kind == "self-collision":
-                # one streamed row takes the scalar FK, a trace the batch FK
-                assert a.value == pytest.approx(b.value, rel=0, abs=1e-9)
-            else:
-                assert a.value == b.value
+        rows = np.random.default_rng(5).uniform(-3.5, 3.5, size=(8, len(model)))
+        rows[2, model.joint_index("left_knee")] = math.inf
+        rows[2, model.joint_index("waist_yaw")] = -math.inf
+        rows[5, model.joint_index("left_shoulder_pitch")] = -math.inf
+        report = assert_streaming_equals_offline(rows, Thresholds(acceleration_limit=200.0), 2000)
+        assert all(report.counts[kind] for kind in KINDS)
+
+
+def assert_streaming_equals_offline(rows, thresholds, period_us):
+    model = sample_model()
+    trace = command_trace(model, rows, period_us=period_us)
+    offline = validate_trace(model, trace, thresholds=thresholds, period_us=period_us)
+    online = streamed(model, trace, thresholds=thresholds, period_us=period_us)
+    assert online.cycles == offline.cycles
+    assert [(v.kind, v.cycle, v.identifier) for v in online.violations] == [
+        (v.kind, v.cycle, v.identifier) for v in offline.violations
+    ]
+    for a, b in zip(online.violations, offline.violations):
+        assert a.threshold == b.threshold
+        if a.kind == "self-collision":
+            # one streamed row takes the compiled plain-float FK, a trace the batch FK
+            assert a.value == pytest.approx(b.value, rel=0, abs=1e-9)
+        else:
+            assert a.value == b.value
+    return offline
+
+
+def random_tree_model(seed=3, n_joints=12):
+    """A branching joint tree with random origin rotations, axes and spheres;
+    the sample robot's origin rotations are all the identity."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(n_joints):
+        parent = "base" if i == 0 else f"l{rng.integers(i)}"
+        t = ",".join(repr(v) for v in rng.uniform(-0.3, 0.3, size=3).tolist())
+        q = ",".join(repr(v) for v in rng.normal(size=4).tolist())
+        a = ",".join(repr(v) for v in rng.normal(size=3).tolist())
+        lines.append(
+            f"joint j{i} parent={parent} child=l{i} origin={t};{q} axis={a}"
+            " limits=-3.2,3.2 soft=0 vmax=10 default=0"
+        )
+    for link in ["base"] + [f"l{i}" for i in range(n_joints)]:
+        c = ",".join(repr(v) for v in rng.uniform(-0.1, 0.1, size=3).tolist())
+        lines.append(f"sphere {link} center={c} radius=0.05")
+    return load_robot_model("\n".join(lines))
+
+
+@pytest.mark.parametrize("make_model", [sample_model, random_tree_model], ids=["sample", "random-tree"])
+class TestRowKernel:
+    """The validator's one-row FK and pair distances against the numpy oracles."""
+
+    @staticmethod
+    def rows(model):
+        rng = np.random.default_rng(11)
+        rows = rng.uniform(-3.5, 3.5, size=(60, len(model)))
+        for start in range(2):  # a NaN angle makes its joint's subtree NaN
+            rows[start::6, rng.integers(len(model))] = math.nan
+        return rows
+
+    def test_row_poses_match_the_scalar_fk(self, make_model):
+        model = make_model()
+        spheres = _SphereTable(model)
+        for row in self.rows(model):
+            reference = forward_kinematics(model, row)
+            poses = spheres.row_poses(row.tolist())
+            assert spheres.link_names == list(reference)
+            for link, (position, rotation) in zip(spheres.link_names, poses):
+                np.testing.assert_allclose(position, reference[link].position, rtol=0, atol=1e-12)
+                # q and -q are one rotation; the scalar FK returns the canonical sign
+                rotation = canonicalize_rows(np.array(rotation))
+                np.testing.assert_allclose(rotation, reference[link].rotation, rtol=0, atol=1e-12)
+
+    def test_row_distances_match_the_batch_distances(self, make_model):
+        model = make_model()
+        spheres = _SphereTable(model)
+        for row in self.rows(model):
+            batch = spheres.distances(forward_kinematics_batch(model, row[None]), slice(0, 1))[0]
+            row_distances = spheres.row_distances(row.tolist())
+            np.testing.assert_allclose(row_distances, batch, rtol=0, atol=1e-12)
