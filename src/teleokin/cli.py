@@ -28,6 +28,7 @@ from .errors import SinkBackpressure, TeleokinError
 from .model import load_retarget_map, load_robot_model, load_skeleton
 from .retarget import FilterState, Pipeline
 from .runtime import (
+    DatagramSink,
     MultiSink,
     NullSink,
     datagram_sink,
@@ -243,7 +244,7 @@ def cmd_run(args) -> int:
     sink.close()
     sys.stdout.write(metrics.format())
     for s in all_sinks:
-        if hasattr(s, "send_errors"):
+        if isinstance(s, DatagramSink):
             sys.stdout.write(f"datagram_sent={s.sent}\ndatagram_send_errors={s.send_errors}\n")
     if live:
         stats = source.stats

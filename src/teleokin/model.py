@@ -237,6 +237,10 @@ class RobotModel:
         self._joint_index = {j.name: i for i, j in enumerate(joints)}
         self.soft_lower = np.array([j.limit_min + j.soft_margin for j in joints])
         self.soft_upper = np.array([j.limit_max - j.soft_margin for j in joints])
+        # (lower, upper) per joint as floats, for the per-frame clamp
+        self.soft_bounds = tuple(zip(self.soft_lower.tolist(), self.soft_upper.tolist()))
+        # collision margin -> the validator's compiled sphere table, built on first use
+        self._sphere_tables: dict = {}
         self.velocity_limits = np.array([j.velocity_limit for j in joints])
         self.default_angles = np.array([j.default_angle for j in joints])
 

@@ -5,6 +5,11 @@ joint command: every output angle comes from the same source frame, and the
 stages run in the fixed order map -> smooth -> clamp.  Clamping last is what
 makes the safety property unconditional: even if the filter overshoots, the
 emitted vector never leaves the soft interval.
+
+The three stages run on the Python floats the compiled map builds; the
+command's arrays are made once, at the end.  The smoothing rule and the soft
+clamp each live once, as float kernels; the public ``smooth`` and
+``enforce_limits`` are array wrappers around them.
 """
 
 from __future__ import annotations
@@ -25,15 +30,16 @@ class FilterState:
 
     ``tau`` is the time constant in seconds (0 disables smoothing for that
     joint).  The first smoothed frame passes through unchanged, so there is
-    no startup transient from an arbitrary initial state.  The gains for
-    the last ``dt`` are kept (one entry, so memory is bounded however many
-    distinct steps a run sees); ``tau`` is read when a new ``dt`` arrives.
+    no startup transient from an arbitrary initial state.  ``previous``, the
+    last output, is a list of floats.  The gains for the last ``dt`` are
+    kept as floats (one entry, so memory is bounded however many distinct
+    steps a run sees); ``tau`` is read when a new ``dt`` arrives.
     """
 
-    previous: np.ndarray
+    previous: list
     tau: np.ndarray
     initialized: bool = False
-    # (dt, alpha, 1 - alpha) for the last dt smooth() saw
+    # (dt, alpha, 1 - alpha) for the last dt the smoothing rule saw
     _gains: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     @classmethod
@@ -41,7 +47,7 @@ class FilterState:
         tau_vec = np.broadcast_to(np.asarray(tau, dtype=float), (joint_count,)).copy()
         if not np.isfinite(tau_vec).all() or (tau_vec < 0).any():
             raise ValueError("tau must be finite and >= 0")
-        return cls(previous=np.zeros(joint_count), tau=tau_vec)
+        return cls(previous=[0.0] * joint_count, tau=tau_vec)
 
 
 @dataclass(eq=False)
@@ -70,7 +76,7 @@ class RetargetDiagnostics:
     gimbal_warnings: int
 
 
-def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[np.ndarray, int]:
+def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[list, int]:
     # Runs the map's compiled rules on the frame's floats; a triple rule near
     # gimbal lock takes euler_decompose's tie-break.
     if frame.segment_count != rmap.segment_count:
@@ -92,7 +98,7 @@ def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[np.ndarray, int]:
             gimbal_warnings += 1
         for (joint, gain, offset), angle in zip(slots, (a1, a2, a3)):
             out[joint] = gain * angle + offset
-    return np.array(out), gimbal_warnings
+    return out, gimbal_warnings
 
 
 def map_frame(rmap: RetargetMap, frame: MocapFrame) -> np.ndarray:
@@ -102,16 +108,79 @@ def map_frame(rmap: RetargetMap, frame: MocapFrame) -> np.ndarray:
     read a three-angle decomposition in their configured order; unmapped
     joints sit at their default angle.
     """
-    return _map_frame(rmap, frame)[0]
+    return np.array(_map_frame(rmap, frame)[0])
+
+
+def _smoothed(state: FilterState, raw: list, dt: float) -> list:
+    """The smoothing rule on floats: updates ``state`` and returns its new output.
+
+    ``alpha * x + (1 - alpha) * previous`` per joint, with the gains of
+    ``dt`` computed by numpy once per distinct ``dt``.
+    """
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    if len(raw) != len(state.previous):
+        raise DimensionMismatch(f"expected {len(state.previous)} angles, got shape ({len(raw)},)")
+    if state.initialized:
+        cached_dt, alpha, keep = state._gains
+        if cached_dt != dt:
+            gains = np.ones_like(state.tau)
+            active = state.tau > 0
+            gains[active] = 1.0 - np.exp(-dt / state.tau[active])
+            alpha, keep = gains.tolist(), (1.0 - gains).tolist()
+            state._gains = (dt, alpha, keep)
+        out = [a * x + k * p for a, x, k, p in zip(alpha, raw, keep, state.previous)]
+    else:
+        out = list(raw)
+        state.initialized = True
+    state.previous = out
+    return out
+
+
+def _clamped(model: RobotModel, values: list) -> tuple[list, list, float]:
+    """The soft clamp on floats: clamped angles, changed-joint flags, worst excursion.
+
+    Each value is clamped as ``np.clip`` does it: at or below the lower soft
+    bound it becomes that bound, then at or above the upper one it becomes
+    that bound.  The excursion is the largest distance the clamp moved a
+    joint, 0.0 if it moved none.  A NaN angle passes the clamp unchanged; it
+    is flagged, because NaN != NaN, and it makes the excursion 0.0, as
+    ``max(0.0, np.max(...))`` of a NaN is.
+    """
+    bounds = model.soft_bounds
+    if len(values) != len(bounds):
+        raise DimensionMismatch(f"expected {len(bounds)} angles, got shape ({len(values)},)")
+    angles = []
+    flags = []
+    worst = 0.0
+    for v, (lower, upper) in zip(values, bounds):
+        a = lower if v <= lower else v
+        if a >= upper:
+            a = upper
+        angles.append(a)
+        moved = a != v
+        flags.append(moved)
+        if moved:
+            d = abs(a - v)
+            if d > worst or d != d:  # a NaN stays, as in np.max
+                worst = d
+    return angles, flags, max(0.0, worst)
+
+
+def _row(values, length: int) -> list:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DimensionMismatch(f"expected {length} angles, got shape {values.shape}")
+    return values.tolist()
 
 
 def enforce_limits(model: RobotModel, raw) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp to the soft interval [min+soft, max-soft]; flag changed joints."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (len(model),):
-        raise DimensionMismatch(f"expected {len(model)} angles, got shape {raw.shape}")
-    clamped = np.clip(raw, model.soft_lower, model.soft_upper)
-    return clamped, clamped != raw
+    """Clamp to the soft interval [min+soft, max-soft]; flag changed joints.
+
+    A NaN angle passes unchanged and is flagged (NaN != NaN).
+    """
+    angles, flags, _ = _clamped(model, _row(raw, len(model)))
+    return np.array(angles), np.array(flags, dtype=bool)
 
 
 def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
@@ -121,27 +190,7 @@ def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
     low-pass, so behavior is independent of the sampling rate; tau = 0 gives
     alpha = 1 (pass-through).  The first call returns the input unchanged.
     """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != state.previous.shape:
-        raise DimensionMismatch(
-            f"expected {state.previous.shape[0]} angles, got shape {angles.shape}"
-        )
-    if state.initialized:
-        cached_dt, alpha, keep = state._gains
-        if cached_dt != dt:
-            alpha = np.ones_like(state.tau)
-            active = state.tau > 0
-            alpha[active] = 1.0 - np.exp(-dt / state.tau[active])
-            keep = 1.0 - alpha
-            state._gains = (dt, alpha, keep)
-        out = alpha * angles + keep * state.previous
-    else:
-        out = angles.astype(float, copy=True)
-        state.initialized = True
-    state.previous = out
-    return out.copy()
+    return np.array(_smoothed(state, _row(angles, len(state.previous)), dt))
 
 
 def retarget_step(
@@ -152,21 +201,22 @@ def retarget_step(
     dt: float,
     clock,
 ) -> tuple[JointCommand, RetargetDiagnostics]:
-    """map_frame -> smooth -> enforce_limits, once, on one frame."""
+    """map_frame -> smooth -> enforce_limits, once, on one frame.
+
+    The stages pass the map's float list along; ``angles`` and ``clamped``
+    are the only arrays built.
+    """
     raw, gimbal_warnings = _map_frame(rmap, frame)
-    smoothed = smooth(state, raw, dt)
-    angles, flags = enforce_limits(model, smoothed)
-    # The clamp moved each joint exactly as far as it was beyond its bound.
-    excursion = max(0.0, float(np.max(np.abs(angles - smoothed))))
+    angles, flags, excursion = _clamped(model, _smoothed(state, raw, dt))
     command = JointCommand(
         seq=0,
         source_seq=frame.seq,
         source_timestamp_us=frame.timestamp_us,
         emission_timestamp_us=clock.now_us(),
-        angles=angles,
-        clamped=flags,
+        angles=np.array(angles),
+        clamped=np.array(flags, dtype=bool),
     )
-    return command, RetargetDiagnostics(int(np.count_nonzero(flags)), excursion, gimbal_warnings)
+    return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)
 
 
 @dataclass

@@ -18,6 +18,8 @@ preceding record bytes.
 
 Both use ``stream``'s framing helpers, so their decoders raise the same errors
 as the motion-frame codec.  A truncated final trace record raises.
+
+``read_trace`` decodes a trace file whole, like ``stream.read_recording``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .clock import WallClock
 from .errors import SinkBackpressure, TruncatedFrame
 from .metrics import Histogram, bucket_lines
 from .retarget import JointCommand, Pipeline
-from .stream import CRC_SIZE, append_crc, check_crc, read_magic_file, unpack_prefix
+from .stream import CRC_SIZE, append_crc, check_crc, extend_runs, read_magic_file, record_rows, unpack_prefix
 from .validate import IncrementalValidator, Thresholds
 
 log = logging.getLogger(__name__)
@@ -167,56 +169,75 @@ def encode_command_datagram(cmd: JointCommand) -> bytes:
     return append_crc(_DGRAM_PREFIX.pack(COMMAND_MAGIC, COMMAND_VERSION) + _record_body(cmd))
 
 
-def _decode_record_fields(data: bytes, offset: int) -> tuple[JointCommand, int]:
+def _record_length(data: bytes, offset: int) -> int:
+    """Bytes of the record at ``offset`` before its CRC; raises TruncatedFrame unless both fit."""
     head_size = _RECORD_HEAD.size
     if len(data) - offset < head_size:
         raise TruncatedFrame("record header truncated")
-    seq, source_seq, source_ts, emission_ts, count = _RECORD_HEAD.unpack_from(data, offset)
-    body_len = head_size + count * 8 + 1
+    body_len = head_size + data[offset + head_size - 1] * 8 + 1
     if len(data) - offset < body_len + CRC_SIZE:
         raise TruncatedFrame(f"record truncated ({len(data) - offset} of {body_len + CRC_SIZE} bytes)")
-    angles = np.frombuffer(data, dtype="<f8", count=count, offset=offset + head_size).astype(float)
-    hold = data[offset + body_len - 1] != 0
-    cmd = JointCommand(
-        seq=seq,
-        source_seq=source_seq,
-        source_timestamp_us=source_ts,
-        emission_timestamp_us=emission_ts,
-        angles=angles,
-        clamped=np.zeros(count, dtype=bool),  # clamp flags are not on the wire
-        hold=hold,
-    )
-    return cmd, body_len
+    return body_len
+
+
+def _checked_record(data: bytes, offset: int) -> int:
+    """Bytes of the trace record at ``offset``, CRC included, after checking the CRC."""
+    body_len = _record_length(data, offset)
+    check_crc(data, offset, offset + body_len, "command record")
+    return body_len + CRC_SIZE
+
+
+def _commands(data: bytes, offset: int, records: int) -> list[JointCommand]:
+    """The ``records`` checked, back-to-back, equally long records from ``offset``.
+
+    Their angles are converted in one go; every command holds a row of
+    them, and a row of one all-False block as its clamp flags (they are not
+    on the wire).
+    """
+    head = _RECORD_HEAD.size
+    count = data[offset + head - 1]
+    stride = head + count * 8 + 1 + CRC_SIZE
+    angles = record_rows(data, offset, records, stride, head, head + count * 8, "<f8").astype(float)
+    flags = np.zeros((records, count), dtype=bool)
+    commands = []
+    for at, row, clamped in zip(range(offset, len(data), stride), angles, flags):
+        seq, source_seq, source_ts, emission_ts, _ = _RECORD_HEAD.unpack_from(data, at)
+        hold = data[at + stride - CRC_SIZE - 1] != 0  # the hold byte ends the body
+        commands.append(JointCommand(seq, source_seq, source_ts, emission_ts, row, clamped, hold))
+    return commands
 
 
 def decode_command_record(data: bytes, offset: int = 0) -> tuple[JointCommand, int]:
     """Parse one trace record at ``offset``; returns (command, bytes consumed)."""
-    cmd, body_len = _decode_record_fields(data, offset)
-    check_crc(data, offset, offset + body_len, "command record")
-    return cmd, body_len + CRC_SIZE
+    length = _checked_record(data, offset)
+    return _commands(data, offset, 1)[0], length
 
 
 def decode_command_datagram(data: bytes) -> JointCommand:
     """Parse one CMD1 datagram; every fault raises one of the codec errors."""
     unpack_prefix(_DGRAM_PREFIX, data, COMMAND_MAGIC, COMMAND_VERSION, "command datagram")
-    cmd, body_len = _decode_record_fields(data, _DGRAM_PREFIX.size)
-    total = _DGRAM_PREFIX.size + body_len
+    total = _DGRAM_PREFIX.size + _record_length(data, _DGRAM_PREFIX.size)
     if len(data) != total + CRC_SIZE:
         raise TruncatedFrame("datagram length mismatch")
     check_crc(data, 0, total, "command datagram")
-    return cmd
+    return _commands(data, _DGRAM_PREFIX.size, 1)[0]
 
 
 def read_trace(path) -> list[JointCommand]:
-    """Read a CMDTRC01 file back into commands (clamp flags come back False)."""
+    """Read a CMDTRC01 file back into commands (clamp flags come back False).
+
+    Every record's head and CRC are checked, in file order, before any angle
+    is converted; the first faulty record raises.  Each command's ``angles``
+    and ``clamped`` are rows of one block per run of equal joint counts.
+    """
     data = read_magic_file(path, TRACE_MAGIC, "trace file")
-    commands = []
+    runs: list = []
     offset = len(TRACE_MAGIC)
     while offset < len(data):
-        cmd, consumed = decode_command_record(data, offset)
-        commands.append(cmd)
-        offset += consumed
-    return commands
+        length = _checked_record(data, offset)
+        extend_runs(runs, offset, length)
+        offset += length
+    return [cmd for offset, records, _ in runs for cmd in _commands(data, offset, records)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,12 @@ A recording file is the 8-byte magic ``MOCREC01`` followed by back-to-back
 encoded frames.
 
 The framing helpers below (CRC trailer, magic + version prefix, magic-checked
-file read) also frame ``runtime``'s command datagrams and trace files, so all
-three formats' decoders raise the same errors (see ``errors``).
+file read, a strided view of equal records' payloads) also frame
+``runtime``'s command datagrams and trace files, so all three formats'
+decoders raise the same errors (see ``errors``).
+
+``read_recording`` decodes a file whole, not frame by frame, with the same
+quaternion kernel that ``decode_frame`` runs on its one frame.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ _SEGMENT_SIZE = 16
 # A decoded segment whose float32 norm falls at or below this is corrupt.
 _WIRE_DEGENERATE_NORM = 1e-6
 
+# Recording frames per decode pass: keeps a pass's float64 temporaries small,
+# so reading a recording peaks near the size of its decoded frames.
+_DECODE_ROWS = 128
+
 
 # ---------------------------------------------------------------------------
 # CRC-32 framing shared by all three wire formats
@@ -82,11 +90,16 @@ def check_crc(data: bytes, start: int, end: int, what: str) -> None:
         raise CrcMismatch(f"{what} checksum mismatch")
 
 
-def unpack_prefix(header: struct.Struct, data: bytes, magic: bytes, version: int, what: str) -> tuple:
-    """The fields after magic and version; raises TruncatedFrame, BadMagic or UnsupportedVersion."""
-    if len(data) < header.size:
-        raise TruncatedFrame(f"{len(data)} bytes is shorter than the {header.size}-byte {what} header")
-    fields = header.unpack_from(data)
+def unpack_prefix(
+    header: struct.Struct, data: bytes, magic: bytes, version: int, what: str, offset: int = 0
+) -> tuple:
+    """The fields after magic and version of the header at ``offset``.
+
+    Raises TruncatedFrame, BadMagic or UnsupportedVersion.
+    """
+    if len(data) - offset < header.size:
+        raise TruncatedFrame(f"{len(data) - offset} bytes is shorter than the {header.size}-byte {what} header")
+    fields = header.unpack_from(data, offset)
     if fields[0] != magic:
         raise BadMagic(f"expected {magic!r}, got {fields[0]!r}")
     if fields[1] != version:
@@ -101,6 +114,29 @@ def read_magic_file(path, magic: bytes, what: str) -> bytes:
     if data[: len(magic)] != magic:
         raise BadMagic(f"not a {magic.decode()} {what}")
     return data
+
+
+def extend_runs(runs: list, offset: int, length: int) -> None:
+    """Add the ``length``-byte record at ``offset`` to ``runs``.
+
+    ``runs`` lists ``[offset, records, length]`` for each stretch of
+    back-to-back records of equal length, whose fields one ``record_rows``
+    view can read without per-record bookkeeping.
+    """
+    if runs and runs[-1][2] == length:
+        runs[-1][1] += 1
+    else:
+        runs.append([offset, 1, length])
+
+
+def record_rows(data: bytes, offset: int, rows: int, stride: int, start: int, stop: int, dtype: str) -> np.ndarray:
+    """Bytes ``start:stop`` of ``rows`` records, ``stride`` bytes apart from ``offset``, as ``dtype``.
+
+    One row per record, viewed in place: nothing is copied, and the rows may
+    be unaligned.  The records must lie inside ``data``.
+    """
+    raw = np.frombuffer(data, np.uint8, count=rows * stride, offset=offset).reshape(rows, stride)
+    return raw[:, start:stop].view(dtype)
 
 
 @dataclass(eq=False)
@@ -138,6 +174,37 @@ def encode_frame(frame: MocapFrame) -> bytes:
     return append_crc(header + quats.tobytes())
 
 
+def _frame_head(data: bytes, offset: int, length: int) -> tuple[int, int, int]:
+    """``(seq, timestamp_us, segment count)`` of the ``length``-byte frame at ``offset``.
+
+    Checks the magic, version, length and CRC, in that order.
+    """
+    _flags, seq, timestamp_us, count = unpack_prefix(
+        _HEADER, data, FRAME_MAGIC, PROTOCOL_VERSION, "frame", offset
+    )
+    expected = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
+    if length != expected:
+        raise TruncatedFrame(f"expected {expected} bytes for {count} segments, got {length}")
+    check_crc(data, offset, offset + expected - CRC_SIZE, "frame")
+    return seq, timestamp_us, count
+
+
+def _unit_quats(wire: np.ndarray) -> np.ndarray:
+    """Unit, canonical-sign float64 quaternions from ``(..., segments, 4)`` float32 wire data.
+
+    Raises DegenerateQuaternion for the first segment, in row order, whose
+    norm is near zero or not finite.
+    """
+    quats = wire.astype(np.float64)
+    norms = np.linalg.norm(quats, axis=-1)
+    usable = (norms > _WIRE_DEGENERATE_NORM) & (norms < np.inf)  # False for NaN too
+    if not usable.all():
+        bad = np.unravel_index(np.argmin(usable), usable.shape)
+        raise DegenerateQuaternion(f"segment {bad[-1]} has norm {norms[bad]:.3e}")
+    quats /= norms[..., None]
+    return canonicalize_rows(quats)
+
+
 def decode_frame(data: bytes) -> MocapFrame:
     """Parse and validate one encoded frame.
 
@@ -147,23 +214,9 @@ def decode_frame(data: bytes) -> MocapFrame:
     not finite is degenerate; the rest are re-normalized from their float32
     quantization and canonical-signed.
     """
-    _flags, seq, timestamp_us, count = unpack_prefix(_HEADER, data, FRAME_MAGIC, PROTOCOL_VERSION, "frame")
-    expected = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
-    if len(data) != expected:
-        raise TruncatedFrame(f"expected {expected} bytes for {count} segments, got {len(data)}")
-    check_crc(data, 0, expected - CRC_SIZE, "frame")
-    quats = (
-        np.frombuffer(data, dtype="<f4", count=count * 4, offset=HEADER_SIZE)
-        .reshape(count, 4)
-        .astype(np.float64)
-    )
-    norms = np.linalg.norm(quats, axis=1)
-    usable = (norms > _WIRE_DEGENERATE_NORM) & (norms < np.inf)  # False for NaN too
-    if not usable.all():
-        bad = int(np.argmin(usable))
-        raise DegenerateQuaternion(f"segment {bad} has norm {norms[bad]:.3e}")
-    quats /= norms[:, None]
-    return MocapFrame(seq, timestamp_us, canonicalize_rows(quats))
+    seq, timestamp_us, count = _frame_head(data, 0, len(data))
+    wire = np.frombuffer(data, dtype="<f4", count=count * 4, offset=HEADER_SIZE).reshape(count, 4)
+    return MocapFrame(seq, timestamp_us, _unit_quats(wire))
 
 
 def frames_equal(a: MocapFrame, b: MocapFrame) -> bool:
@@ -233,22 +286,49 @@ def write_recording(path, frames: Iterable[MocapFrame]) -> int:
 
 
 def read_recording(path) -> list[MocapFrame]:
-    """Read a MOCREC01 file; a truncated final frame is dropped with a warning."""
+    """Read a MOCREC01 file; a truncated final frame is dropped with a warning.
+
+    Each frame's framing and CRC are checked in file order; then the frames
+    of each run of equal segment counts are decoded together, up to
+    ``_DECODE_ROWS`` per numpy pass, and every frame's ``orientations`` is a
+    row view of its pass's block.  A file with several faults raises the
+    first faulty frame's error, as decoding frame by frame would.
+    """
     data = read_magic_file(path, RECORDING_MAGIC, "recording")
-    frames = []
+    runs: list = []
+    fault = None  # the framing error that stopped the scan
+    dropped = None  # the truncated tail's warning
     offset = len(RECORDING_MAGIC)
     while offset < len(data):
         remaining = len(data) - offset
         if remaining < HEADER_SIZE:
-            log.warning("dropping truncated final frame (%d trailing bytes)", remaining)
+            dropped = f"dropping truncated final frame ({remaining} trailing bytes)"
             break
         count = data[offset + HEADER_SIZE - 1]
         frame_len = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
         if remaining < frame_len:
-            log.warning("dropping truncated final frame (%d of %d bytes)", remaining, frame_len)
+            dropped = f"dropping truncated final frame ({remaining} of {frame_len} bytes)"
             break
-        frames.append(decode_frame(data[offset : offset + frame_len]))
+        try:
+            _frame_head(data, offset, frame_len)
+        except TeleokinError as exc:
+            fault = exc
+            break
+        extend_runs(runs, offset, frame_len)
         offset += frame_len
+    frames = []
+    for offset, count_frames, stride in runs:
+        wire = record_rows(data, offset, count_frames, stride, HEADER_SIZE, stride - CRC_SIZE, "<f4")
+        wire = wire.reshape(count_frames, -1, 4)
+        for start in range(0, count_frames, _DECODE_ROWS):
+            quats = _unit_quats(wire[start : start + _DECODE_ROWS])  # raises before a later fault
+            for at, q in zip(range(offset + start * stride, len(data), stride), quats):
+                _magic, _version, _flags, seq, timestamp_us, _count = _HEADER.unpack_from(data, at)
+                frames.append(MocapFrame(seq, timestamp_us, q))
+    if fault is not None:
+        raise fault
+    if dropped is not None:
+        log.warning("%s", dropped)
     return frames
 
 

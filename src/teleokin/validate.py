@@ -12,8 +12,10 @@ the report header names that proxy so results can be re-thresholded.
 Self-collision of many rows takes the batch FK and numpy sphere distances in
 blocks.  Self-collision of one row (each streamed command) takes a
 plain-float FK, sphere centres and pair distances over tables compiled from
-the model when the validator is built, so the streaming validator fits in a
-500 Hz control loop.  The scalar ``forward_kinematics`` is its test oracle.
+the model, so the streaming validator fits in a 500 Hz control loop.  The
+scalar ``forward_kinematics`` is its test oracle.  The tables are compiled
+once per model and collision margin and kept on the model, so neither a
+validator nor a ``validate_trace`` call rebuilds them.
 """
 
 from __future__ import annotations
@@ -182,9 +184,17 @@ class _SphereTable:
         return [math.dist(centers[a], centers[b]) for a, b, _, _ in self.pairs]
 
 
+def _sphere_table(model: RobotModel, margin: float = 0.0) -> _SphereTable:
+    """The model's sphere table for ``margin``: compiled once, then kept on the model."""
+    table = model._sphere_tables.get(margin)
+    if table is None:
+        table = model._sphere_tables[margin] = _SphereTable(model, margin)
+    return table
+
+
 def collision_pairs(model: RobotModel) -> list[tuple[tuple[str, int], tuple[str, int]]]:
     """All sphere pairs that must be checked: different links, not excluded."""
-    table = _SphereTable(model)
+    table = _sphere_table(model)
     return [(table.refs[i], table.refs[j]) for i, j in zip(table.a, table.b)]
 
 
@@ -315,7 +325,7 @@ def validate_trace(
     thresholds = thresholds or Thresholds()
     angles = _angles_matrix(model, trace)
     period_us = _infer_period_us(trace) if period_us is None else _checked_period_us(period_us)
-    spheres = _SphereTable(model, thresholds.collision_margin)
+    spheres = _sphere_table(model, thresholds.collision_margin)
     violations = _judge(model, spheres, thresholds, angles, period_us / 1e6, 0, 0)
     return ValidationReport(violations, cycles=len(trace), period_us=period_us, thresholds=thresholds)
 
@@ -339,7 +349,7 @@ class IncrementalValidator:
         self.thresholds = thresholds or Thresholds()
         self.period_us = period_us if period_us is None else _checked_period_us(period_us)
         self.violations: list[Violation] = []
-        self._spheres = _SphereTable(model, self.thresholds.collision_margin)
+        self._spheres = _sphere_table(model, self.thresholds.collision_margin)
         self._tail = np.empty((0, len(model)))
         self._cycle = 0
         self._first_emission_us = 0

@@ -50,6 +50,21 @@ class TestRun:
         assert kv["cycles"] == "1000"
         assert kv["commands"] == "1000"
 
+    def test_datagram_sink_counters_are_printed(self, tmp_path, capsys):
+        receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        receiver.bind(("127.0.0.1", 0))
+        try:
+            code = run_cli(
+                "run", "--source", "synth:static", "--clock", "virtual", "--frames", "10",
+                "--sink", f"datagram:127.0.0.1:{receiver.getsockname()[1]}", "--sink", f"trace:{tmp_path / 't.trc'}",
+            )
+        finally:
+            receiver.close()
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("datagram_sent=") == 1
+        assert "\ndatagram_sent=10\ndatagram_send_errors=0\n" in out
+
     def test_missing_map_names_path(self, tmp_path, capsys):
         code = run_cli(
             "run", "--map", str(tmp_path / "nope.map"), "--source", "synth:static",

@@ -6,6 +6,10 @@ Each digest is the SHA-256 of the CMDTRC01 file that
 commands and 800 hold commands.  A change that alters any command byte
 fails here; one that alters the output on purpose updates the digest and
 says why.
+
+The replay digest pins the file path as well: a recording written by
+``teleokin gen``, read back by ``read_recording``, retargeted to a trace,
+then read back by ``read_trace`` for ``teleokin validate``.
 """
 
 import hashlib
@@ -33,3 +37,31 @@ def test_virtual_clock_trace_matches_golden_digest(pattern, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holds=800\n" in out
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_SHA256[pattern]
+
+
+REPLAY_SHA256 = "f3cc1e690a3d458dc020fa6b31dec6a0203298ae897dd44220471a6d1374903a"
+REPLAY_VALIDATE_STDOUT = """\
+# kinematic trace audit
+# cycles=1000 period_us=2000
+# velocity threshold: per-joint vmax from the robot model
+# acceleration_limit=off collision_margin=0.0
+verdict=pass
+limit=0 velocity=0 acceleration=0 self-collision=0
+"""
+
+
+def test_replay_trace_and_audit_match_golden(tmp_path, capsys):
+    recording = tmp_path / "walk.moc"
+    trace = tmp_path / "walk.trc"
+    assert main([
+        "gen", "--pattern", "walk-cycle", "--rate", "100", "--duration", "2", "--noise", "0.01",
+        "--out", str(recording),
+    ]) == 0
+    assert main([
+        "run", "--source", f"replay:{recording}", "--clock", "virtual", "--frames", "1000",
+        "--sink", f"trace:{trace}",
+    ]) == 0
+    assert "holds=800\n" in capsys.readouterr().out
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == REPLAY_SHA256
+    assert main(["validate", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == REPLAY_VALIDATE_STDOUT

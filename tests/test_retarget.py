@@ -17,6 +17,7 @@ from teleokin.geometry import (
     quat_multiply_rows,
     swing_twist,
 )
+from teleokin import retarget
 from teleokin.model import TwistRule, load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import (
     FilterState,
@@ -399,6 +400,54 @@ class TestRetargetStep:
         state = FilterState.create(len(model))
         _, diag = retarget_step(rmap, model, state, frame, 0.01, VirtualClock())
         assert diag.gimbal_warnings >= 1
+
+    def test_float_tail_matches_numpy_reference(self, monkeypatch):
+        # The smoothing rule, clamp, flags, excursion and clamp count run on
+        # floats; this numpy reference is the arithmetic they replaced.  The
+        # last joint's soft interval is [0, 0] and its tau 0, so a raw -0.0
+        # reaches the clamp and ties with both bounds.
+        lines = [
+            f"joint j{i} parent={'base' if i == 0 else f'l{i - 1}'} child=l{i} origin=0,0,0;1,0,0,0"
+            f" axis=0,0,1 limits={lo},{hi} soft={soft} vmax=10 default={(lo + hi) / 2}"
+            for i, (lo, hi, soft) in enumerate(
+                [(-1, 1, 0.1), (-2, 0.5, 0.2), (0, 3, 0.05), (-0.5, 0.5, 0.0), (-3, 3, 0.5), (-0.1, 0.1, 0.1)]
+            )
+        ]
+        model = load_robot_model("\n".join(lines))
+        lower, upper = model.soft_lower, model.soft_upper
+        tau = np.array([0.02, 0.0, 0.05, 0.0, 0.001, 0.0])
+        rng = np.random.default_rng(21)
+        state = FilterState.create(len(model), tau=tau)
+        previous = None
+        for step in range(400):
+            raw = rng.uniform(lower - 1.0, upper + 1.0)
+            ties = rng.random(len(raw))
+            raw[ties < 0.05] = lower[ties < 0.05]
+            raw[ties > 0.95] = upper[ties > 0.95]
+            raw[(ties > 0.45) & (ties < 0.5)] = -0.0
+            if step == 390:
+                raw[2] = math.nan  # passes the clamp unchanged, flagged, excursion 0.0
+            dt = 0.002 if step < 150 or step >= 300 else 0.006
+            monkeypatch.setattr(retarget, "_map_frame", lambda rmap, frame: (raw.tolist(), 0))
+            cmd, diag = retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
+
+            if previous is None:
+                smoothed = raw.copy()
+            else:
+                alpha = np.ones_like(tau)
+                alpha[tau > 0] = 1.0 - np.exp(-dt / tau[tau > 0])
+                smoothed = alpha * raw + (1.0 - alpha) * previous
+            previous = smoothed
+            angles = np.clip(smoothed, lower, upper)
+            flags = angles != smoothed
+            excursion = max(0.0, float(np.max(np.abs(angles - smoothed))))
+
+            assert cmd.angles.dtype == np.float64 and cmd.angles.tobytes() == angles.tobytes()
+            assert cmd.clamped.dtype == bool and np.array_equal(cmd.clamped, flags)
+            assert repr(diag.worst_excursion) == repr(excursion)
+            assert diag.clamped_count == np.count_nonzero(flags)
+            assert np.array(state.previous).tobytes() == smoothed.tobytes()
+        assert math.isnan(cmd.angles[2]) and cmd.clamped[2] and diag.worst_excursion == 0.0
 
     def test_pipeline_wrapper(self):
         model, skel, rmap = sample_setup()

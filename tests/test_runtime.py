@@ -26,6 +26,7 @@ from teleokin.runtime import (
     NullSink,
     datagram_sink,
     decode_command_datagram,
+    decode_command_record,
     encode_command_datagram,
     encode_command_record,
     read_trace,
@@ -201,6 +202,53 @@ class TestTraceSink:
         path.write_bytes(b"CMDTRC01" + record + record[:-1])
         with pytest.raises(TruncatedFrame):
             read_trace(path)
+
+
+class TestWholeTraceDecode:
+    """``read_trace`` converts runs of records at once; ``decode_command_record`` is its oracle."""
+
+    def records(self, counts, seed=41):
+        rng = np.random.default_rng(seed)
+        records = []
+        for i, n in enumerate(counts):
+            cmd = make_command(seq=i, n=n, hold=bool(rng.integers(0, 2)), emission=int(rng.integers(0, 2**40)))
+            cmd.angles = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+            cmd.angles[rng.random(n) < 0.1] = -0.0
+            records.append(encode_command_record(cmd))
+        return records
+
+    def oracle(self, data):
+        commands, offset = [], 8
+        while offset < len(data):
+            cmd, consumed = decode_command_record(data, offset)
+            commands.append(cmd)
+            offset += consumed
+        return commands
+
+    def test_equals_record_by_record_decode(self, tmp_path):
+        path = tmp_path / "mixed.trc"
+        data = b"CMDTRC01" + b"".join(self.records([23] * 30 + [5] * 4 + [0] + [23] * 10 + [1]))
+        path.write_bytes(data)
+        loaded, expected = read_trace(path), self.oracle(data)
+        assert len(loaded) == len(expected) == 46
+        for a, b in zip(loaded, expected):
+            assert (a.seq, a.source_seq, a.source_timestamp_us, a.emission_timestamp_us, a.hold) == (
+                b.seq, b.source_seq, b.source_timestamp_us, b.emission_timestamp_us, b.hold
+            )
+            assert a.angles.dtype == b.angles.dtype and a.angles.tobytes() == b.angles.tobytes()
+            assert a.clamped.dtype == bool and a.clamped.shape == b.clamped.shape and not a.clamped.any()
+
+    def test_bad_crc_in_a_middle_record_raises(self, tmp_path):
+        records = self.records([23] * 5 + [7] * 5)
+        records[6] = records[6][:-1] + bytes([records[6][-1] ^ 0x01])
+        data = b"CMDTRC01" + b"".join(records)
+        path = tmp_path / "crc.trc"
+        path.write_bytes(data)
+        with pytest.raises(CrcMismatch) as expected:
+            self.oracle(data)
+        with pytest.raises(CrcMismatch) as raised:
+            read_trace(path)
+        assert str(raised.value) == str(expected.value)
 
 
 def frames_at_rate(n, rate_hz, pattern="arm-wave", noise=0.0, seed=0):

@@ -16,6 +16,7 @@ from teleokin.errors import (
     CrcMismatch,
     DegenerateQuaternion,
     EmptyRecording,
+    TeleokinError,
     TruncatedFrame,
     UnsupportedVersion,
 )
@@ -216,6 +217,105 @@ class TestRecording:
         path.write_bytes(b"NOTAREC1")
         with pytest.raises(BadMagic):
             read_recording(path)
+
+
+def wire_frame(rng, seq, count):
+    """An encoded frame of raw wire quaternions: random scales from 1e-3 to 1e3,
+    w == 0 sign ties down to one nonzero of x/y/z, and -0.0 components."""
+    quats = rng.normal(size=(count, 4)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+    for row in range(count):
+        kind = rng.integers(0, 5)
+        if kind == 1:
+            quats[row, 0] = 0.0
+        elif kind == 2:
+            quats[row, :3] = (-0.0, 0.0, -0.0)
+        elif kind == 3:
+            quats[row, rng.integers(0, 4)] = -0.0
+    return encode_frame(MocapFrame(seq, int(rng.integers(0, 2**48)), quats))
+
+
+def degenerate(encoded: bytes, segment: int = 0) -> bytes:
+    """``encoded`` with one segment zeroed and the CRC recomputed."""
+    body = bytearray(encoded[: -stream.CRC_SIZE])
+    start = stream.HEADER_SIZE + 16 * segment
+    body[start : start + 16] = bytes(16)
+    return stream.append_crc(bytes(body))
+
+
+def corrupt(encoded: bytes) -> bytes:
+    """``encoded`` with its last CRC byte flipped."""
+    return encoded[:-1] + bytes([encoded[-1] ^ 0xFF])
+
+
+def same_bits(a: MocapFrame, b: MocapFrame) -> bool:
+    return (
+        a.seq == b.seq
+        and a.timestamp_us == b.timestamp_us
+        and a.orientations.shape == b.orientations.shape
+        and a.orientations.dtype == b.orientations.dtype
+        and a.orientations.tobytes() == b.orientations.tobytes()
+    )
+
+
+class TestWholeFileDecode:
+    """``read_recording`` decodes runs of frames at once; ``decode_frame`` is its oracle."""
+
+    def write(self, path, encoded):
+        path.write_bytes(stream.RECORDING_MAGIC + b"".join(encoded))
+
+    def test_equals_frame_by_frame_decode(self, tmp_path, caplog):
+        rng = np.random.default_rng(31)
+        counts = [23] * 40 + [5] * 7 + [23] * 3 + [1] + [0] * 2 + [23] * 20
+        encoded = [wire_frame(rng, seq, count) for seq, count in enumerate(counts)]
+        path = tmp_path / "mixed.rec"
+        tail = encoded[0][:100]
+        self.write(path, encoded + [tail])
+        with caplog.at_level("WARNING"):
+            loaded = read_recording(path)
+        assert "dropping truncated final frame (100 of 391 bytes)" in caplog.text
+        expected = [decode_frame(e) for e in encoded]
+        assert len(loaded) == len(expected)
+        assert all(same_bits(a, b) for a, b in zip(loaded, expected))
+        assert any((e.orientations[:, 0] == 0).any() for e in expected)  # ties were exercised
+
+    def test_many_random_frames(self, tmp_path):
+        rng = np.random.default_rng(32)
+        encoded = [wire_frame(rng, seq, 23) for seq in range(1000)]
+        path = tmp_path / "many.rec"
+        self.write(path, encoded)
+        loaded = read_recording(path)
+        assert all(same_bits(a, decode_frame(e)) for a, e in zip(loaded, encoded))
+        assert len(loaded) == len(encoded)
+
+    def first_error(self, encoded):
+        for e in encoded:
+            try:
+                decode_frame(e)
+            except TeleokinError as exc:
+                return exc
+        raise AssertionError("no faulty frame")
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ({3: degenerate, 9: corrupt}, DegenerateQuaternion),
+            ({3: corrupt, 9: degenerate}, CrcMismatch),
+            ({12: lambda e: degenerate(e, 3), 13: lambda e: degenerate(e, 1)}, DegenerateQuaternion),
+            ({200: lambda e: degenerate(e, 2), 290: corrupt}, DegenerateQuaternion),  # a later pass
+        ],
+    )
+    def test_first_faulty_frame_raises(self, tmp_path, faults, error):
+        rng = np.random.default_rng(33)
+        encoded = [wire_frame(rng, seq, 23 if seq < 10 else 4) for seq in range(300)]
+        for index, fault in faults.items():
+            encoded[index] = fault(encoded[index])
+        path = tmp_path / "faulty.rec"
+        self.write(path, encoded)
+        expected = self.first_error(encoded)
+        assert type(expected) is error
+        with pytest.raises(error) as raised:
+            read_recording(path)
+        assert str(raised.value) == str(expected)
 
 
 class TestReplay:

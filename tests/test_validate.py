@@ -20,6 +20,7 @@ from teleokin.model import (
     load_robot_model,
     load_skeleton,
 )
+from teleokin import validate
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import run_loop, validator_sink
 from teleokin.stream import schedule, synth_motion
@@ -399,3 +400,26 @@ class TestRowKernel:
             batch = spheres.distances(forward_kinematics_batch(model, row[None]), slice(0, 1))[0]
             row_distances = spheres.row_distances(row.tolist())
             np.testing.assert_allclose(row_distances, batch, rtol=0, atol=1e-12)
+
+
+def test_sphere_table_is_compiled_once_per_model_and_margin(monkeypatch):
+    compiled = []
+
+    class Counting(_SphereTable):
+        def __init__(self, model, margin=0.0):
+            compiled.append(margin)
+            super().__init__(model, margin)
+
+    monkeypatch.setattr(validate, "_SphereTable", Counting)
+    model = sample_model()
+    trace = command_trace(model, np.tile(model.default_angles, (5, 1)))
+    for _ in range(3):
+        validate_trace(model, trace)
+        validator_sink(model).emit(trace[0])
+        collision_pairs(model)
+    wide = Thresholds(collision_margin=0.01)
+    validate_trace(model, trace, wide)
+    validator_sink(model, wide).emit(trace[0])
+    assert compiled == [0.0, 0.01]
+    validate_trace(sample_model(), trace)  # an equal but distinct model compiles its own
+    assert compiled == [0.0, 0.01, 0.0]
