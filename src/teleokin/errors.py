@@ -22,6 +22,10 @@ class DimensionMismatch(TeleokinError):
     """A vector's length does not match the model's joint count."""
 
 
+class NonFiniteAngle(TeleokinError):
+    """A joint angle is NaN or infinite, so no soft interval can hold it."""
+
+
 class ParseError(TeleokinError):
     """Syntax error in a config document or binary stream."""
 

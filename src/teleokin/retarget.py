@@ -4,7 +4,9 @@ One call to ``retarget_step`` turns one motion frame into one synchronized
 joint command: every output angle comes from the same source frame, and the
 stages run in the fixed order map -> smooth -> clamp.  Clamping last is what
 makes the safety property unconditional: even if the filter overshoots, the
-emitted vector never leaves the soft interval.
+emitted vector never leaves the soft interval.  A NaN or infinite angle
+cannot be clamped into it, so the step raises ``NonFiniteAngle`` and leaves
+the filter state as it was.
 
 The three stages run on the Python floats the compiled map builds; the
 command's arrays are made once, at the end.  The smoothing rule and the soft
@@ -14,11 +16,12 @@ clamp each live once, as float kernels; the public ``smooth`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteAngle
 from .geometry import _euler_angles, _twist_angle, euler_decompose
 from .model import HumanSkeleton, RetargetMap, RobotModel
 from .stream import MocapFrame
@@ -31,7 +34,8 @@ class FilterState:
     ``tau`` is the time constant in seconds (0 disables smoothing for that
     joint).  The first smoothed frame passes through unchanged, so there is
     no startup transient from an arbitrary initial state.  ``previous``, the
-    last output, is a list of floats.  The gains for the last ``dt`` are
+    last output, is a list of floats; a step commits it only once the
+    clamp has accepted the step's angles.  The gains for the last ``dt`` are
     kept as floats (one entry, so memory is bounded however many distinct
     steps a run sees); ``tau`` is read when a new ``dt`` arrives.
     """
@@ -74,6 +78,7 @@ class RetargetDiagnostics:
     clamped_count: int
     worst_excursion: float  # rad beyond a soft bound, before clamping
     gimbal_warnings: int
+    premapped: bool = False  # the step reused a map made before it was called
 
 
 def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[list, int]:
@@ -112,10 +117,11 @@ def map_frame(rmap: RetargetMap, frame: MocapFrame) -> np.ndarray:
 
 
 def _smoothed(state: FilterState, raw: list, dt: float) -> list:
-    """The smoothing rule on floats: updates ``state`` and returns its new output.
+    """The smoothing rule on floats: the filter's next output for ``raw``.
 
     ``alpha * x + (1 - alpha) * previous`` per joint, with the gains of
-    ``dt`` computed by numpy once per distinct ``dt``.
+    ``dt`` computed by numpy once per distinct ``dt``.  The caller stores
+    the output in ``state`` once it has been accepted.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
@@ -129,12 +135,8 @@ def _smoothed(state: FilterState, raw: list, dt: float) -> list:
             gains[active] = 1.0 - np.exp(-dt / state.tau[active])
             alpha, keep = gains.tolist(), (1.0 - gains).tolist()
             state._gains = (dt, alpha, keep)
-        out = [a * x + k * p for a, x, k, p in zip(alpha, raw, keep, state.previous)]
-    else:
-        out = list(raw)
-        state.initialized = True
-    state.previous = out
-    return out
+        return [a * x + k * p for a, x, k, p in zip(alpha, raw, keep, state.previous)]
+    return list(raw)
 
 
 def _clamped(model: RobotModel, values: list) -> tuple[list, list, float]:
@@ -143,9 +145,11 @@ def _clamped(model: RobotModel, values: list) -> tuple[list, list, float]:
     Each value is clamped as ``np.clip`` does it: at or below the lower soft
     bound it becomes that bound, then at or above the upper one it becomes
     that bound.  The excursion is the largest distance the clamp moved a
-    joint, 0.0 if it moved none.  A NaN angle passes the clamp unchanged; it
-    is flagged, because NaN != NaN, and it makes the excursion 0.0, as
-    ``max(0.0, np.max(...))`` of a NaN is.
+    joint, 0.0 if it moved none.  A NaN or infinite value raises
+    NonFiniteAngle, since no bound can hold it.  It is caught where the
+    clamp moved a value (a NaN counts as moved, since NaN != NaN), by its
+    distance, which is not finite; values the clamp leaves alone are not
+    checked.
     """
     bounds = model.soft_bounds
     if len(values) != len(bounds):
@@ -162,9 +166,11 @@ def _clamped(model: RobotModel, values: list) -> tuple[list, list, float]:
         flags.append(moved)
         if moved:
             d = abs(a - v)
-            if d > worst or d != d:  # a NaN stays, as in np.max
+            if not d <= worst:  # larger, or NaN
+                if not d < math.inf:
+                    raise NonFiniteAngle(f"joint {len(flags) - 1} angle is {v!r}")
                 worst = d
-    return angles, flags, max(0.0, worst)
+    return angles, flags, worst
 
 
 def _row(values, length: int) -> list:
@@ -177,7 +183,7 @@ def _row(values, length: int) -> list:
 def enforce_limits(model: RobotModel, raw) -> tuple[np.ndarray, np.ndarray]:
     """Clamp to the soft interval [min+soft, max-soft]; flag changed joints.
 
-    A NaN angle passes unchanged and is flagged (NaN != NaN).
+    A NaN or infinite angle raises NonFiniteAngle.
     """
     angles, flags, _ = _clamped(model, _row(raw, len(model)))
     return np.array(angles), np.array(flags, dtype=bool)
@@ -189,8 +195,15 @@ def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
     alpha = 1 - exp(-dt/tau), the exact discretization of a first-order
     low-pass, so behavior is independent of the sampling rate; tau = 0 gives
     alpha = 1 (pass-through).  The first call returns the input unchanged.
+    A NaN or infinite output raises NonFiniteAngle and leaves ``state`` as
+    it was.
     """
-    return np.array(_smoothed(state, _row(angles, len(state.previous)), dt))
+    out = _smoothed(state, _row(angles, len(state.previous)), dt)
+    for joint, value in enumerate(out):
+        if not math.isfinite(value):
+            raise NonFiniteAngle(f"joint {joint} angle is {value!r}")
+    state.previous, state.initialized = out, True
+    return np.array(out)
 
 
 def retarget_step(
@@ -200,14 +213,19 @@ def retarget_step(
     frame: MocapFrame,
     dt: float,
     clock,
+    premapped: tuple | None = None,
 ) -> tuple[JointCommand, RetargetDiagnostics]:
     """map_frame -> smooth -> enforce_limits, once, on one frame.
 
     The stages pass the map's float list along; ``angles`` and ``clamped``
-    are the only arrays built.
+    are the only arrays built.  ``premapped``, if given, is what
+    ``_map_frame`` already returned for this frame; the map is then skipped.
+    A NaN or infinite angle raises NonFiniteAngle before ``state`` changes.
     """
-    raw, gimbal_warnings = _map_frame(rmap, frame)
-    angles, flags, excursion = _clamped(model, _smoothed(state, raw, dt))
+    raw, gimbal_warnings = _map_frame(rmap, frame) if premapped is None else premapped
+    smoothed = _smoothed(state, raw, dt)
+    angles, flags, excursion = _clamped(model, smoothed)
+    state.previous, state.initialized = smoothed, True
     command = JointCommand(
         seq=0,
         source_seq=frame.seq,
@@ -216,17 +234,27 @@ def retarget_step(
         angles=np.array(angles),
         clamped=np.array(flags, dtype=bool),
     )
-    return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)
+    return command, RetargetDiagnostics(
+        flags.count(True), excursion, gimbal_warnings, premapped is not None
+    )
 
 
 @dataclass
 class Pipeline:
-    """The validated retargeting components a control loop drives."""
+    """The validated retargeting components a control loop drives.
+
+    ``map_ahead`` lets a loop map a frame as soon as it arrives; the next
+    ``step`` on that same frame object reuses the result, and any other
+    frame is mapped afresh.  Mapping reads no state, so the command is the
+    same either way.
+    """
 
     skeleton: HumanSkeleton
     rmap: RetargetMap
     model: RobotModel
     filter_state: FilterState = field(default=None)  # type: ignore[assignment]
+    # (frame, what _map_frame returned for it) from the last map_ahead
+    _ahead: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.skeleton) != self.rmap.segment_count:
@@ -234,5 +262,15 @@ class Pipeline:
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
 
+    def map_ahead(self, frame: MocapFrame) -> None:
+        """Map ``frame`` now, for the next ``step`` to reuse if it takes this frame."""
+        if self._ahead[0] is not frame:
+            self._ahead = (frame, _map_frame(self.rmap, frame))
+
     def step(self, frame: MocapFrame, dt: float, clock):
-        return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock)
+        ahead, premapped = self._ahead
+        if ahead is not None:
+            self._ahead = (None, None)
+            if ahead is not frame:
+                premapped = None
+        return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock, premapped)

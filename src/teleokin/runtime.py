@@ -58,13 +58,16 @@ class LatestFrameSlot:
     ``written = consumed + overwritten (+1 if a frame is pending)`` at all
     times; ``drain`` folds a leftover pending frame into ``overwritten`` so
     the equality is exact once the loop stops.  A live source sets ``poll``
-    to its drain; the loop calls it at the top of each live cycle.
+    to its drain and ``socket`` to the socket it drains.  The loop waits on
+    ``socket`` and calls ``poll`` as soon as it is readable, and once more
+    at the top of each live cycle, for what came during the spin window.
     """
 
     def __init__(self):
         self._frame = None
         self._arrival_us = 0
         self.poll = _no_poll
+        self.socket = None
         self.written = 0
         self.overwritten = 0
         self.consumed = 0
@@ -75,6 +78,10 @@ class LatestFrameSlot:
         self._frame = frame
         self._arrival_us = arrival_us
         self.written += 1
+
+    def peek(self):
+        """The pending frame, left in place; None if there is none."""
+        return self._frame
 
     def take(self):
         if self._frame is None:
@@ -104,6 +111,7 @@ def _no_poll() -> None:
 
 @dataclass
 class LoopMetrics:
+    period_us: int = 0
     cycles: int = 0
     commands: int = 0
     holds: int = 0
@@ -113,10 +121,16 @@ class LoopMetrics:
     clamped_joints: int = 0  # joints the soft-limit clamp changed, summed over fresh commands
     worst_excursion_rad: float = 0.0  # largest distance beyond a soft bound before clamping
     gimbal_warnings: int = 0
+    frames_mapped_on_arrival: int = 0  # fresh commands whose map ran while the loop waited
     compute_us: Histogram = field(default_factory=Histogram)
     fresh_compute_us: Histogram = field(default_factory=Histogram)  # compute_us of fresh cycles
     frame_age_us: Histogram = field(default_factory=Histogram)
     jitter_us: Histogram = field(default_factory=Histogram)
+
+    def headroom_ratio(self) -> float:
+        """Period over ``fresh_compute_us_p99``; 0.0 when no fresh cycle took measurable time."""
+        p99 = self.fresh_compute_us.percentile(99)
+        return self.period_us / p99 if p99 else 0.0
 
     def format(self) -> str:
         lines = [
@@ -129,6 +143,8 @@ class LoopMetrics:
             f"clamped_joints={self.clamped_joints}",
             f"worst_excursion_rad={self.worst_excursion_rad!r}",
             f"gimbal_warnings={self.gimbal_warnings}",
+            f"frames_mapped_on_arrival={self.frames_mapped_on_arrival}",
+            f"headroom_ratio={self.headroom_ratio():.2f}",
         ]
         for name, hist in (
             ("compute_us", self.compute_us),
@@ -349,8 +365,15 @@ def run_loop(
     ``source`` is either an iterable of ``(due_us, frame)`` pairs (scheduled
     mode: the loop feeds the slot itself, deterministic under a virtual
     clock; due times count from loop start) or an object with
-    ``start(slot, clock)`` / ``stop()`` (live mode: ``start`` registers the
-    slot's ``poll``, which each cycle calls first, inside the compute time).
+    ``start(slot, clock)`` / ``stop()`` (live mode: ``start`` sets the
+    slot's ``poll`` and ``socket``).
+
+    Live, the wait before each cycle is the clock's: a wall clock wakes as
+    a datagram arrives, and the loop then does the frame's stateless work
+    off the tick: ``poll`` decodes it into the slot, and the pipeline maps
+    the pending frame ahead (``Pipeline.map_ahead``).  Each cycle calls
+    ``poll`` first, inside the compute time, for frames that came in the
+    spin window or under a virtual clock; those are mapped in the step.
 
     Each cycle takes the newest pending frame and emits exactly one command;
     with no pending frame it emits a hold command repeating the last emitted
@@ -373,7 +396,7 @@ def run_loop(
     live = hasattr(source, "start")
     scheduled = None if live else iter(source)
     pending: tuple | None = None
-    metrics = LoopMetrics()
+    metrics = LoopMetrics(period_us=period_us)
     model = pipeline.model
     last_angles = model.default_angles.copy()
     last_source_seq = 0
@@ -386,6 +409,12 @@ def run_loop(
     else:
         pending = next(scheduled, None)
 
+    def arrived():
+        slot.poll()
+        frame = slot.peek()
+        if frame is not None:
+            pipeline.map_ahead(frame)
+
     start_us = clk.now_us()
     cycle = 0
     try:
@@ -395,7 +424,7 @@ def run_loop(
             target_us = start_us + cycle * period_us
             if duration_s is not None and cycle * period_us >= duration_s * 1e6:
                 break
-            clk.sleep_until(target_us)
+            clk.sleep_until(target_us, slot.socket, arrived)
             now = clk.now_us()
             if not live:
                 while pending is not None and start_us + pending[0] <= now:
@@ -423,6 +452,7 @@ def run_loop(
                 metrics.clamped_joints += diag.clamped_count
                 metrics.worst_excursion_rad = max(metrics.worst_excursion_rad, diag.worst_excursion)
                 metrics.gimbal_warnings += diag.gimbal_warnings
+                metrics.frames_mapped_on_arrival += diag.premapped
                 metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
                 last_angles = command.angles
                 last_source_seq = command.source_seq

@@ -232,42 +232,70 @@ def frames_equal(a: MocapFrame, b: MocapFrame) -> bool:
 
 
 class StreamStats:
-    """Sequence accounting for a live frame stream.
+    """Sequence accounting for a live frame stream, in bounded memory.
+
+    Wire sequence numbers are u32.  Each is extended past wraps as in
+    RFC 3550 §A.1: it is read as the number nearest the newest one seen, so
+    any step of less than 2^31 either way counts at face value, a wrap
+    included.  Arrivals are remembered for the newest ``SEQ_WINDOW``
+    numbers only, one bit each.
 
     ``received`` counts every observed frame including duplicates;
-    ``dropped`` is the count of sequence numbers inside the observed span
-    that never arrived, so ``received + dropped >= span`` always holds.
+    ``duplicates`` counts repeats of a number inside the window;
+    ``out_of_order`` counts the other frames older than the newest one.
+    ``dropped`` is the count of numbers inside the observed span that never
+    arrived, so ``received + dropped >= span`` always holds.  A frame more
+    than the window behind the newest cannot be told from a duplicate: it
+    counts as out of order, and its number stays dropped.
     """
+
+    SEQ_WINDOW = 1024
 
     def __init__(self):
         self.received = 0
         self.duplicates = 0
         self.out_of_order = 0
-        self._seen: set[int] = set()
-        self._first_seq: int | None = None
-        self._max_seq: int | None = None
+        self._arrived = 0  # distinct numbers counted
+        self._first: int | None = None  # extended numbers, lowest counted and newest
+        self._newest: int | None = None
+        self._window = 0  # bit i set: number _newest - i arrived
 
     def observe(self, seq: int) -> None:
         """Count one received frame."""
         self.received += 1
-        if seq in self._seen:
-            self.duplicates += 1
+        if self._newest is None:
+            self._first = self._newest = seq
+            self._window, self._arrived = 1, 1
             return
-        if self._max_seq is not None and seq < self._max_seq:
-            self.out_of_order += 1
-        self._seen.add(seq)
-        self._first_seq = seq if self._first_seq is None else min(self._first_seq, seq)
-        self._max_seq = seq if self._max_seq is None else max(self._max_seq, seq)
+        step = (seq - self._newest) % _SEQ_MODULUS
+        if 0 < step < _SEQ_MODULUS // 2:  # ahead of the newest, across a wrap or not
+            self._newest += step
+            self._window = (self._window << step | 1) & _SEQ_MASK if step < self.SEQ_WINDOW else 1
+            self._arrived += 1
+            return
+        behind = -step % _SEQ_MODULUS
+        if behind < self.SEQ_WINDOW:
+            if self._window >> behind & 1:
+                self.duplicates += 1
+                return
+            self._window |= 1 << behind
+            self._arrived += 1
+            self._first = min(self._first, self._newest - behind)
+        self.out_of_order += 1
 
     @property
     def dropped(self) -> int:
-        return self.span - len(self._seen)
+        return self.span - self._arrived
 
     @property
     def span(self) -> int:
-        if self._first_seq is None:
+        if self._first is None:
             return 0
-        return self._max_seq - self._first_seq + 1
+        return self._newest - self._first + 1
+
+
+_SEQ_MODULUS = 1 << 32
+_SEQ_MASK = (1 << StreamStats.SEQ_WINDOW) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +513,13 @@ _MAX_DATAGRAM = 65535
 class DatagramSource:
     """UDP frame source: one encoded frame per datagram, polled by the loop.
 
-    ``start`` binds a non-blocking socket and registers its drain as the
-    slot's ``poll``, which the loop calls at the top of each cycle.  The
-    drain decodes every waiting datagram and writes each valid frame to the
-    slot, stamped with its kernel receive time on the loop's clock, so
-    ``frame_age_us`` includes the time the datagram waited in the socket.
+    ``start`` binds a non-blocking socket and hands it to the slot as
+    ``socket``, with its drain as ``poll``: the loop waits on the socket,
+    drains it when a datagram arrives, and drains it again at the top of
+    each cycle.  The drain decodes every waiting datagram and writes each
+    valid frame to the slot, stamped with its kernel receive time on the
+    loop's clock, so ``frame_age_us`` counts from the kernel's receipt,
+    whenever the loop reads the datagram.
     Undecodable datagrams are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
     Any other exception is a bug and propagates out of the loop.
@@ -511,7 +541,7 @@ class DatagramSource:
         self._sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
         self.port = self._sock.getsockname()[1]
         self._slot, self._clock = slot, clock
-        slot.poll = self._drain
+        slot.poll, slot.socket = self._drain, self._sock
 
     def _drain(self) -> None:
         """Decode every datagram waiting on the socket into the slot."""

@@ -7,7 +7,7 @@ import pytest
 
 from teleokin.clock import VirtualClock
 from teleokin.data import sample_text
-from teleokin.errors import DimensionMismatch
+from teleokin.errors import DimensionMismatch, NonFiniteAngle
 from teleokin.geometry import (
     GIMBAL_MARGIN,
     canonicalize_rows,
@@ -227,6 +227,11 @@ class TestEnforceLimits:
         with pytest.raises(DimensionMismatch):
             enforce_limits(self.model, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, bad):
+        with pytest.raises(NonFiniteAngle, match="joint 3"):
+            enforce_limits(self.model, [0.0, 0.0, 1.0, bad, 0.0])
+
 
 class TestSmooth:
     def test_zero_tau_is_passthrough(self):
@@ -279,6 +284,19 @@ class TestSmooth:
         state = FilterState.create(2, tau=0.02)
         with pytest.raises(DimensionMismatch):
             smooth(state, [0.0, 1.0, 2.0], dt=0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises_and_keeps_state(self, bad):
+        fresh = FilterState.create(2, tau=[0.02, 0.0])
+        with pytest.raises(NonFiniteAngle, match="joint 1"):
+            smooth(fresh, [0.5, bad], dt=0.01)
+        assert not fresh.initialized and fresh.previous == [0.0, 0.0]
+        state = FilterState.create(2, tau=[0.02, 0.0])
+        smooth(state, [0.5, -0.5], dt=0.01)
+        with pytest.raises(NonFiniteAngle, match="joint 0"):
+            smooth(state, [bad, 0.0], dt=0.01)
+        assert state.previous == [0.5, -0.5]
+        assert np.array_equal(smooth(state, [0.5, 0.25], dt=0.01), [0.5, 0.25])
 
 
 def _measured_phase_lag(freq: float, tau: float, rate: float) -> float:
@@ -425,10 +443,16 @@ class TestRetargetStep:
             raw[ties < 0.05] = lower[ties < 0.05]
             raw[ties > 0.95] = upper[ties > 0.95]
             raw[(ties > 0.45) & (ties < 0.5)] = -0.0
-            if step == 390:
-                raw[2] = math.nan  # passes the clamp unchanged, flagged, excursion 0.0
             dt = 0.002 if step < 150 or step >= 300 else 0.006
             monkeypatch.setattr(retarget, "_map_frame", lambda rmap, frame: (raw.tolist(), 0))
+            if step == 390:
+                # no soft interval holds a NaN: the step raises and the filter keeps its state
+                raw[2] = math.nan
+                before = list(state.previous)
+                with pytest.raises(NonFiniteAngle, match="joint 2"):
+                    retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
+                assert np.array(state.previous).tobytes() == np.array(before).tobytes()
+                continue
             cmd, diag = retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
 
             if previous is None:
@@ -447,7 +471,38 @@ class TestRetargetStep:
             assert repr(diag.worst_excursion) == repr(excursion)
             assert diag.clamped_count == np.count_nonzero(flags)
             assert np.array(state.previous).tobytes() == smoothed.tobytes()
-        assert math.isnan(cmd.angles[2]) and cmd.clamped[2] and diag.worst_excursion == 0.0
+
+    def test_non_finite_first_angle_leaves_the_filter_uninitialized(self, monkeypatch):
+        model, _, _ = small_setup()
+        state = FilterState.create(len(model))
+        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, frame: ([math.inf, 0.0], 0))
+        with pytest.raises(NonFiniteAngle, match="joint 0"):
+            retarget_step(None, model, state, identity_frame(2), 0.002, VirtualClock())
+        assert not state.initialized and state.previous == [0.0, 0.0]
+
+    def test_map_ahead_is_reused_only_by_the_same_frame_object(self, monkeypatch):
+        model, skel, rmap = sample_setup()
+        frames = synth_motion("arm-wave", rate=100, duration=0.4, seed=1)
+        calls = []
+        inner = retarget._map_frame
+        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, f: calls.append(f) or inner(rmap, f))
+        ahead = Pipeline(skel, rmap, model)
+        plain = Pipeline(skel, rmap, model)
+        for k, frame in enumerate(frames[::5]):
+            ahead.map_ahead(frame)
+            ahead.map_ahead(frame)  # a second call for the same frame maps nothing
+            got, diag = ahead.step(frame, 0.01 * (k + 1), VirtualClock())
+            want, plain_diag = plain.step(frame, 0.01 * (k + 1), VirtualClock())
+            assert diag.premapped and not plain_diag.premapped
+            assert got.angles.tobytes() == want.angles.tobytes()
+            assert np.array_equal(got.clamped, want.clamped)
+            assert (diag.clamped_count, diag.gimbal_warnings) == (plain_diag.clamped_count, plain_diag.gimbal_warnings)
+        assert len(calls) == 2 * len(frames[::5])
+        # a copy of the frame is another frame; a used map is not reused
+        ahead.map_ahead(frames[1])
+        copy = MocapFrame(frames[1].seq, frames[1].timestamp_us, frames[1].orientations.copy())
+        assert not ahead.step(copy, 0.01, VirtualClock())[1].premapped
+        assert not ahead.step(frames[1], 0.01, VirtualClock())[1].premapped
 
     def test_pipeline_wrapper(self):
         model, skel, rmap = sample_setup()

@@ -1,12 +1,16 @@
 """Control loop, latest-frame slot, sinks, and command codecs."""
 
 import math
+import select
 import socket
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from teleokin import clock as clock_module
+from teleokin import retarget
 from teleokin.clock import VirtualClock, WallClock
 from teleokin.data import sample_text
 from teleokin.errors import (
@@ -22,6 +26,7 @@ from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import (
     LatestFrameSlot,
+    LoopMetrics,
     MultiSink,
     NullSink,
     datagram_sink,
@@ -461,10 +466,12 @@ class TestRunLoop:
         assert source.inner.decode_errors == {}
 
     def test_frame_age_counts_the_wait_in_the_socket(self):
-        # The frame is sent during cycle 1's emit, after that cycle polled, so
-        # it waits in the socket until cycle 2 polls 20 ms later.  Cycle 1,
-        # not 0: the kernel may switch receive stamps on a little after the
-        # socket asks for them, and stamps at recvmsg until then.
+        # The frame is sent during cycle 1's emit, after that cycle polled.
+        # The loop decodes it as it arrives, during the wait, but emits its
+        # command only at cycle 2, 20 ms later; the age counts from the
+        # kernel's receive stamp.  Cycle 1, not 0: the kernel may switch
+        # receive stamps on a little after the socket asks for them, and
+        # stamps at recvmsg until then.
         clock = WallClock()
         source = DatagramSource(port=0)
 
@@ -486,6 +493,108 @@ class TestRunLoop:
         assert waited >= 10_000
         # the arrival is the kernel's receive stamp just after the send, not the poll
         assert waited - 2_000 <= metrics.frame_age_us.maximum() <= waited + 50
+
+    def test_frame_sent_early_is_mapped_before_its_tick(self, monkeypatch):
+        # Sent during cycle 1's emit, the frame reaches the socket ~20 ms
+        # before cycle 2: the wait decodes and maps it, and the step reuses
+        # that map.
+        clock = WallClock()
+        source = DatagramSource(port=0)
+        frame = frames_at_rate(40, 100)[25]
+        calls = []
+        inner = retarget._map_frame
+
+        def recorded(rmap, f):
+            calls.append((clock.now_us(), f))
+            return inner(rmap, f)
+
+        monkeypatch.setattr(retarget, "_map_frame", recorded)
+
+        class SendOnSecondEmit(_CaptureSink):
+            def emit(self, cmd):
+                super().emit(cmd)
+                if len(self.commands) == 2:
+                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                        out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
+
+        sink = SendOnSecondEmit()
+        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=clock)
+        (fresh,) = [c for c in sink.commands if not c.hold]
+        assert fresh.seq == 2 and metrics.frames_mapped_on_arrival == 1
+        (mapped_us, decoded), = calls
+        assert mapped_us < fresh.emission_timestamp_us - 5_000  # well before the tick
+        reference, _ = sample_pipeline().step(decoded, 0.020, VirtualClock())
+        assert fresh.angles.tobytes() == reference.angles.tobytes()
+        assert np.array_equal(fresh.clamped, reference.clamped)
+
+    def test_overwritten_frame_does_not_lend_its_map(self, monkeypatch):
+        # Frame A arrives early in the wait and is mapped ahead; frame B
+        # arrives after the wait, as if in the spin window, and replaces A
+        # before the tick.  B's command must come from B's own map.
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(40, 100)
+        frame_a, frame_b = frames[10], frames[30]
+        mapped = []
+        inner = retarget._map_frame
+        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, f: mapped.append(f) or inner(rmap, f))
+
+        def send(frame):
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
+
+        class LateArrival(WallClock):
+            late = False
+
+            def sleep_until(self, deadline_us, readable=None, on_readable=None):
+                super().sleep_until(deadline_us, readable, on_readable)
+                if self.late:
+                    self.late = False
+                    send(frame_b)
+                    assert select.select([readable], [], [], 5.0)[0]  # queued, not yet read
+
+        clock = LateArrival()
+
+        class SendOnSecondEmit(_CaptureSink):
+            def emit(self, cmd):
+                super().emit(cmd)
+                if len(self.commands) == 2:
+                    send(frame_a)
+                    clock.late = True
+
+        sink = SendOnSecondEmit()
+        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=clock)
+        (fresh,) = [c for c in sink.commands if not c.hold]
+        assert fresh.source_seq == frame_b.seq
+        assert metrics.frames_overwritten == 1 and metrics.frames_mapped_on_arrival == 0
+        assert [f.seq for f in mapped] == [frame_a.seq, frame_b.seq]
+        reference, _ = sample_pipeline().step(mapped[1], 0.020, VirtualClock())
+        assert fresh.angles.tobytes() == reference.angles.tobytes()
+        lent, _ = sample_pipeline().step(mapped[0], 0.020, VirtualClock())
+        assert not np.array_equal(fresh.angles, lent.angles)  # A's map would show
+
+    def test_live_source_under_virtual_clock_never_waits_on_its_socket(self, monkeypatch):
+        def no_select(*args):
+            raise AssertionError("select called under the virtual clock")
+
+        monkeypatch.setattr(clock_module, "select", SimpleNamespace(select=no_select))
+
+        class SendOnStart:
+            def __init__(self):
+                self.inner = DatagramSource(port=0)
+
+            def start(self, slot, clock):
+                self.inner.start(slot, clock)
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                    out.sendto(encode_frame(frames_at_rate(2, 100)[1]), ("127.0.0.1", self.inner.port))
+
+            def stop(self):
+                self.inner.stop()
+
+        sink = _CaptureSink()
+        metrics = run_loop(SendOnStart(), sample_pipeline(), sink, rate_hz=500, max_cycles=50, clock=VirtualClock())
+        assert metrics.cycles == 50 and metrics.frames_consumed == 1
+        assert metrics.frames_mapped_on_arrival == 0
+        assert [c.seq for c in sink.commands if not c.hold] == [0]
 
     def test_metrics_dump_format(self):
         pipeline = sample_pipeline()
@@ -511,10 +620,18 @@ class TestRunLoop:
             "fresh_compute_us_max=",
             "frame_age_us_max=",
             "jitter_us_p50=",
+            "frames_mapped_on_arrival=",
+            "headroom_ratio=",
         ):
             assert key in dump
         parsed = dict(line.split("=", 1) for line in dump.strip().splitlines())
         assert parsed["cycles"] == "50"
+        # a virtual clock maps in the step and times every cycle at 0 us
+        assert parsed["frames_mapped_on_arrival"] == "0"
+        assert parsed["headroom_ratio"] == "0.00"
+        timed = LoopMetrics(period_us=2000)
+        timed.fresh_compute_us.record(250)
+        assert "headroom_ratio=8.00\n" in timed.format()
 
     def test_metrics_carry_retarget_diagnostics(self):
         pipeline = sample_pipeline(tau=0.0)

@@ -189,6 +189,71 @@ class TestStreamStats:
                 stats.observe(int(seq))
             assert stats.received + stats.dropped >= stats.span
 
+    def test_matches_unbounded_accounting_inside_the_window(self):
+        # Reference: every number ever seen kept in a set (the accounting
+        # before the window), on streams whose disorder stays inside it.
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            base = int(rng.integers(0, 1 << 32))
+            offsets = np.arange(3000)[rng.random(3000) > 0.1]  # drops
+            offsets = np.concatenate([offsets, offsets[rng.random(len(offsets)) < 0.05]])  # duplicates
+            # each arrives at most 300 numbers behind the newest before it
+            offsets = offsets[np.argsort(offsets + rng.uniform(0, 300, len(offsets)))]
+            stats = StreamStats()
+            seen, dup, ooo, newest = set(), 0, 0, None
+            for off in offsets.tolist():
+                stats.observe((base + off) % (1 << 32))
+                if off in seen:
+                    dup += 1
+                    continue
+                ooo += newest is not None and off < newest
+                seen.add(off)
+                newest = off if newest is None else max(newest, off)
+            assert (stats.received, stats.duplicates, stats.out_of_order) == (len(offsets), dup, ooo)
+            assert stats.span == max(seen) - min(seen) + 1
+            assert stats.dropped == stats.span - len(seen)
+
+    def test_wraparound_is_not_a_drop(self):
+        stats = StreamStats()
+        for seq in (0xFFFFFFFD, 0xFFFFFFFE, 0xFFFFFFFF, 0, 1, 3, 2):
+            stats.observe(seq)
+        assert (stats.span, stats.dropped) == (7, 0)
+        assert (stats.duplicates, stats.out_of_order) == (0, 1)  # the late 2
+        stats.observe(0xFFFFFFFF)  # a repeat from before the wrap
+        stats.observe(0xFFFFFFFC)  # a late frame from before the first
+        assert (stats.duplicates, stats.out_of_order) == (1, 2)
+        assert (stats.span, stats.dropped) == (8, 0)
+
+    def test_long_silence_then_a_far_jump(self):
+        # The sender kept counting through an hour without frames (120 Hz).
+        stats = StreamStats()
+        for seq in range(100):
+            stats.observe(seq)
+        gap = 3600 * 120
+        for seq in range(100 + gap, 200 + gap):
+            stats.observe(seq & 0xFFFFFFFF)
+        assert stats.dropped == gap
+        stats.observe(99)  # a straggler from before the silence: too late to place
+        assert (stats.duplicates, stats.out_of_order, stats.dropped) == (0, 1, gap)
+        assert stats.received + stats.dropped >= stats.span
+
+    def test_memory_is_bounded(self):
+        import tracemalloc
+
+        stats = StreamStats()
+        for seq in range(StreamStats.SEQ_WINDOW * 2):
+            stats.observe(seq)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seq in range(StreamStats.SEQ_WINDOW * 2, 200_000, 2):
+                stats.observe(seq)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 4096
+        assert stats.dropped == (200_000 - StreamStats.SEQ_WINDOW * 2) // 2 - 1
+
 
 class TestRecording:
     def test_round_trip(self, tmp_path):
