@@ -34,8 +34,6 @@ from .model import (
     load_retarget_map,
     load_robot_model,
     load_skeleton,
-    serialize_robot_model,
-    serialize_skeleton,
 )
 from .retarget import (
     FilterState,
@@ -95,8 +93,6 @@ __all__ = [
     "load_retarget_map",
     "load_robot_model",
     "load_skeleton",
-    "serialize_robot_model",
-    "serialize_skeleton",
     "FilterState",
     "JointCommand",
     "Pipeline",

@@ -23,7 +23,7 @@ import os
 import sys
 
 from .clock import VirtualClock, WallClock
-from .data import sample_path
+from .data import SAMPLE_MAP, SAMPLE_ROBOT, SAMPLE_SKELETON, sample_path
 from .errors import SinkBackpressure, TeleokinError
 from .model import load_retarget_map, load_robot_model, load_skeleton
 from .retarget import FilterState, Pipeline
@@ -32,6 +32,7 @@ from .runtime import (
     MultiSink,
     NullSink,
     datagram_sink,
+    loop_period_us,
     read_trace,
     run_loop,
     trace_sink,
@@ -97,11 +98,9 @@ _NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, frames=None):
     """The flags of ``run``; ``bench`` is ``run`` with other defaults."""
-    parser.add_argument("--robot", default=str(sample_path("g1_sample.cfg")), help="robot config file")
-    parser.add_argument(
-        "--skeleton", default=str(sample_path("human_sample.cfg")), help="skeleton config file"
-    )
-    parser.add_argument("--map", default=str(sample_path("g1_sample.map")), help="retarget map file")
+    parser.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
+    parser.add_argument("--skeleton", default=str(sample_path(SAMPLE_SKELETON)), help="skeleton config file")
+    parser.add_argument("--map", default=str(sample_path(SAMPLE_MAP)), help="retarget map file")
     parser.add_argument("--source", required=source is None, default=source,
                         help="synth:<pattern> | replay:<file>[:speed] | live:<port>")
     parser.add_argument("--sink", action="append", help="trace:<file> | datagram:<host>:<port> | validate | null (repeatable)")
@@ -184,9 +183,7 @@ def _parse_sinks(args, model):
             _port(rest.rpartition(":")[2], "datagram sink")
             sinks.append(datagram_sink(rest))
         elif kind == "validate":
-            validator = validator_sink(
-                model, _thresholds_from(args), period_us=max(1, round(1e6 / args.rate))
-            )
+            validator = validator_sink(model, _thresholds_from(args), period_us=loop_period_us(args.rate))
             sinks.append(validator)
         elif kind == "null":
             sinks.append(NullSink())
@@ -251,6 +248,7 @@ def cmd_run(args) -> int:
         sys.stdout.write(
             f"stream_received={stats.received}\nstream_dropped={stats.dropped}\n"
             f"stream_duplicates={stats.duplicates}\nstream_out_of_order={stats.out_of_order}\n"
+            f"stream_restarts={stats.restarts}\n"
             f"stream_decode_errors={sum(source.decode_errors.values())}\n"
         )
         for name, count in sorted(source.decode_errors.items()):
@@ -266,7 +264,7 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     model = _read_file(args.robot, _read_config, load_robot_model)
     trace = _read_file(args.trace, read_trace)
-    period = None if args.rate is None else max(1, round(1e6 / args.rate))
+    period = None if args.rate is None else loop_period_us(args.rate)
     report = validate_trace(model, trace, thresholds=_thresholds_from(args), period_us=period)
     sys.stdout.write(report.format())
     return 0 if report.passed else 1
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(sub.add_parser("run", help="drive the control loop"))
 
     val = sub.add_parser("validate", help="audit a recorded command trace")
-    val.add_argument("--robot", default=str(sample_path("g1_sample.cfg")), help="robot config file")
+    val.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
     val.add_argument("--trace", required=True, help="CMDTRC01 trace file")
     val.add_argument("--rate", type=_POSITIVE, default=None, help="nominal loop rate; default: inferred")
     val.add_argument("--acc-limit", default="off", help="acceleration limit rad/s^2, or 'off'")

@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .data import SAMPLE_SKELETON, sample_text
 from .errors import (
     CoverageError,
     DegenerateQuaternion,
@@ -41,32 +42,6 @@ from .geometry import (
     quat_normalize,
     quat_rotate_rows,
     quat_rotate_vector,
-)
-
-CANONICAL_SEGMENTS: tuple[tuple[str, str], ...] = (
-    ("pelvis", "-"),
-    ("spine1", "pelvis"),
-    ("spine2", "spine1"),
-    ("spine3", "spine2"),
-    ("spine4", "spine3"),
-    ("neck", "spine4"),
-    ("head", "neck"),
-    ("left_clavicle", "spine4"),
-    ("left_upper_arm", "left_clavicle"),
-    ("left_forearm", "left_upper_arm"),
-    ("left_hand", "left_forearm"),
-    ("right_clavicle", "spine4"),
-    ("right_upper_arm", "right_clavicle"),
-    ("right_forearm", "right_upper_arm"),
-    ("right_hand", "right_forearm"),
-    ("left_thigh", "pelvis"),
-    ("left_shank", "left_thigh"),
-    ("left_foot", "left_shank"),
-    ("left_toe", "left_foot"),
-    ("right_thigh", "pelvis"),
-    ("right_shank", "right_thigh"),
-    ("right_foot", "right_shank"),
-    ("right_toe", "right_foot"),
 )
 
 
@@ -107,13 +82,13 @@ class HumanSkeleton:
         except KeyError:
             raise UnknownReference(f"unknown segment {name!r}") from None
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HumanSkeleton) and self.segments == other.segments
-
 
 def canonical_skeleton() -> HumanSkeleton:
-    """The 23-segment full-body layout every motion frame is ordered by."""
-    return load_skeleton("\n".join(f"segment {n} parent={p}" for n, p in CANONICAL_SEGMENTS))
+    """The 23-segment full-body layout every motion frame is ordered by.
+
+    Loaded from the bundled ``human_sample.cfg``, the one place it is written.
+    """
+    return load_skeleton(sample_text(SAMPLE_SKELETON))
 
 
 @dataclass(eq=False)
@@ -130,36 +105,12 @@ class RobotJoint:
     velocity_limit: float
     default_angle: float
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RobotJoint)
-            and self.name == other.name
-            and self.parent_link == other.parent_link
-            and self.child_link == other.child_link
-            and np.array_equal(self.origin_translation, other.origin_translation)
-            and np.array_equal(self.origin_rotation, other.origin_rotation)
-            and np.array_equal(self.axis, other.axis)
-            and self.limit_min == other.limit_min
-            and self.limit_max == other.limit_max
-            and self.soft_margin == other.soft_margin
-            and self.velocity_limit == other.velocity_limit
-            and self.default_angle == other.default_angle
-        )
-
 
 @dataclass(eq=False)
 class CollisionSphere:
     link: str
     center: np.ndarray  # link frame, meters
     radius: float
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CollisionSphere)
-            and self.link == other.link
-            and np.array_equal(self.center, other.center)
-            and self.radius == other.radius
-        )
 
 
 class RobotModel:
@@ -256,14 +207,6 @@ class RobotModel:
             return self._joint_index[name]
         except KeyError:
             raise UnknownReference(f"unknown joint {name!r}") from None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RobotModel)
-            and self.joints == other.joints
-            and self.spheres == other.spheres
-            and self.exclusions == other.exclusions
-        )
 
 
 @dataclass(eq=False)
@@ -594,43 +537,6 @@ def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> 
         else:
             raise ParseError(d.lineno, d.keyword_col, f"unknown directive {d.keyword!r}")
     return RetargetMap(rules, unmapped, skeleton, model)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (round-trips through the loaders)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_vec(v) -> str:
-    return ",".join(_fmt(c) for c in v)
-
-
-def serialize_robot_model(model: RobotModel) -> str:
-    """Emit a robot document that reloads to an equal model."""
-    lines = []
-    for j in model.joints:
-        lines.append(
-            f"joint {j.name} parent={j.parent_link} child={j.child_link}"
-            f" origin={_fmt_vec(j.origin_translation)};{_fmt_vec(j.origin_rotation)}"
-            f" axis={_fmt_vec(j.axis)} limits={_fmt(j.limit_min)},{_fmt(j.limit_max)}"
-            f" soft={_fmt(j.soft_margin)} vmax={_fmt(j.velocity_limit)} default={_fmt(j.default_angle)}"
-        )
-    for s in model.spheres:
-        lines.append(f"sphere {s.link} center={_fmt_vec(s.center)} radius={_fmt(s.radius)}")
-    for (la, ia), (lb, ib) in model.exclusions:
-        lines.append(f"exclude {la}/{ia} {lb}/{ib}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_skeleton(skeleton: HumanSkeleton) -> str:
-    lines = []
-    for s in skeleton.segments:
-        parent = "-" if s.parent == -1 else skeleton.segments[s.parent].name
-        lines.append(f"segment {s.name} parent={parent}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,8 @@ class Pipeline:
     def __post_init__(self):
         if len(self.skeleton) != self.rmap.segment_count:
             raise DimensionMismatch("skeleton does not match the one the map was loaded against")
+        if len(self.model) != self.rmap.joint_count:
+            raise DimensionMismatch("model does not match the one the map was loaded against")
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
 

@@ -349,6 +349,11 @@ class MultiSink:
 BACKPRESSURE_LIMIT = 8  # consecutive over-budget sink calls before aborting
 
 
+def loop_period_us(rate_hz: float) -> int:
+    """The loop period at ``rate_hz``, in whole microseconds (at least 1)."""
+    return max(1, round(1e6 / rate_hz))
+
+
 def run_loop(
     source,
     pipeline: Pipeline,
@@ -388,7 +393,7 @@ def run_loop(
     if not (rate_hz > 0):
         raise ValueError("rate_hz must be positive")
     clk = clock if clock is not None else WallClock()
-    period_us = max(1, round(1e6 / rate_hz))
+    period_us = loop_period_us(rate_hz)
     if sink_budget_us is None:
         sink_budget_us = period_us
 

@@ -219,14 +219,6 @@ def decode_frame(data: bytes) -> MocapFrame:
     return MocapFrame(seq, timestamp_us, _unit_quats(wire))
 
 
-def frames_equal(a: MocapFrame, b: MocapFrame) -> bool:
-    return (
-        a.seq == b.seq
-        and a.timestamp_us == b.timestamp_us
-        and np.array_equal(a.orientations, b.orientations)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stream accounting
 
@@ -243,10 +235,16 @@ class StreamStats:
     ``received`` counts every observed frame including duplicates;
     ``duplicates`` counts repeats of a number inside the window;
     ``out_of_order`` counts the other frames older than the newest one.
-    ``dropped`` is the count of numbers inside the observed span that never
+    ``dropped`` is the count of numbers inside the observed spans that never
     arrived, so ``received + dropped >= span`` always holds.  A frame more
     than the window behind the newest cannot be told from a duplicate: it
     counts as out of order, and its number stays dropped.
+
+    Such a frame may also be the first of a sender that restarted its count.
+    As in RFC 3550 §A.1, if the very next frame follows it by one, the two
+    open a new span: the old span's drops are kept, the first frame is no
+    longer out of order, and ``restarts`` counts the resynchronisation.
+    ``span`` is then the current span's.
     """
 
     SEQ_WINDOW = 1024
@@ -255,17 +253,25 @@ class StreamStats:
         self.received = 0
         self.duplicates = 0
         self.out_of_order = 0
-        self._arrived = 0  # distinct numbers counted
+        self.restarts = 0
+        self._arrived = 0  # distinct numbers counted in the current span
         self._first: int | None = None  # extended numbers, lowest counted and newest
         self._newest: int | None = None
         self._window = 0  # bit i set: number _newest - i arrived
+        self._earlier_drops = 0  # dropped in spans before the last restart
+        self._restart_seq: int | None = None  # the number that would confirm a restart
 
     def observe(self, seq: int) -> None:
         """Count one received frame."""
         self.received += 1
-        if self._newest is None:
-            self._first = self._newest = seq
-            self._window, self._arrived = 1, 1
+        restart_seq, self._restart_seq = self._restart_seq, None
+        if seq == restart_seq:  # the sender restarted its count one frame ago
+            self.restarts += 1
+            self.out_of_order -= 1  # that frame opens the new span
+            self._earlier_drops += self.span - self._arrived
+            self._start((seq - 1) % _SEQ_MODULUS)
+        elif self._newest is None:
+            self._start(seq)
             return
         step = (seq - self._newest) % _SEQ_MODULUS
         if 0 < step < _SEQ_MODULUS // 2:  # ahead of the newest, across a wrap or not
@@ -281,11 +287,17 @@ class StreamStats:
             self._window |= 1 << behind
             self._arrived += 1
             self._first = min(self._first, self._newest - behind)
+        else:
+            self._restart_seq = (seq + 1) % _SEQ_MODULUS
         self.out_of_order += 1
+
+    def _start(self, seq: int) -> None:
+        self._first = self._newest = seq
+        self._window, self._arrived = 1, 1
 
     @property
     def dropped(self) -> int:
-        return self.span - self._arrived
+        return self._earlier_drops + self.span - self._arrived
 
     @property
     def span(self) -> int:

@@ -90,6 +90,19 @@ class TestRun:
         out = capsys.readouterr().out
         assert "verdict=pass" in out
 
+    def test_validate_sink_period_is_the_loop_period(self, tmp_path, capsys):
+        # 1e6 / 300 is not a whole number of microseconds
+        trace = tmp_path / "t.trc"
+        code = run_cli(
+            "run", "--source", "synth:static", "--sink", "validate", "--sink", f"trace:{trace}",
+            "--rate", "300", "--frames", "20",
+        )
+        assert code == 0
+        emitted = [cmd.emission_timestamp_us for cmd in read_trace(trace)]
+        periods = set(np.diff(emitted).tolist())
+        assert periods == {3333}
+        assert "# cycles=20 period_us=3333\n" in capsys.readouterr().out
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--source", "synth:static", "--sink", "null", "--wat")
@@ -130,6 +143,7 @@ class TestRun:
         assert kv["stream_decode_errors_CrcMismatch"] == "1"
         assert kv["stream_decode_errors_TruncatedFrame"] == "2"
         assert kv["stream_received"] == "0"
+        assert kv["stream_restarts"] == "0"
 
     def test_deterministic_under_seed_and_virtual_clock(self, tmp_path, capsys):
         blobs = []

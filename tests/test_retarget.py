@@ -515,3 +515,9 @@ class TestRetargetStep:
         _, two_segments, _ = small_setup()
         with pytest.raises(DimensionMismatch):
             Pipeline(two_segments, rmap, model)
+
+    def test_pipeline_rejects_a_model_the_map_was_not_loaded_against(self):
+        _, skel, rmap = sample_setup()
+        two_joints, _, _ = small_setup()
+        with pytest.raises(DimensionMismatch, match="model"):
+            Pipeline(skel, rmap, two_joints)
