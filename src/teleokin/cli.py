@@ -96,6 +96,13 @@ _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 
+def number_or_off(text: str) -> float | None:  # argparse prints this name: "invalid number_or_off value"
+    return None if text == "off" else float(text)
+
+
+_ACC_LIMIT = _checked(number_or_off, lambda v: v is None or 0 < v < math.inf, "'off' or positive and finite")
+
+
 def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, frames=None):
     """The flags of ``run``; ``bench`` is ``run`` with other defaults."""
     parser.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
@@ -113,8 +120,7 @@ def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, 
     parser.add_argument("--source-rate", type=_POSITIVE, default=100.0, help="synth source rate in Hz")
     parser.add_argument("--noise", type=_NON_NEGATIVE, default=noise, help="synth noise std in radians (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sink-budget-us", type=_POSITIVE_INT, default=None, help="per-cycle sink time budget")
-    parser.add_argument("--acc-limit", default="off", help="validator acceleration limit rad/s^2, or 'off'")
+    parser.add_argument("--acc-limit", type=_ACC_LIMIT, default=None, help="validator acceleration limit rad/s^2, or 'off' (default)")
     parser.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="validator collision margin in meters")
     # not --sink's own default: an appending flag adds to its default, never replaces it
     parser.set_defaults(func=cmd_run, default_sinks=[sink] if sink else [])
@@ -154,7 +160,7 @@ def _parse_source(args, skeleton):
         if not path:
             raise UsageError("replay source needs a path: replay:<file>[:speed]")
         try:
-            speed = math.inf if speed_text == "max" else float(speed_text or 1.0)
+            speed = float(speed_text or 1.0)
         except ValueError:
             speed = math.nan  # rejected below, with the speeds that are not positive
         if not (speed > 0):
@@ -183,7 +189,7 @@ def _parse_sinks(args, model):
             _port(rest.rpartition(":")[2], "datagram sink")
             sinks.append(datagram_sink(rest))
         elif kind == "validate":
-            validator = validator_sink(model, _thresholds_from(args), period_us=loop_period_us(args.rate))
+            validator = validator_sink(model, Thresholds(args.acc_limit, args.margin), period_us=loop_period_us(args.rate))
             sinks.append(validator)
         elif kind == "null":
             sinks.append(NullSink())
@@ -192,20 +198,6 @@ def _parse_sinks(args, model):
     if not sinks:
         raise UsageError("at least one --sink is required")
     return (sinks[0] if len(sinks) == 1 else MultiSink(sinks)), sinks, validator
-
-
-def _thresholds_from(args) -> Thresholds:
-    if args.acc_limit == "off":
-        limit = None
-    else:
-        try:
-            limit = float(args.acc_limit)
-        except ValueError:
-            raise UsageError(f"--acc-limit must be a number or 'off', got {args.acc_limit!r}") from None
-    try:
-        return Thresholds(acceleration_limit=limit, collision_margin=args.margin)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _pick_clock(args, live: bool):
@@ -230,7 +222,6 @@ def cmd_run(args) -> int:
             max_cycles=args.frames,
             duration_s=args.duration,
             clock=clock,
-            sink_budget_us=args.sink_budget_us,
         )
     except SinkBackpressure as exc:
         sink.close()
@@ -246,6 +237,7 @@ def cmd_run(args) -> int:
     if live:
         stats = source.stats
         sys.stdout.write(
+            f"live_port={source.port}\n"
             f"stream_received={stats.received}\nstream_dropped={stats.dropped}\n"
             f"stream_duplicates={stats.duplicates}\nstream_out_of_order={stats.out_of_order}\n"
             f"stream_restarts={stats.restarts}\n"
@@ -265,7 +257,7 @@ def cmd_validate(args) -> int:
     model = _read_file(args.robot, _read_config, load_robot_model)
     trace = _read_file(args.trace, read_trace)
     period = None if args.rate is None else loop_period_us(args.rate)
-    report = validate_trace(model, trace, thresholds=_thresholds_from(args), period_us=period)
+    report = validate_trace(model, trace, thresholds=Thresholds(args.acc_limit, args.margin), period_us=period)
     sys.stdout.write(report.format())
     return 0 if report.passed else 1
 
@@ -295,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
     val.add_argument("--trace", required=True, help="CMDTRC01 trace file")
     val.add_argument("--rate", type=_POSITIVE, default=None, help="nominal loop rate; default: inferred")
-    val.add_argument("--acc-limit", default="off", help="acceleration limit rad/s^2, or 'off'")
+    val.add_argument("--acc-limit", type=_ACC_LIMIT, default=None, help="acceleration limit rad/s^2, or 'off' (default)")
     val.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="collision margin in meters")
     val.set_defaults(func=cmd_validate)
 

@@ -69,7 +69,7 @@ class EmptyRecording(TeleokinError):
 
 
 class SinkBackpressure(TeleokinError):
-    """A sink exceeded its time budget for too many consecutive cycles.
+    """A sink took longer than the loop period for too many consecutive cycles.
 
     Carries the loop metrics collected up to the abort in ``metrics``.
     """

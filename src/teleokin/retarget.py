@@ -17,6 +17,7 @@ clamp each live once, as float kernels; the public ``smooth`` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,29 +30,27 @@ from .stream import MocapFrame
 
 @dataclass
 class FilterState:
-    """Per-joint first-order low-pass state.
+    """First-order low-pass state, with one time constant for every joint.
 
-    ``tau`` is the time constant in seconds (0 disables smoothing for that
-    joint).  The first smoothed frame passes through unchanged, so there is
-    no startup transient from an arbitrary initial state.  ``previous``, the
-    last output, is a list of floats; a step commits it only once the
-    clamp has accepted the step's angles.  The gains for the last ``dt`` are
-    kept as floats (one entry, so memory is bounded however many distinct
-    steps a run sees); ``tau`` is read when a new ``dt`` arrives.
+    ``tau`` is the time constant in seconds (0 disables smoothing).  The
+    first smoothed frame passes through unchanged, so there is no startup
+    transient from an arbitrary initial state.  ``previous``, the last
+    output, is a list of floats; a step commits it only once the clamp has
+    accepted the step's angles.  The gain for the last ``dt`` is kept (one
+    entry, so memory is bounded however many distinct steps a run sees).
     """
 
     previous: list
-    tau: np.ndarray
+    tau: float
     initialized: bool = False
     # (dt, alpha, 1 - alpha) for the last dt the smoothing rule saw
     _gains: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     @classmethod
-    def create(cls, joint_count: int, tau=0.020) -> "FilterState":
-        tau_vec = np.broadcast_to(np.asarray(tau, dtype=float), (joint_count,)).copy()
-        if not np.isfinite(tau_vec).all() or (tau_vec < 0).any():
-            raise ValueError("tau must be finite and >= 0")
-        return cls(previous=[0.0] * joint_count, tau=tau_vec)
+    def create(cls, joint_count: int, tau: float = 0.020) -> "FilterState":
+        if not isinstance(tau, numbers.Real) or not 0 <= tau < math.inf:
+            raise ValueError(f"tau must be one finite number >= 0, got {tau!r}")
+        return cls(previous=[0.0] * joint_count, tau=float(tau))
 
 
 @dataclass(eq=False)
@@ -119,9 +118,9 @@ def map_frame(rmap: RetargetMap, frame: MocapFrame) -> np.ndarray:
 def _smoothed(state: FilterState, raw: list, dt: float) -> list:
     """The smoothing rule on floats: the filter's next output for ``raw``.
 
-    ``alpha * x + (1 - alpha) * previous`` per joint, with the gains of
-    ``dt`` computed by numpy once per distinct ``dt``.  The caller stores
-    the output in ``state`` once it has been accepted.
+    ``alpha * x + (1 - alpha) * previous`` per joint, with ``alpha`` of
+    ``dt`` computed once per distinct ``dt``.  The caller stores the output
+    in ``state`` once it has been accepted.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
@@ -130,12 +129,11 @@ def _smoothed(state: FilterState, raw: list, dt: float) -> list:
     if state.initialized:
         cached_dt, alpha, keep = state._gains
         if cached_dt != dt:
-            gains = np.ones_like(state.tau)
-            active = state.tau > 0
-            gains[active] = 1.0 - np.exp(-dt / state.tau[active])
-            alpha, keep = gains.tolist(), (1.0 - gains).tolist()
+            # numpy's exp, not math.exp: the two can differ in the last bit
+            alpha = float(1.0 - np.exp(-dt / state.tau)) if state.tau > 0 else 1.0
+            keep = 1.0 - alpha
             state._gains = (dt, alpha, keep)
-        return [a * x + k * p for a, x, k, p in zip(alpha, raw, keep, state.previous)]
+        return [alpha * x + keep * p for x, p in zip(raw, state.previous)]
     return list(raw)
 
 
@@ -190,7 +188,7 @@ def enforce_limits(model: RobotModel, raw) -> tuple[np.ndarray, np.ndarray]:
 
 
 def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
-    """One step of the per-joint exponential moving average.
+    """One step of the exponential moving average, joint by joint.
 
     alpha = 1 - exp(-dt/tau), the exact discretization of a first-order
     low-pass, so behavior is independent of the sampling rate; tau = 0 gives

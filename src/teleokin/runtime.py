@@ -223,12 +223,6 @@ def _commands(data: bytes, offset: int, records: int) -> list[JointCommand]:
     return commands
 
 
-def decode_command_record(data: bytes, offset: int = 0) -> tuple[JointCommand, int]:
-    """Parse one trace record at ``offset``; returns (command, bytes consumed)."""
-    length = _checked_record(data, offset)
-    return _commands(data, offset, 1)[0], length
-
-
 def decode_command_datagram(data: bytes) -> JointCommand:
     """Parse one CMD1 datagram; every fault raises one of the codec errors."""
     unpack_prefix(_DGRAM_PREFIX, data, COMMAND_MAGIC, COMMAND_VERSION, "command datagram")
@@ -346,7 +340,7 @@ class MultiSink:
 # The loop
 
 
-BACKPRESSURE_LIMIT = 8  # consecutive over-budget sink calls before aborting
+BACKPRESSURE_LIMIT = 8  # consecutive sink calls longer than a period before aborting
 
 
 def loop_period_us(rate_hz: float) -> int:
@@ -363,7 +357,6 @@ def run_loop(
     max_cycles: int | None = None,
     duration_s: float | None = None,
     clock=None,
-    sink_budget_us: int | None = None,
 ) -> LoopMetrics:
     """Drive the pipeline at a fixed rate until the budget or source ends.
 
@@ -388,14 +381,12 @@ def run_loop(
     constant holds whatever the source and loop rates.
 
     Raises SinkBackpressure (metrics attached) after BACKPRESSURE_LIMIT
-    consecutive sink calls above ``sink_budget_us`` (default: one period).
+    consecutive sink calls that each took longer than one period.
     """
     if not (rate_hz > 0):
         raise ValueError("rate_hz must be positive")
     clk = clock if clock is not None else WallClock()
     period_us = loop_period_us(rate_hz)
-    if sink_budget_us is None:
-        sink_budget_us = period_us
 
     slot = LatestFrameSlot()
     live = hasattr(source, "start")
@@ -406,7 +397,7 @@ def run_loop(
     last_angles = model.default_angles.copy()
     last_source_seq = 0
     last_source_ts = 0
-    over_budget = 0
+    over_period = 0
     last_fresh_cycle = -1
 
     if live:
@@ -482,15 +473,15 @@ def run_loop(
                 metrics.fresh_compute_us.record(compute)
             metrics.cycles += 1
             metrics.commands += 1
-            if sink_elapsed > sink_budget_us:
-                over_budget += 1
-                if over_budget >= BACKPRESSURE_LIMIT:
+            if sink_elapsed > period_us:
+                over_period += 1
+                if over_period >= BACKPRESSURE_LIMIT:
                     raise SinkBackpressure(
-                        f"sink exceeded {sink_budget_us} us for {over_budget} consecutive cycles",
+                        f"sink exceeded the {period_us} us period for {over_period} consecutive cycles",
                         metrics=metrics,
                     )
             else:
-                over_budget = 0
+                over_period = 0
             cycle += 1
     finally:
         if live:

@@ -335,8 +335,8 @@ class IncrementalValidator:
 
     Each command is judged by the same checks as ``validate_trace``, on a
     window of the last two samples plus the new one.  Without ``period_us``
-    the first emission-timestamp delta (at least 1 us) sets the period for
-    the rest of the stream.
+    the period is inferred as ``validate_trace`` infers it, from the first
+    two commands, and holds for the rest of the stream.
     """
 
     def __init__(
@@ -352,7 +352,7 @@ class IncrementalValidator:
         self._spheres = _sphere_table(model, self.thresholds.collision_margin)
         self._tail = np.empty((0, len(model)))
         self._cycle = 0
-        self._first_emission_us = 0
+        self._first = None
 
     def _period_us(self) -> float:
         return self.period_us if self.period_us is not None else 1.0
@@ -360,9 +360,9 @@ class IncrementalValidator:
     def emit(self, cmd: JointCommand) -> None:
         row = _angles_matrix(self.model, [cmd])
         if self._cycle == 0:
-            self._first_emission_us = cmd.emission_timestamp_us
+            self._first = cmd
         elif self.period_us is None:
-            self.period_us = float(max(cmd.emission_timestamp_us - self._first_emission_us, 1))
+            self.period_us = _infer_period_us([self._first, cmd])
         window = np.concatenate([self._tail, row])
         dt = self._period_us() / 1e6
         found = _judge(self.model, self._spheres, self.thresholds, window, dt, len(window) - 1, self._cycle)

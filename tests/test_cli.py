@@ -103,6 +103,12 @@ class TestRun:
         assert periods == {3333}
         assert "# cycles=20 period_us=3333\n" in capsys.readouterr().out
 
+    def test_synth_run_bounded_by_duration_alone(self, capsys):
+        code = run_cli("run", "--source", "synth:static", "--sink", "null", "--clock", "virtual",
+                       "--rate", "500", "--duration", "0.02")
+        assert code == 0
+        assert parse_kv(capsys.readouterr().out)["cycles"] == "10"
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--source", "synth:static", "--sink", "null", "--wat")
@@ -144,6 +150,7 @@ class TestRun:
         assert kv["stream_decode_errors_TruncatedFrame"] == "2"
         assert kv["stream_received"] == "0"
         assert kv["stream_restarts"] == "0"
+        assert 0 < int(kv["live_port"]) <= 65535  # the port live:0 bound, for a sender to use
 
     def test_deterministic_under_seed_and_virtual_clock(self, tmp_path, capsys):
         blobs = []
@@ -316,8 +323,33 @@ BAD_NUMBERS = [
 ]
 
 
+BAD_SPECS = [
+    ("run", "--source", "wat:1", "--sink", "null", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "wat", "--frames", "5"),
+    ("run", "--source", "replay:", "--sink", "null", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "trace:", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "datagram:", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "null"),
+    ("run", "--source", "live:0", "--sink", "null"),
+    ("run", "--source", "synth:wat", "--sink", "null", "--frames", "5"),
+    ("run", "--source", "replay:{rec}:max", "--sink", "null", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "validate", "--frames", "5", "--acc-limit", "fast"),
+    ("run", "--source", "synth:static", "--sink", "validate", "--frames", "5", "--acc-limit", "inf"),
+    ("validate", "--trace", "{rec}", "--acc-limit", "-1"),
+]
+
+
 @pytest.mark.parametrize("argv", BAD_NUMBERS, ids=[" ".join(a) for a in BAD_NUMBERS])
 def test_bad_number_is_a_usage_error(argv, tmp_path, capsys):
+    assert_usage_error(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", BAD_SPECS, ids=[" ".join(a) for a in BAD_SPECS])
+def test_bad_spec_is_a_usage_error(argv, tmp_path, capsys):
+    assert_usage_error(argv, tmp_path, capsys)
+
+
+def assert_usage_error(argv, tmp_path, capsys):
     rec = tmp_path / "static.rec"
     write_recording(rec, synth_motion("static", rate=100, duration=0.1))
     try:

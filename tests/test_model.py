@@ -70,6 +70,62 @@ def oracle_fk(model, angles):
     return mats
 
 
+J1 = MINIMAL_ROBOT.strip()
+TWO_SEGMENTS = "segment root parent=-\nsegment limb parent=root\n"
+MAP3 = "map3 j1,j2,j3 segment=limb order=ZXY signs=1,1,1 scales=1,1,1 offsets=0,0,0"
+
+
+def load(kind, text):
+    if kind == "robot":
+        return load_robot_model(text)
+    if kind == "skeleton":
+        return load_skeleton(text)
+    return load_retarget_map(text, load_skeleton(TWO_SEGMENTS), load_robot_model(MINIMAL_ROBOT))
+
+
+# (case, document kind, document, error, (line, the token the column points at) for a ParseError)
+MALFORMED = [
+    ("unknown key", "robot", J1 + " wat=1", ParseError, (1, "wat=1")),
+    ("duplicate key", "robot", J1.replace("soft=0.05", "soft=0.05 soft=0.1"), ParseError, (1, "soft=0.1")),
+    ("positional after key=value", "robot", J1 + " stray", ParseError, (1, "stray")),
+    ("missing joint name", "robot", J1.replace("joint j1 ", "joint "), ParseError, (1, "joint")),
+    ("missing key", "robot", "# robot\n" + J1.replace(" vmax=10", ""), ParseError, (2, "joint")),
+    ("axis of two values", "robot", J1.replace("axis=0,0,1", "axis=0,1"), ParseError, (1, "axis=")),
+    ("translation of two values", "robot", J1.replace("origin=0,0,0;", "origin=0,0;"), ParseError, (1, "origin=")),
+    ("origin without rotation", "robot", J1.replace("origin=0,0,0;1,0,0,0", "origin=0,0,0"), ParseError, (1, "origin=")),
+    ("non-finite number", "robot", J1.replace("vmax=10", "vmax=inf"), ParseError, (1, "vmax=")),
+    ("zero-norm axis", "robot", J1.replace("axis=0,0,1", "axis=0,0,0"), ParseError, (1, "axis=")),
+    ("zero-norm origin rotation", "robot", J1.replace(";1,0,0,0", ";0,0,0,0"), ParseError, (1, "origin=")),
+    ("bad exclusion reference", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0.1\nexclude link1 link1/0",
+     ParseError, (3, "link1")),
+    ("missing exclusion reference", "robot", J1 + "\nexclude link1/0", ParseError, (2, "exclude")),
+    ("no joints", "robot", "# no joints\n", ValidationError, None),
+    ("duplicate joint names", "robot", J1 + "\n" + J1.replace("child=link1", "child=link2"), ValidationError, None),
+    ("joint linking a link to itself", "robot", J1.replace("parent=base", "parent=link1"), ValidationError, None),
+    ("negative soft margin", "robot", J1.replace("soft=0.05", "soft=-0.05"), ValidationError, None),
+    ("non-positive vmax", "robot", J1.replace("vmax=10", "vmax=0"), ValidationError, None),
+    ("non-positive sphere radius", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0", ValidationError, None),
+    ("empty skeleton", "skeleton", "# no segments\n", ValidationError, None),
+    ("two roots", "skeleton", "segment a parent=-\nsegment b parent=-\n", ValidationError, None),
+    ("unknown skeleton directive", "skeleton", "segmnt a parent=-\n", ParseError, (1, "segmnt")),
+    ("map3 of two joints", "map", MAP3.replace("j1,j2,j3", "j1,j2"), ParseError, (1, "j1,j2")),
+    ("unknown axis order", "map", MAP3.replace("order=ZXY", "order=XYZW"), ParseError, (1, "order=")),
+    ("map3 sign of 2", "map", MAP3.replace("signs=1,1,1", "signs=1,2,1"), ParseError, (1, "signs=")),
+    ("unknown map directive", "map", "unmapped j1\nmapp j1\n", ParseError, (2, "mapp")),
+    ("extra unmapped token", "map", "unmapped j1 j2\n", ParseError, (1, "j2")),
+]
+
+
+@pytest.mark.parametrize("kind, text, error, where", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_document_raises_its_error(kind, text, error, where):
+    with pytest.raises(error) as exc:
+        load(kind, text)
+    assert type(exc.value) is error
+    if where is not None:
+        line, token = where
+        assert (exc.value.line, exc.value.column) == (line, text.splitlines()[line - 1].index(token) + 1)
+
+
 class TestLoadRobotModel:
     def test_minimal_document(self):
         model = load_robot_model(MINIMAL_ROBOT)

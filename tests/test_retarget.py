@@ -287,16 +287,25 @@ class TestSmooth:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises_and_keeps_state(self, bad):
-        fresh = FilterState.create(2, tau=[0.02, 0.0])
-        with pytest.raises(NonFiniteAngle, match="joint 1"):
-            smooth(fresh, [0.5, bad], dt=0.01)
-        assert not fresh.initialized and fresh.previous == [0.0, 0.0]
-        state = FilterState.create(2, tau=[0.02, 0.0])
-        smooth(state, [0.5, -0.5], dt=0.01)
-        with pytest.raises(NonFiniteAngle, match="joint 0"):
-            smooth(state, [bad, 0.0], dt=0.01)
-        assert state.previous == [0.5, -0.5]
-        assert np.array_equal(smooth(state, [0.5, 0.25], dt=0.01), [0.5, 0.25])
+        for tau in (0.0, 0.02):  # pass-through and smoothing
+            fresh = FilterState.create(2, tau=tau)
+            with pytest.raises(NonFiniteAngle, match="joint 1"):
+                smooth(fresh, [0.5, bad], dt=0.01)
+            assert not fresh.initialized and fresh.previous == [0.0, 0.0]
+            state, reference = FilterState.create(2, tau=tau), FilterState.create(2, tau=tau)
+            smooth(state, [0.5, -0.5], dt=0.01)
+            smooth(reference, [0.5, -0.5], dt=0.01)
+            with pytest.raises(NonFiniteAngle, match="joint 0"):
+                smooth(state, [bad, 0.0], dt=0.01)
+            assert state.previous == [0.5, -0.5]
+            got, want = smooth(state, [0.5, 0.25], dt=0.01), smooth(reference, [0.5, 0.25], dt=0.01)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, [0.5, 0.25]) == (tau == 0.0)
+
+    @pytest.mark.parametrize("tau", [[0.02, 0.0], np.array([0.02, 0.02]), -0.01, math.nan, math.inf])
+    def test_tau_is_one_finite_non_negative_number(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            FilterState.create(2, tau=tau)
 
 
 def _measured_phase_lag(freq: float, tau: float, rate: float) -> float:
@@ -422,8 +431,8 @@ class TestRetargetStep:
     def test_float_tail_matches_numpy_reference(self, monkeypatch):
         # The smoothing rule, clamp, flags, excursion and clamp count run on
         # floats; this numpy reference is the arithmetic they replaced.  The
-        # last joint's soft interval is [0, 0] and its tau 0, so a raw -0.0
-        # reaches the clamp and ties with both bounds.
+        # last joint's soft interval is [0, 0]; with tau 0 a raw -0.0 reaches
+        # the clamp and ties with both bounds.
         lines = [
             f"joint j{i} parent={'base' if i == 0 else f'l{i - 1}'} child=l{i} origin=0,0,0;1,0,0,0"
             f" axis=0,0,1 limits={lo},{hi} soft={soft} vmax=10 default={(lo + hi) / 2}"
@@ -433,44 +442,45 @@ class TestRetargetStep:
         ]
         model = load_robot_model("\n".join(lines))
         lower, upper = model.soft_lower, model.soft_upper
-        tau = np.array([0.02, 0.0, 0.05, 0.0, 0.001, 0.0])
-        rng = np.random.default_rng(21)
-        state = FilterState.create(len(model), tau=tau)
-        previous = None
-        for step in range(400):
-            raw = rng.uniform(lower - 1.0, upper + 1.0)
-            ties = rng.random(len(raw))
-            raw[ties < 0.05] = lower[ties < 0.05]
-            raw[ties > 0.95] = upper[ties > 0.95]
-            raw[(ties > 0.45) & (ties < 0.5)] = -0.0
-            dt = 0.002 if step < 150 or step >= 300 else 0.006
-            monkeypatch.setattr(retarget, "_map_frame", lambda rmap, frame: (raw.tolist(), 0))
-            if step == 390:
-                # no soft interval holds a NaN: the step raises and the filter keeps its state
-                raw[2] = math.nan
-                before = list(state.previous)
-                with pytest.raises(NonFiniteAngle, match="joint 2"):
-                    retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
-                assert np.array(state.previous).tobytes() == np.array(before).tobytes()
-                continue
-            cmd, diag = retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
+        for tau in (0.0, 0.02):  # pass-through and smoothing
+            rng = np.random.default_rng(21)
+            state = FilterState.create(len(model), tau=tau)
+            previous = None
+            for step in range(400):
+                raw = rng.uniform(lower - 1.0, upper + 1.0)
+                ties = rng.random(len(raw))
+                raw[ties < 0.05] = lower[ties < 0.05]
+                raw[ties > 0.95] = upper[ties > 0.95]
+                raw[(ties > 0.45) & (ties < 0.5)] = -0.0
+                # at tau 0.02, math.exp's alpha for 24 ms differs from numpy's in the last bit
+                dt = 0.002 if step < 150 or step >= 300 else 0.024
+                monkeypatch.setattr(retarget, "_map_frame", lambda rmap, frame: (raw.tolist(), 0))
+                if step == 390:
+                    # no soft interval holds a NaN: the step raises and the filter keeps its state
+                    raw[2] = math.nan
+                    before = list(state.previous)
+                    with pytest.raises(NonFiniteAngle, match="joint 2"):
+                        retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
+                    assert np.array(state.previous).tobytes() == np.array(before).tobytes()
+                    continue
+                cmd, diag = retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
 
-            if previous is None:
-                smoothed = raw.copy()
-            else:
-                alpha = np.ones_like(tau)
-                alpha[tau > 0] = 1.0 - np.exp(-dt / tau[tau > 0])
-                smoothed = alpha * raw + (1.0 - alpha) * previous
-            previous = smoothed
-            angles = np.clip(smoothed, lower, upper)
-            flags = angles != smoothed
-            excursion = max(0.0, float(np.max(np.abs(angles - smoothed))))
+                if previous is None:
+                    smoothed = raw.copy()
+                else:
+                    # exp over an array: the rule's scalar exp must match it bit for bit
+                    alpha = 1.0 - np.exp(-dt / np.full(len(raw), tau)) if tau > 0 else np.ones(len(raw))
+                    smoothed = alpha * raw + (1.0 - alpha) * previous
+                previous = smoothed
+                angles = np.clip(smoothed, lower, upper)
+                flags = angles != smoothed
+                excursion = max(0.0, float(np.max(np.abs(angles - smoothed))))
 
-            assert cmd.angles.dtype == np.float64 and cmd.angles.tobytes() == angles.tobytes()
-            assert cmd.clamped.dtype == bool and np.array_equal(cmd.clamped, flags)
-            assert repr(diag.worst_excursion) == repr(excursion)
-            assert diag.clamped_count == np.count_nonzero(flags)
-            assert np.array(state.previous).tobytes() == smoothed.tobytes()
+                assert cmd.angles.dtype == np.float64 and cmd.angles.tobytes() == angles.tobytes()
+                assert cmd.clamped.dtype == bool and np.array_equal(cmd.clamped, flags)
+                assert repr(diag.worst_excursion) == repr(excursion)
+                assert diag.clamped_count == np.count_nonzero(flags)
+                assert np.array(state.previous).tobytes() == smoothed.tobytes()
 
     def test_non_finite_first_angle_leaves_the_filter_uninitialized(self, monkeypatch):
         model, _, _ = small_setup()

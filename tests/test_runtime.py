@@ -3,7 +3,9 @@
 import math
 import select
 import socket
+import struct
 import time
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +33,6 @@ from teleokin.runtime import (
     NullSink,
     datagram_sink,
     decode_command_datagram,
-    decode_command_record,
     encode_command_datagram,
     encode_command_record,
     read_trace,
@@ -209,8 +210,28 @@ class TestTraceSink:
             read_trace(path)
 
 
+def decode_trace_records(data):
+    """Independent trace decoder: one record at a time with ``struct`` and ``zlib.crc32``.
+
+    Returns ``(seq, source seq, source ts, emission ts, angle bytes, hold)``
+    per record; raises ValueError naming the first record whose CRC fails.
+    """
+    assert data[:8] == b"CMDTRC01"
+    records, offset = [], 8
+    while offset < len(data):
+        *fields, count = struct.unpack_from("<IIQQB", data, offset)
+        end = offset + 25 + 8 * count + 1
+        (crc,) = struct.unpack_from("<I", data, end)
+        if crc != zlib.crc32(data[offset:end]):
+            raise ValueError(f"record {len(records)} fails its CRC")
+        angles = struct.unpack_from(f"<{count}d", data, offset + 25)
+        records.append((*fields, angles, data[end - 1] != 0))
+        offset = end + 4
+    return records
+
+
 class TestWholeTraceDecode:
-    """``read_trace`` converts runs of records at once; ``decode_command_record`` is its oracle."""
+    """``read_trace`` converts runs of records at once; ``decode_trace_records`` is its oracle."""
 
     def records(self, counts, seed=41):
         rng = np.random.default_rng(seed)
@@ -222,38 +243,31 @@ class TestWholeTraceDecode:
             records.append(encode_command_record(cmd))
         return records
 
-    def oracle(self, data):
-        commands, offset = [], 8
-        while offset < len(data):
-            cmd, consumed = decode_command_record(data, offset)
-            commands.append(cmd)
-            offset += consumed
-        return commands
-
     def test_equals_record_by_record_decode(self, tmp_path):
         path = tmp_path / "mixed.trc"
         data = b"CMDTRC01" + b"".join(self.records([23] * 30 + [5] * 4 + [0] + [23] * 10 + [1]))
         path.write_bytes(data)
-        loaded, expected = read_trace(path), self.oracle(data)
+        loaded, expected = read_trace(path), decode_trace_records(data)
         assert len(loaded) == len(expected) == 46
-        for a, b in zip(loaded, expected):
+        for a, (seq, source_seq, source_ts, emission_ts, angles, hold) in zip(loaded, expected):
             assert (a.seq, a.source_seq, a.source_timestamp_us, a.emission_timestamp_us, a.hold) == (
-                b.seq, b.source_seq, b.source_timestamp_us, b.emission_timestamp_us, b.hold
+                seq, source_seq, source_ts, emission_ts, hold
             )
-            assert a.angles.dtype == b.angles.dtype and a.angles.tobytes() == b.angles.tobytes()
-            assert a.clamped.dtype == bool and a.clamped.shape == b.clamped.shape and not a.clamped.any()
+            assert a.angles.dtype == np.float64 and a.angles.tobytes() == np.array(angles).tobytes()
+            assert a.clamped.dtype == bool and a.clamped.shape == a.angles.shape and not a.clamped.any()
 
     def test_bad_crc_in_a_middle_record_raises(self, tmp_path):
         records = self.records([23] * 5 + [7] * 5)
         records[6] = records[6][:-1] + bytes([records[6][-1] ^ 0x01])
         data = b"CMDTRC01" + b"".join(records)
+        with pytest.raises(ValueError, match="record 6 "):
+            decode_trace_records(data)
         path = tmp_path / "crc.trc"
         path.write_bytes(data)
-        with pytest.raises(CrcMismatch) as expected:
-            self.oracle(data)
-        with pytest.raises(CrcMismatch) as raised:
+        with pytest.raises(CrcMismatch, match="command record"):
             read_trace(path)
-        assert str(raised.value) == str(expected.value)
+        path.write_bytes(b"CMDTRC01" + b"".join(records[:6]))  # the records before it are sound
+        assert len(read_trace(path)) == 6
 
 
 def frames_at_rate(n, rate_hz, pattern="arm-wave", noise=0.0, seed=0):
@@ -382,9 +396,8 @@ class TestRunLoop:
                 schedule(frames),
                 pipeline,
                 SlowSink(),
-                rate_hz=100,
+                rate_hz=1000,
                 clock=WallClock(),
-                sink_budget_us=500,
             )
         metrics = exc.value.metrics
         assert metrics.cycles == 8

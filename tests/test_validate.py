@@ -308,6 +308,8 @@ class TestStreamingValidator:
         assert "period_us=2000\n" in online.format()
         assert online.format() == offline.format()
         assert streamed(model, trace[:1]).period_us == validate_trace(model, trace[:1]).period_us == 1.0
+        same_stamp = command_trace(model, rows[:2], period_us=0)
+        assert streamed(model, same_stamp).period_us == validate_trace(model, same_stamp).period_us == 1.0
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(

@@ -13,7 +13,9 @@ Run it from the root of a checkout.  In order, it records:
 4. the wake-up probe again.
 
 A wall-clock tail in 2 and 3 can then be read against the host's own
-wake-up tail around it.  The file also names the machine, Python and numpy.
+wake-up tail around it.  The file also names the machine, Python and numpy,
+and counts the lines of ``src/teleokin/*.py`` (``src_lines``), the size of
+the program the numbers belong to.
 """
 
 from __future__ import annotations
@@ -110,11 +112,16 @@ def host() -> dict:
     }
 
 
+def src_lines() -> int:
+    """Lines in ``src/teleokin/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "teleokin").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out", help="output JSON file, BENCH_<n>.json")
     args = parser.parse_args(argv)
-    snapshot = {"host": host(), "wakeup_probe_before": wakeup_probe()}
+    snapshot = {"host": host(), "src_lines": src_lines(), "wakeup_probe_before": wakeup_probe()}
     snapshot["perfbench_trace0"] = perfbench(0)
     snapshot["perfbench_trace1"] = perfbench(1)
     snapshot["teleokin_bench"] = [teleokin_bench() for _ in range(BENCH_RUNS)]
