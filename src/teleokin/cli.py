@@ -8,8 +8,9 @@ one or more sinks together:
 - ``gen``       write a synthetic motion recording
 - ``bench``     ``run`` with latency defaults: arm-wave, null sink, wall clock
 
-Exit codes: 0 success, 1 violations or sink backpressure, 2 usage or config
-errors.  Machine-readable output goes to stdout; diagnostics go to stderr at
+Exit codes: 0 success, 1 violations or sink backpressure, 2 usage, config
+or setup errors (such as an output directory that does not exist or a port
+in use).  Machine-readable output goes to stdout; diagnostics go to stderr at
 the verbosity selected by the ``TELEOP_LOG`` environment variable
 (error/warn/info/debug).
 """
@@ -72,6 +73,14 @@ def _read_file(path, read, *extra):
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except TeleokinError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _opened(spec: str, make, *args):
+    """``make(*args)``, with an OSError (a missing directory, a busy port) as a UsageError naming ``spec``."""
+    try:
+        return make(*args)
+    except OSError as exc:
+        raise UsageError(f"{spec}: {exc.strerror or exc}") from None
 
 
 def _read_config(path, loader, *extra):
@@ -170,7 +179,7 @@ def _parse_source(args, skeleton):
         port = _port(rest, "live source")
         if args.frames is None and args.duration is None:
             raise UsageError("live source needs --frames or --duration to bound the run")
-        return DatagramSource(port), True
+        return _opened(spec, DatagramSource, port), True
     raise UsageError(f"unknown source {spec!r}; expected synth:*, replay:*, or live:*")
 
 
@@ -182,12 +191,12 @@ def _parse_sinks(args, model):
         if kind == "trace":
             if not rest:
                 raise UsageError("trace sink needs a path: trace:<file>")
-            sinks.append(trace_sink(rest))
+            sinks.append(_opened(spec, trace_sink, rest))
         elif kind == "datagram":
             if not rest:
                 raise UsageError("datagram sink needs an address: datagram:<host>:<port>")
             _port(rest.rpartition(":")[2], "datagram sink")
-            sinks.append(datagram_sink(rest))
+            sinks.append(_opened(spec, datagram_sink, rest))
         elif kind == "validate":
             validator = validator_sink(model, Thresholds(args.acc_limit, args.margin), period_us=loop_period_us(args.rate))
             sinks.append(validator)
@@ -210,9 +219,17 @@ def cmd_run(args) -> int:
     skeleton = _read_file(args.skeleton, _read_config, load_skeleton)
     rmap = _read_file(args.map, _read_config, load_retarget_map, skeleton, model)
     source, live = _parse_source(args, skeleton)
-    sink, all_sinks, validator = _parse_sinks(args, model)
+    try:
+        sink, all_sinks, validator = _parse_sinks(args, model)
+    except UsageError:
+        if live:
+            source.stop()  # it bound its port when it was built
+        raise
     pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
     clock = _pick_clock(args, live)
+    if live:
+        print(f"live_port={source.port}", flush=True)  # now, so a sender can learn the port live:0 bound
+    code = 0
     try:
         metrics = run_loop(
             source,
@@ -224,12 +241,10 @@ def cmd_run(args) -> int:
             clock=clock,
         )
     except SinkBackpressure as exc:
-        sink.close()
         log.error("aborted: %s", exc)
-        if exc.metrics is not None:
-            sys.stdout.write(exc.metrics.format())
-        return 1
-    sink.close()
+        metrics, code = exc.metrics, 1
+    finally:
+        sink.close()
     sys.stdout.write(metrics.format())
     for s in all_sinks:
         if isinstance(s, DatagramSink):
@@ -237,7 +252,6 @@ def cmd_run(args) -> int:
     if live:
         stats = source.stats
         sys.stdout.write(
-            f"live_port={source.port}\n"
             f"stream_received={stats.received}\nstream_dropped={stats.dropped}\n"
             f"stream_duplicates={stats.duplicates}\nstream_out_of_order={stats.out_of_order}\n"
             f"stream_restarts={stats.restarts}\n"
@@ -249,8 +263,8 @@ def cmd_run(args) -> int:
         report = validator.report()
         sys.stdout.write(report.format())
         if not report.passed:
-            return 1
-    return 0
+            code = 1
+    return code
 
 
 def cmd_validate(args) -> int:
@@ -269,7 +283,7 @@ def cmd_gen(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    count = write_recording(args.out, frames)
+    count = _opened(args.out, write_recording, args.out, frames)
     sys.stdout.write(f"frames={count}\npath={args.out}\n")
     return 0
 

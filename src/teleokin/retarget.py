@@ -77,7 +77,6 @@ class RetargetDiagnostics:
     clamped_count: int
     worst_excursion: float  # rad beyond a soft bound, before clamping
     gimbal_warnings: int
-    premapped: bool = False  # the step reused a map made before it was called
 
 
 def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[list, int]:
@@ -232,27 +231,17 @@ def retarget_step(
         angles=np.array(angles),
         clamped=np.array(flags, dtype=bool),
     )
-    return command, RetargetDiagnostics(
-        flags.count(True), excursion, gimbal_warnings, premapped is not None
-    )
+    return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)
 
 
 @dataclass
 class Pipeline:
-    """The validated retargeting components a control loop drives.
-
-    ``map_ahead`` lets a loop map a frame as soon as it arrives; the next
-    ``step`` on that same frame object reuses the result, and any other
-    frame is mapped afresh.  Mapping reads no state, so the command is the
-    same either way.
-    """
+    """The validated retargeting components a control loop drives."""
 
     skeleton: HumanSkeleton
     rmap: RetargetMap
     model: RobotModel
     filter_state: FilterState = field(default=None)  # type: ignore[assignment]
-    # (frame, what _map_frame returned for it) from the last map_ahead
-    _ahead: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.skeleton) != self.rmap.segment_count:
@@ -262,15 +251,9 @@ class Pipeline:
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
 
-    def map_ahead(self, frame: MocapFrame) -> None:
-        """Map ``frame`` now, for the next ``step`` to reuse if it takes this frame."""
-        if self._ahead[0] is not frame:
-            self._ahead = (frame, _map_frame(self.rmap, frame))
+    def map(self, frame: MocapFrame) -> tuple[list, int]:
+        """The map stage alone, for ``step``'s ``premapped``; it reads no state, so may run early."""
+        return _map_frame(self.rmap, frame)
 
-    def step(self, frame: MocapFrame, dt: float, clock):
-        ahead, premapped = self._ahead
-        if ahead is not None:
-            self._ahead = (None, None)
-            if ahead is not frame:
-                premapped = None
+    def step(self, frame: MocapFrame, dt: float, clock, premapped: tuple | None = None):
         return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock, premapped)

@@ -53,7 +53,11 @@ _RECORD_HEAD = struct.Struct("<IIQQB")  # seq, source seq, source ts, emission t
 
 
 class LatestFrameSlot:
-    """Single-frame mailbox with replace/take semantics.
+    """Single-frame mailbox with replace/take semantics; a frame carries its own map.
+
+    ``map_pending(fn)`` stores ``fn(frame)`` with the pending frame, and a
+    ``write`` drops it with the frame it replaces.  ``take`` returns
+    ``(frame, arrival_us, map or None)``.
 
     ``written = consumed + overwritten (+1 if a frame is pending)`` at all
     times; ``drain`` folds a leftover pending frame into ``overwritten`` so
@@ -66,6 +70,7 @@ class LatestFrameSlot:
     def __init__(self):
         self._frame = None
         self._arrival_us = 0
+        self._map = None
         self.poll = _no_poll
         self.socket = None
         self.written = 0
@@ -75,21 +80,21 @@ class LatestFrameSlot:
     def write(self, frame, arrival_us: int) -> None:
         if self._frame is not None:
             self.overwritten += 1
-        self._frame = frame
-        self._arrival_us = arrival_us
+        self._frame, self._arrival_us, self._map = frame, arrival_us, None
         self.written += 1
 
-    def peek(self):
-        """The pending frame, left in place; None if there is none."""
-        return self._frame
+    def map_pending(self, fn) -> None:
+        """Store ``fn(frame)`` with the pending frame, unless there is none or it has one."""
+        if self._frame is not None and self._map is None:
+            self._map = fn(self._frame)
 
     def take(self):
         if self._frame is None:
             return None
-        frame, arrival = self._frame, self._arrival_us
-        self._frame = None
+        taken = (self._frame, self._arrival_us, self._map)
+        self._frame = self._map = None
         self.consumed += 1
-        return frame, arrival
+        return taken
 
     @property
     def pending(self) -> bool:
@@ -97,7 +102,7 @@ class LatestFrameSlot:
 
     def drain(self) -> None:
         if self._frame is not None:
-            self._frame = None
+            self._frame = self._map = None
             self.overwritten += 1
 
 
@@ -368,10 +373,10 @@ def run_loop(
 
     Live, the wait before each cycle is the clock's: a wall clock wakes as
     a datagram arrives, and the loop then does the frame's stateless work
-    off the tick: ``poll`` decodes it into the slot, and the pipeline maps
-    the pending frame ahead (``Pipeline.map_ahead``).  Each cycle calls
-    ``poll`` first, inside the compute time, for frames that came in the
-    spin window or under a virtual clock; those are mapped in the step.
+    off the tick: ``poll`` decodes it into the slot, and ``map_pending``
+    stores the pending frame's map beside it.  Each cycle calls ``poll``
+    first, inside the compute time, for frames that came in the spin
+    window or under a virtual clock; the step maps those itself.
 
     Each cycle takes the newest pending frame and emits exactly one command;
     with no pending frame it emits a hold command repeating the last emitted
@@ -393,10 +398,7 @@ def run_loop(
     scheduled = None if live else iter(source)
     pending: tuple | None = None
     metrics = LoopMetrics(period_us=period_us)
-    model = pipeline.model
-    last_angles = model.default_angles.copy()
-    last_source_seq = 0
-    last_source_ts = 0
+    last = JointCommand(0, 0, 0, 0, pipeline.model.default_angles, None)  # the last fresh command; holds repeat it
     over_period = 0
     last_fresh_cycle = -1
 
@@ -407,9 +409,7 @@ def run_loop(
 
     def arrived():
         slot.poll()
-        frame = slot.peek()
-        if frame is not None:
-            pipeline.map_ahead(frame)
+        slot.map_pending(pipeline.map)
 
     start_us = clk.now_us()
     cycle = 0
@@ -439,41 +439,37 @@ def run_loop(
                 slot.poll()
             taken = slot.take()
             if taken is not None:
-                frame, arrival_us = taken
+                frame, arrival_us, premapped = taken
                 # integer us, so equal spans give bit-equal dt
                 periods = cycle - last_fresh_cycle if last_fresh_cycle >= 0 else 1
-                command, diag = pipeline.step(frame, periods * period_us / 1e6, clk)
-                last_fresh_cycle = cycle
+                command, diag = pipeline.step(frame, periods * period_us / 1e6, clk, premapped)
+                last, last_fresh_cycle = command, cycle
                 command.seq = cycle  # the step's command is this loop's own
                 metrics.clamped_joints += diag.clamped_count
                 metrics.worst_excursion_rad = max(metrics.worst_excursion_rad, diag.worst_excursion)
                 metrics.gimbal_warnings += diag.gimbal_warnings
-                metrics.frames_mapped_on_arrival += diag.premapped
+                metrics.frames_mapped_on_arrival += premapped is not None
                 metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
-                last_angles = command.angles
-                last_source_seq = command.source_seq
-                last_source_ts = command.source_timestamp_us
             else:
                 command = JointCommand(
                     seq=cycle,
-                    source_seq=last_source_seq,
-                    source_timestamp_us=last_source_ts,
+                    source_seq=last.source_seq,
+                    source_timestamp_us=last.source_timestamp_us,
                     emission_timestamp_us=clk.now_us(),
-                    angles=last_angles.copy(),
-                    clamped=np.zeros(len(model), dtype=bool),
+                    angles=last.angles.copy(),
+                    clamped=np.zeros(len(last.angles), dtype=bool),
                     hold=True,
                 )
                 metrics.holds += 1
             sink_start = clk.now_us()
             sink.emit(command)
-            sink_elapsed = clk.now_us() - sink_start
-            compute = clk.now_us() - work_start
-            metrics.compute_us.record(compute)
+            done = clk.now_us()
+            metrics.compute_us.record(done - work_start)
             if taken is not None:
-                metrics.fresh_compute_us.record(compute)
+                metrics.fresh_compute_us.record(done - work_start)
             metrics.cycles += 1
             metrics.commands += 1
-            if sink_elapsed > period_us:
+            if done - sink_start > period_us:
                 over_period += 1
                 if over_period >= BACKPRESSURE_LIMIT:
                     raise SinkBackpressure(

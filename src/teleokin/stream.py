@@ -525,33 +525,35 @@ _MAX_DATAGRAM = 65535
 class DatagramSource:
     """UDP frame source: one encoded frame per datagram, polled by the loop.
 
-    ``start`` binds a non-blocking socket and hands it to the slot as
-    ``socket``, with its drain as ``poll``: the loop waits on the socket,
-    drains it when a datagram arrives, and drains it again at the top of
-    each cycle.  The drain decodes every waiting datagram and writes each
-    valid frame to the slot, stamped with its kernel receive time on the
-    loop's clock, so ``frame_age_us`` counts from the kernel's receipt,
-    whenever the loop reads the datagram.
+    The constructor binds a non-blocking socket, so a port in use fails at
+    setup, and ``port`` is the bound one (a free port for 0).  ``start``
+    hands the socket to the slot as ``socket``, with its drain as ``poll``:
+    the loop waits on the socket, drains it when a datagram arrives, and
+    drains it again at the top of each cycle.  The drain decodes every
+    waiting datagram and writes each valid frame to the slot, stamped with
+    its kernel receive time on the loop's clock, so ``frame_age_us`` counts
+    from the kernel's receipt, whenever the loop reads the datagram.
     Undecodable datagrams are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
     Any other exception is a bug and propagates out of the loop.
     """
 
     def __init__(self, port: int, host: str = "127.0.0.1"):
-        self.host = host
-        self.port = port
         self.stats = StreamStats()
         self.decode_errors: dict[str, int] = {}
-        self._sock: socket.socket | None = None
+        self._sock: socket.socket | None = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            self._sock.bind((host, port))
+        except OSError:
+            self._sock.close()
+            raise
+        self._sock.setblocking(False)
+        self._sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
+        self.port = self._sock.getsockname()[1]
         self._slot = None
         self._clock = None
 
     def start(self, slot, clock) -> None:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((self.host, self.port))
-        self._sock.setblocking(False)
-        self._sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
-        self.port = self._sock.getsockname()[1]
         self._slot, self._clock = slot, clock
         slot.poll, slot.socket = self._drain, self._sock
 

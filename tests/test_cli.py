@@ -12,9 +12,10 @@ import pytest
 from teleokin import cli
 from teleokin.cli import main
 from teleokin.data import sample_text
+from teleokin.errors import SinkBackpressure
 from teleokin.model import load_robot_model
 from teleokin.retarget import JointCommand
-from teleokin.runtime import read_trace, trace_sink
+from teleokin.runtime import LoopMetrics, read_trace, trace_sink
 from teleokin.stream import (
     DatagramSource,
     encode_frame,
@@ -151,6 +152,62 @@ class TestRun:
         assert kv["stream_received"] == "0"
         assert kv["stream_restarts"] == "0"
         assert 0 < int(kv["live_port"]) <= 65535  # the port live:0 bound, for a sender to use
+
+    def test_live_port_is_printed_while_the_run_listens(self):
+        run = subprocess.Popen(
+            [sys.executable, "-m", "teleokin", "run", "--source", "live:0", "--sink", "null", "--duration", "2"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            first = run.stdout.readline()
+            assert first.startswith("live_port=")
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                out.sendto(encode_frame(identity_frame(23)), ("127.0.0.1", int(first.partition("=")[2])))
+            rest, err = run.communicate(timeout=60)
+        finally:
+            run.kill()
+            run.wait()
+        assert run.returncode == 0, err
+        kv = parse_kv(first + rest)
+        assert kv["stream_received"] == "1"
+        assert kv["frames_consumed"] == "1"
+        assert (first + rest).count("live_port=") == 1
+
+    def test_backpressure_abort_keeps_the_report(self, monkeypatch, capsys):
+        model = load_robot_model(sample_text("g1_sample.cfg"))
+
+        def aborting(source, pipeline, sink, **kwargs):
+            metrics = LoopMetrics(period_us=2000, cycles=3, commands=3, holds=3)
+            for seq in range(3):
+                angles = model.default_angles.copy()
+                sink.emit(JointCommand(seq, 0, 0, seq * 2000, angles, np.zeros(len(model), dtype=bool), hold=True))
+            raise SinkBackpressure("sink exceeded the 2000 us period for 8 consecutive cycles", metrics=metrics)
+
+        monkeypatch.setattr(cli, "run_loop", aborting)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as receiver:
+            receiver.bind(("127.0.0.1", 0))
+            code = run_cli("run", "--source", "live:0", "--sink", "validate", "--frames", "10",
+                           "--sink", f"datagram:127.0.0.1:{receiver.getsockname()[1]}")
+        assert code == 1
+        out = capsys.readouterr().out
+        kv = parse_kv(out)
+        assert kv["cycles"] == "3"
+        assert kv["datagram_sent"] == "3" and kv["datagram_send_errors"] == "0"
+        assert kv["stream_received"] == "0" and kv["stream_decode_errors"] == "0"
+        assert "# cycles=3 period_us=2000\n" in out and "verdict=pass" in out
+
+    def test_unresolvable_datagram_host_is_a_usage_error(self, monkeypatch, capsys):
+        def unresolvable(sock, address):  # stands in for the resolver: no lookup leaves the machine
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket.socket, "connect", unresolvable)
+        code = run_cli("run", "--source", "synth:static", "--sink", "datagram:no.such.host.invalid:9100",
+                       "--frames", "5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: datagram:no.such.host.invalid:9100: Name or service not known" in err
+        assert "Traceback" not in err
 
     def test_deterministic_under_seed_and_virtual_clock(self, tmp_path, capsys):
         blobs = []
@@ -336,6 +393,9 @@ BAD_SPECS = [
     ("run", "--source", "synth:static", "--sink", "validate", "--frames", "5", "--acc-limit", "fast"),
     ("run", "--source", "synth:static", "--sink", "validate", "--frames", "5", "--acc-limit", "inf"),
     ("validate", "--trace", "{rec}", "--acc-limit", "-1"),
+    ("run", "--source", "synth:static", "--sink", "trace:{rec}.d/x.trc", "--frames", "5"),
+    ("run", "--source", "live:{busy}", "--sink", "null", "--frames", "5"),
+    ("gen", "--pattern", "static", "--duration", "1", "--out", "{rec}.d/x.rec"),
 ]
 
 
@@ -350,12 +410,14 @@ def test_bad_spec_is_a_usage_error(argv, tmp_path, capsys):
 
 
 def assert_usage_error(argv, tmp_path, capsys):
-    rec = tmp_path / "static.rec"
+    rec = tmp_path / "static.rec"  # "{rec}.d" is a directory that does not exist
     write_recording(rec, synth_motion("static", rate=100, duration=0.1))
-    try:
-        code = run_cli(*(arg.format(rec=rec) for arg in argv))
-    except SystemExit as exc:  # argparse rejects a bad flag value this way
-        code = exc.code
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as busy:  # "{busy}" is its port
+        busy.bind(("127.0.0.1", 0))
+        try:
+            code = run_cli(*(arg.format(rec=rec, busy=busy.getsockname()[1]) for arg in argv))
+        except SystemExit as exc:  # argparse rejects a bad flag value this way
+            code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err

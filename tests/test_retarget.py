@@ -490,7 +490,7 @@ class TestRetargetStep:
             retarget_step(None, model, state, identity_frame(2), 0.002, VirtualClock())
         assert not state.initialized and state.previous == [0.0, 0.0]
 
-    def test_map_ahead_is_reused_only_by_the_same_frame_object(self, monkeypatch):
+    def test_premapped_step_matches_a_plain_step(self, monkeypatch):
         model, skel, rmap = sample_setup()
         frames = synth_motion("arm-wave", rate=100, duration=0.4, seed=1)
         calls = []
@@ -499,20 +499,13 @@ class TestRetargetStep:
         ahead = Pipeline(skel, rmap, model)
         plain = Pipeline(skel, rmap, model)
         for k, frame in enumerate(frames[::5]):
-            ahead.map_ahead(frame)
-            ahead.map_ahead(frame)  # a second call for the same frame maps nothing
-            got, diag = ahead.step(frame, 0.01 * (k + 1), VirtualClock())
+            premapped = ahead.map(frame)
+            got, diag = ahead.step(frame, 0.01 * (k + 1), VirtualClock(), premapped)  # maps nothing
             want, plain_diag = plain.step(frame, 0.01 * (k + 1), VirtualClock())
-            assert diag.premapped and not plain_diag.premapped
             assert got.angles.tobytes() == want.angles.tobytes()
             assert np.array_equal(got.clamped, want.clamped)
-            assert (diag.clamped_count, diag.gimbal_warnings) == (plain_diag.clamped_count, plain_diag.gimbal_warnings)
+            assert diag == plain_diag
         assert len(calls) == 2 * len(frames[::5])
-        # a copy of the frame is another frame; a used map is not reused
-        ahead.map_ahead(frames[1])
-        copy = MocapFrame(frames[1].seq, frames[1].timestamp_us, frames[1].orientations.copy())
-        assert not ahead.step(copy, 0.01, VirtualClock())[1].premapped
-        assert not ahead.step(frames[1], 0.01, VirtualClock())[1].premapped
 
     def test_pipeline_wrapper(self):
         model, skel, rmap = sample_setup()

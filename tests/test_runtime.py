@@ -4,6 +4,7 @@ import math
 import select
 import socket
 import struct
+import threading
 import time
 import zlib
 from types import SimpleNamespace
@@ -71,30 +72,56 @@ class TestLatestFrameSlot:
     def test_write_take(self):
         slot = LatestFrameSlot()
         slot.write("f0", 100)
-        assert slot.take() == ("f0", 100)
+        assert slot.take() == ("f0", 100, None)
         assert slot.take() is None
         assert (slot.written, slot.consumed, slot.overwritten) == (1, 1, 0)
+        slot.map_pending(self.fail)  # nothing pending, nothing mapped
+        slot.write("f1", 200)
+        slot.map_pending("map of {}".format)
+        slot.map_pending(self.fail)  # the pending frame has its map
+        assert slot.take() == ("f1", 200, "map of f1")
+        assert slot.take() is None
 
     def test_overwrite_keeps_newest(self):
         slot = LatestFrameSlot()
         slot.write("f0", 100)
         slot.write("f1", 200)
-        assert slot.take() == ("f1", 200)
+        assert slot.take() == ("f1", 200, None)
         assert (slot.written, slot.consumed, slot.overwritten) == (2, 1, 1)
+
+    def test_write_drops_the_map_of_the_frame_it_replaces(self):
+        slot = LatestFrameSlot()
+        slot.write("f0", 100)
+        slot.map_pending("map of {}".format)
+        slot.write("f1", 200)
+        assert slot.take() == ("f1", 200, None)
+        slot.write("f2", 300)
+        slot.map_pending("map of {}".format)
+        slot.drain()
+        slot.write("f3", 400)
+        assert slot.take() == ("f3", 400, None)
+        assert (slot.written, slot.consumed, slot.overwritten) == (4, 2, 2)
+
+    @staticmethod
+    def fail(frame):
+        raise AssertionError(f"map_pending mapped {frame!r}")
 
     def test_accounting_under_scripted_interleavings(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             slot = LatestFrameSlot()
             newest = None
-            for op in rng.integers(0, 2, size=60):
+            for op in rng.integers(0, 3, size=60):
                 if op == 0:
                     newest = int(rng.integers(1000))
                     slot.write(newest, 0)
+                elif op == 1:
+                    slot.map_pending(lambda frame: ("map", frame))
                 else:
                     got = slot.take()
                     if got is not None:
                         assert got[0] == newest  # freshness
+                        assert got[2] in (None, ("map", newest))  # never another frame's map
                 pendin = 1 if slot.pending else 0
                 assert slot.written == slot.consumed + slot.overwritten + pendin
             slot.drain()
@@ -584,6 +611,70 @@ class TestRunLoop:
         assert fresh.angles.tobytes() == reference.angles.tobytes()
         lent, _ = sample_pipeline().step(mapped[0], 0.020, VirtualClock())
         assert not np.array_equal(fresh.angles, lent.angles)  # A's map would show
+
+    def test_two_frames_queued_before_one_drain_give_one_map(self, monkeypatch):
+        # Both datagrams are in the socket before the wait drains it: the
+        # newer frame replaces the older one in the slot, and only the newer
+        # one is mapped, once, on arrival.
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(40, 100)
+        older, newer = frames[10], frames[30]
+        mapped = []
+        inner = retarget._map_frame
+        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, f: mapped.append(f) or inner(rmap, f))
+
+        class SendTwoOnSecondEmit(_CaptureSink):
+            def emit(self, cmd):
+                super().emit(cmd)
+                if len(self.commands) == 2:
+                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                        for frame in (older, newer):
+                            out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
+
+        sink = SendTwoOnSecondEmit()
+        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=WallClock())
+        (fresh,) = [c for c in sink.commands if not c.hold]
+        assert [f.seq for f in mapped] == [newer.seq]
+        assert metrics.frames_overwritten == 1 and metrics.frames_mapped_on_arrival == 1
+        assert fresh.seq == 2 and fresh.source_seq == newer.seq
+        reference, _ = sample_pipeline().step(mapped[0], 0.020, VirtualClock())
+        assert fresh.angles.tobytes() == reference.angles.tobytes()
+
+    def test_a_host_stall_keeps_one_command_per_cycle(self):
+        # A sender streams 120 Hz frames while the host takes the CPU from
+        # the loop for ~15 ms once.  However the loop catches up, it must not
+        # raise, and its commands and frame accounting must stay whole.
+        source = DatagramSource(port=0)
+        stop = threading.Event()
+
+        def send():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                for frame in frames_at_rate(120, 120):
+                    if stop.wait(1 / 120):
+                        return
+                    out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
+
+        class StallOnce(WallClock):
+            waits = 0
+
+            def sleep_until(self, deadline_us, readable=None, on_readable=None):
+                super().sleep_until(deadline_us, readable, on_readable)
+                self.waits += 1
+                if self.waits == 100:
+                    time.sleep(0.015)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        sink = _CaptureSink()
+        try:
+            metrics = run_loop(source, sample_pipeline(), sink, rate_hz=500, duration_s=0.5, clock=StallOnce())
+        finally:
+            stop.set()
+            sender.join()
+        assert metrics.commands == metrics.cycles == len(sink.commands) > 100
+        assert [c.seq for c in sink.commands] == list(range(len(sink.commands)))
+        assert metrics.frames_written == metrics.frames_consumed + metrics.frames_overwritten
+        assert metrics.frames_consumed > 0
 
     def test_live_source_under_virtual_clock_never_waits_on_its_socket(self, monkeypatch):
         def no_select(*args):
