@@ -14,7 +14,6 @@ from pathlib import Path
 from teleokin import (
     FilterState,
     Pipeline,
-    Thresholds,
     VirtualClock,
     load_retarget_map,
     load_robot_model,
@@ -54,9 +53,7 @@ identical = Path("/tmp/squat_a.trc").read_bytes() == Path("/tmp/squat_b.trc").re
 print(f"two virtual-clock runs byte-identical: {identical}")
 
 trace = read_trace("/tmp/squat_a.trc")
-report = validate_trace(
-    model, trace, thresholds=Thresholds(acceleration_limit=None), period_us=2000
-)
+report = validate_trace(model, trace, period_us=2000)
 print("\naudit of the emitted trace:")
 print(report.format())
 
@@ -65,9 +62,7 @@ knee = model.joint_index("left_knee")
 doctored = trace[300].angles.copy()
 doctored[knee] = model.joints[knee].limit_max + 0.1
 trace[300].angles = doctored
-report = validate_trace(
-    model, trace, thresholds=Thresholds(acceleration_limit=None), period_us=2000
-)
+report = validate_trace(model, trace, period_us=2000)
 print("after injecting one out-of-limit sample:")
 for line in report.format().splitlines()[4:9]:
     print(line)

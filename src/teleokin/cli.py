@@ -18,6 +18,7 @@ the verbosity selected by the ``TELEOP_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -112,9 +113,16 @@ def number_or_off(text: str) -> float | None:  # argparse prints this name: "inv
 _ACC_LIMIT = _checked(number_or_off, lambda v: v is None or 0 < v < math.inf, "'off' or positive and finite")
 
 
+def _add_audit_flags(parser):
+    """The flags ``run``, ``bench`` and ``validate`` share: the robot and the validator's thresholds."""
+    parser.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
+    parser.add_argument("--acc-limit", type=_ACC_LIMIT, default=None, help="validator acceleration limit rad/s^2, or 'off' (default)")
+    parser.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="validator collision margin in meters")
+
+
 def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, frames=None):
     """The flags of ``run``; ``bench`` is ``run`` with other defaults."""
-    parser.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
+    _add_audit_flags(parser)
     parser.add_argument("--skeleton", default=str(sample_path(SAMPLE_SKELETON)), help="skeleton config file")
     parser.add_argument("--map", default=str(sample_path(SAMPLE_MAP)), help="retarget map file")
     parser.add_argument("--source", required=source is None, default=source,
@@ -129,8 +137,6 @@ def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, 
     parser.add_argument("--source-rate", type=_POSITIVE, default=100.0, help="synth source rate in Hz")
     parser.add_argument("--noise", type=_NON_NEGATIVE, default=noise, help="synth noise std in radians (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--acc-limit", type=_ACC_LIMIT, default=None, help="validator acceleration limit rad/s^2, or 'off' (default)")
-    parser.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="validator collision margin in meters")
     # not --sink's own default: an appending flag adds to its default, never replaces it
     parser.set_defaults(func=cmd_run, default_sinks=[sink] if sink else [])
 
@@ -183,7 +189,8 @@ def _parse_source(args, skeleton):
     raise UsageError(f"unknown source {spec!r}; expected synth:*, replay:*, or live:*")
 
 
-def _parse_sinks(args, model):
+def _parse_sinks(args, model, opened: contextlib.ExitStack):
+    """Build the sinks of the --sink specs; ``opened`` closes each one as it is built."""
     sinks = []
     validator = None
     for spec in args.sink or args.default_sinks:
@@ -191,19 +198,20 @@ def _parse_sinks(args, model):
         if kind == "trace":
             if not rest:
                 raise UsageError("trace sink needs a path: trace:<file>")
-            sinks.append(_opened(spec, trace_sink, rest))
+            sink = _opened(spec, trace_sink, rest)
         elif kind == "datagram":
             if not rest:
                 raise UsageError("datagram sink needs an address: datagram:<host>:<port>")
-            _port(rest.rpartition(":")[2], "datagram sink")
-            sinks.append(_opened(spec, datagram_sink, rest))
+            host, _, port = rest.rpartition(":")
+            sink = _opened(spec, datagram_sink, (host or "127.0.0.1", _port(port, "datagram sink")))
         elif kind == "validate":
-            validator = validator_sink(model, Thresholds(args.acc_limit, args.margin), period_us=loop_period_us(args.rate))
-            sinks.append(validator)
+            sink = validator = validator_sink(model, Thresholds(args.acc_limit, args.margin), period_us=loop_period_us(args.rate))
         elif kind == "null":
-            sinks.append(NullSink())
+            sink = NullSink()
         else:
             raise UsageError(f"unknown sink {spec!r}; expected trace:*, datagram:*, validate, null")
+        opened.callback(sink.close)
+        sinks.append(sink)
     if not sinks:
         raise UsageError("at least one --sink is required")
     return (sinks[0] if len(sinks) == 1 else MultiSink(sinks)), sinks, validator
@@ -218,33 +226,29 @@ def cmd_run(args) -> int:
     model = _read_file(args.robot, _read_config, load_robot_model)
     skeleton = _read_file(args.skeleton, _read_config, load_skeleton)
     rmap = _read_file(args.map, _read_config, load_retarget_map, skeleton, model)
-    source, live = _parse_source(args, skeleton)
-    try:
-        sink, all_sinks, validator = _parse_sinks(args, model)
-    except UsageError:
+    with contextlib.ExitStack() as opened:  # on any exit: stop the source, close every sink built
+        source, live = _parse_source(args, skeleton)
         if live:
-            source.stop()  # it bound its port when it was built
-        raise
-    pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
-    clock = _pick_clock(args, live)
-    if live:
-        print(f"live_port={source.port}", flush=True)  # now, so a sender can learn the port live:0 bound
-    code = 0
-    try:
-        metrics = run_loop(
-            source,
-            pipeline,
-            sink,
-            rate_hz=args.rate,
-            max_cycles=args.frames,
-            duration_s=args.duration,
-            clock=clock,
-        )
-    except SinkBackpressure as exc:
-        log.error("aborted: %s", exc)
-        metrics, code = exc.metrics, 1
-    finally:
-        sink.close()
+            opened.callback(source.stop)  # it bound its port when it was built
+        sink, all_sinks, validator = _parse_sinks(args, model, opened)
+        pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
+        clock = _pick_clock(args, live)
+        if live:
+            print(f"live_port={source.port}", flush=True)  # now, so a sender can learn the port live:0 bound
+        code = 0
+        try:
+            metrics = run_loop(
+                source,
+                pipeline,
+                sink,
+                rate_hz=args.rate,
+                max_cycles=args.frames,
+                duration_s=args.duration,
+                clock=clock,
+            )
+        except SinkBackpressure as exc:
+            log.error("aborted: %s", exc)
+            metrics, code = exc.metrics, 1
     sys.stdout.write(metrics.format())
     for s in all_sinks:
         if isinstance(s, DatagramSink):
@@ -298,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(sub.add_parser("run", help="drive the control loop"))
 
     val = sub.add_parser("validate", help="audit a recorded command trace")
-    val.add_argument("--robot", default=str(sample_path(SAMPLE_ROBOT)), help="robot config file")
+    _add_audit_flags(val)
     val.add_argument("--trace", required=True, help="CMDTRC01 trace file")
     val.add_argument("--rate", type=_POSITIVE, default=None, help="nominal loop rate; default: inferred")
-    val.add_argument("--acc-limit", type=_ACC_LIMIT, default=None, help="acceleration limit rad/s^2, or 'off' (default)")
-    val.add_argument("--margin", type=_NON_NEGATIVE, default=0.0, help="collision margin in meters")
     val.set_defaults(func=cmd_validate)
 
     gen = sub.add_parser("gen", help="write a synthetic motion recording")

@@ -2,7 +2,8 @@
 
 All three documents share one line-oriented grammar: UTF-8 text, ``#`` starts
 a comment, tokens are whitespace-separated, reals are decimal with optional
-exponent, radians and meters throughout.
+exponent, radians and meters throughout.  A directive's keys are all
+required, in any order; a ``ParseError`` names the offending line and column.
 
 - robot file:    ``joint``, ``sphere``, ``exclude`` directives
 - skeleton file: ``segment`` directives
@@ -311,16 +312,8 @@ class LinkPose(NamedTuple):
 _TOKEN = re.compile(r"\S+")
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
-        if tokens:
-            yield lineno, tokens
-
-
 class _Directive:
-    """One parsed config line: a keyword, positional tokens, and key=value pairs."""
+    """One config line: a keyword, positional tokens (``arg``) and key=value pairs (``fields``)."""
 
     def __init__(self, lineno: int, tokens: list[tuple[int, str]]):
         self.lineno = lineno
@@ -344,52 +337,104 @@ class _Directive:
             raise ParseError(self.lineno, self.keyword_col, f"missing {what}")
         return self.positional[position]
 
-    def value(self, key: str) -> tuple[int, str]:
-        if key not in self.pairs:
-            raise ParseError(self.lineno, self.keyword_col, f"missing {key}=")
-        return self.pairs[key]
+    def fields(self, n_positional: int, **parsers) -> dict:
+        """Each key's value, converted by its parser, in the order given.
 
-    def finish(self, n_positional: int, keys: set[str]):
+        A missing key is reported at the keyword, a value its parser rejects
+        at the key; then a token past ``n_positional`` or an unknown key at
+        that token.
+        """
+        values = {}
+        for key, parse in parsers.items():
+            if key not in self.pairs:
+                raise ParseError(self.lineno, self.keyword_col, f"missing {key}=")
+            col, text = self.pairs[key]
+            try:
+                values[key] = parse(key, text)
+            except ValueError as exc:
+                raise ParseError(self.lineno, col, str(exc)) from None
         if len(self.positional) > n_positional:
             col, tok = self.positional[n_positional]
             raise ParseError(self.lineno, col, f"unexpected token {tok!r}")
         for key, (col, _) in self.pairs.items():
-            if key not in keys:
+            if key not in parsers:
                 raise ParseError(self.lineno, col, f"unknown key {key!r}")
-
-    def real(self, key: str) -> float:
-        col, text = self.value(key)
-        return _parse_real(self.lineno, col, text)
-
-    def reals(self, key: str, n: int) -> tuple[float, ...]:
-        col, text = self.value(key)
-        parts = text.split(",")
-        if len(parts) != n:
-            raise ParseError(self.lineno, col, f"{key}= expects {n} comma-separated values")
-        return tuple(_parse_real(self.lineno, col, p) for p in parts)
+        return values
 
 
-def _parse_real(lineno: int, col: int, text: str) -> float:
+def _directives(text: str, keywords: tuple[str, ...]) -> Iterator[_Directive]:
+    """The document's directives, in order; a keyword not in ``keywords`` is a ParseError."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+        if tokens and tokens[0][1] not in keywords:
+            raise ParseError(lineno, tokens[0][0], f"unknown directive {tokens[0][1]!r}")
+        if tokens:
+            yield _Directive(lineno, tokens)
+
+
+# Field parsers: ``parse(key, text)`` returns the value or raises ValueError with the message.
+
+
+def _text(key: str, text: str) -> str:
+    return text
+
+
+def _real(key: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(lineno, col, f"expected a number, got {text!r}") from None
+        raise ValueError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise ParseError(lineno, col, f"non-finite number {text!r}")
+        raise ValueError(f"non-finite number {text!r}")
     return value
 
 
-def _directives(text: str) -> Iterator[_Directive]:
-    for lineno, tokens in _content_lines(text):
-        yield _Directive(lineno, tokens)
+def _reals(n: int, miscount: str = "{key}= expects {n} comma-separated values"):
+    """The parser of ``n`` comma-separated reals; ``miscount`` is the message for another count."""
+    def parse(key: str, text: str) -> tuple[float, ...]:
+        parts = text.split(",")
+        if len(parts) != n:
+            raise ValueError(miscount.format(key=key, n=n))
+        return tuple(_real(key, p) for p in parts)
+
+    return parse
 
 
-def _unit_axis(lineno: int, col: int, xyz: tuple[float, ...]) -> np.ndarray:
-    v = np.array(xyz)
+def _axis(key: str, text: str) -> np.ndarray:
+    v = np.array(_reals(3)(key, text))
     n = float(np.linalg.norm(v))
     if n <= 1e-12:
-        raise ParseError(lineno, col, "axis has zero norm")
+        raise ValueError("axis has zero norm")
     return v / n
+
+
+def _origin(key: str, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """``<tx,ty,tz;qw,qx,qy,qz>`` as (translation, unit quaternion)."""
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise ValueError("origin= expects <tx,ty,tz;qw,qx,qy,qz>")
+    txyz, qwxyz = (_reals(n, "expected {n} comma-separated values")(key, p) for p, n in zip(parts, (3, 4)))
+    try:
+        return np.array(txyz), quat_normalize(qwxyz)
+    except DegenerateQuaternion:
+        raise ValueError("origin rotation has zero norm") from None
+
+
+def _signs(parse):
+    """``parse``, then reject any value other than +1 and -1."""
+    def parse_signs(key: str, text: str):
+        value = parse(key, text)
+        if any(s not in (1.0, -1.0) for s in np.atleast_1d(value)):
+            raise ValueError(f"{key} must be +1 or -1, got {text!r}")
+        return value
+
+    return parse_signs
+
+
+def _order(key: str, text: str) -> str:
+    if text.upper() not in EULER_ORDERS:
+        raise ValueError(f"unknown axis order {text!r}")
+    return text.upper()
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +442,22 @@ def _unit_axis(lineno: int, col: int, xyz: tuple[float, ...]) -> np.ndarray:
 
 
 def load_skeleton(text: str) -> HumanSkeleton:
-    """Parse a skeleton document (``segment <name> parent=<name|->`` lines)."""
+    """Parse a skeleton document (``segment <name> parent=<name|->`` lines, parents first)."""
     segments: list[Segment] = []
     index: dict[str, int] = {}
-    for d in _directives(text):
-        if d.keyword != "segment":
-            raise ParseError(d.lineno, d.keyword_col, f"unknown directive {d.keyword!r}")
-        _, name = d.arg(0, "segment name")
-        pcol, parent = d.value("parent")
-        d.finish(1, {"parent"})
-        if parent == "-":
-            pidx = -1
-        elif parent in index:
-            pidx = index[parent]
-        else:
-            raise ParseError(d.lineno, pcol, f"parent segment {parent!r} not defined yet")
+
+    def parent_index(key: str, parent: str) -> int:
+        if parent != "-" and parent not in index:
+            raise ValueError(f"parent segment {parent!r} not defined yet")
+        return index.get(parent, -1)
+
+    for d in _directives(text, ("segment",)):
+        ncol, name = d.arg(0, "segment name")
+        parent = d.fields(1, parent=parent_index)["parent"]
         if name in index:
-            raise ParseError(d.lineno, d.positional[0][0], f"duplicate segment {name!r}")
+            raise ParseError(d.lineno, ncol, f"duplicate segment {name!r}")
         index[name] = len(segments)
-        segments.append(Segment(name, pidx))
+        segments.append(Segment(name, parent))
     if not segments:
         raise ValidationError("skeleton document declares no segments")
     return HumanSkeleton(segments)
@@ -426,43 +468,17 @@ def load_robot_model(text: str) -> RobotModel:
     joints: list[RobotJoint] = []
     spheres: list[CollisionSphere] = []
     exclusions: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    for d in _directives(text):
+    for d in _directives(text, ("joint", "sphere", "exclude")):
         if d.keyword == "joint":
             _, name = d.arg(0, "joint name")
-            ocol, origin = d.value("origin")
-            parts = origin.split(";")
-            if len(parts) != 2:
-                raise ParseError(d.lineno, ocol, "origin= expects <tx,ty,tz;qw,qx,qy,qz>")
-            txyz = tuple(_parse_real(d.lineno, ocol, p) for p in _split_n(d, ocol, parts[0], 3))
-            qwxyz = tuple(_parse_real(d.lineno, ocol, p) for p in _split_n(d, ocol, parts[1], 4))
-            try:
-                rotation = quat_normalize(qwxyz)
-            except DegenerateQuaternion:
-                raise ParseError(d.lineno, ocol, "origin rotation has zero norm") from None
-            acol, _ = d.value("axis")
-            axis = _unit_axis(d.lineno, acol, d.reals("axis", 3))
-            lmin, lmax = d.reals("limits", 2)
-            joint = RobotJoint(
-                name=name,
-                parent_link=d.value("parent")[1],
-                child_link=d.value("child")[1],
-                origin_translation=np.array(txyz),
-                origin_rotation=rotation,
-                axis=axis,
-                limit_min=lmin,
-                limit_max=lmax,
-                soft_margin=d.real("soft"),
-                velocity_limit=d.real("vmax"),
-                default_angle=d.real("default"),
-            )
-            d.finish(1, {"parent", "child", "origin", "axis", "limits", "soft", "vmax", "default"})
-            joints.append(joint)
+            f = d.fields(1, origin=_origin, axis=_axis, limits=_reals(2), parent=_text, child=_text,
+                         soft=_real, vmax=_real, default=_real)
+            joints.append(RobotJoint(name, f["parent"], f["child"], *f["origin"], f["axis"], *f["limits"],
+                                     f["soft"], f["vmax"], f["default"]))
         elif d.keyword == "sphere":
             _, link = d.arg(0, "link name")
-            center = np.array(d.reals("center", 3))
-            radius = d.real("radius")
-            d.finish(1, {"center", "radius"})
-            spheres.append(CollisionSphere(link, center, radius))
+            f = d.fields(1, center=_reals(3), radius=_real)
+            spheres.append(CollisionSphere(link, np.array(f["center"]), f["radius"]))
         elif d.keyword == "exclude":
             refs = []
             for pos in range(2):
@@ -471,71 +487,31 @@ def load_robot_model(text: str) -> RobotModel:
                 if not sep or not idx.isdigit():
                     raise ParseError(d.lineno, col, f"expected <link>/<sphere-index>, got {tok!r}")
                 refs.append((link, int(idx)))
-            d.finish(2, set())
+            d.fields(2)
             exclusions.append((refs[0], refs[1]))
-        else:
-            raise ParseError(d.lineno, d.keyword_col, f"unknown directive {d.keyword!r}")
     return RobotModel(joints, spheres, exclusions)
-
-
-def _split_n(d: _Directive, col: int, text: str, n: int) -> list[str]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ParseError(d.lineno, col, f"expected {n} comma-separated values")
-    return parts
 
 
 def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> RetargetMap:
     """Parse a map document and resolve it against a skeleton and a model."""
     rules: list = []
     unmapped: list[str] = []
-    for d in _directives(text):
+    for d in _directives(text, ("map", "map3", "unmapped")):
         if d.keyword == "map":
             _, joint = d.arg(0, "joint name")
-            acol, _ = d.value("axis")
-            axis = _unit_axis(d.lineno, acol, d.reals("axis", 3))
-            sign = d.real("sign")
-            scol, stext = d.value("sign")
-            if sign not in (1.0, -1.0):
-                raise ParseError(d.lineno, scol, f"sign must be +1 or -1, got {stext!r}")
-            rule = TwistRule(
-                joint=joint,
-                segment=d.value("segment")[1],
-                axis=axis,
-                sign=sign,
-                scale=d.real("scale"),
-                offset=d.real("offset"),
-            )
-            d.finish(1, {"segment", "axis", "sign", "scale", "offset"})
-            rules.append(rule)
+            f = d.fields(1, axis=_axis, sign=_signs(_real), segment=_text, scale=_real, offset=_real)
+            rules.append(TwistRule(joint=joint, **f))
         elif d.keyword == "map3":
             jcol, jtok = d.arg(0, "joint names <j1>,<j2>,<j3>")
             names = jtok.split(",")
             if len(names) != 3:
                 raise ParseError(d.lineno, jcol, "map3 expects three comma-separated joint names")
-            ocol, order = d.value("order")
-            if order.upper() not in EULER_ORDERS:
-                raise ParseError(d.lineno, ocol, f"unknown axis order {order!r}")
-            signs = d.reals("signs", 3)
-            scol, stext = d.value("signs")
-            if any(s not in (1.0, -1.0) for s in signs):
-                raise ParseError(d.lineno, scol, f"signs must be +1 or -1, got {stext!r}")
-            rule = TripleRule(
-                joints=tuple(names),
-                segment=d.value("segment")[1],
-                order=order.upper(),
-                signs=signs,
-                scales=d.reals("scales", 3),
-                offsets=d.reals("offsets", 3),
-            )
-            d.finish(1, {"segment", "order", "signs", "scales", "offsets"})
-            rules.append(rule)
+            f = d.fields(1, order=_order, signs=_signs(_reals(3)), segment=_text, scales=_reals(3), offsets=_reals(3))
+            rules.append(TripleRule(joints=tuple(names), **f))
         elif d.keyword == "unmapped":
             _, joint = d.arg(0, "joint name")
-            d.finish(1, set())
+            d.fields(1)
             unmapped.append(joint)
-        else:
-            raise ParseError(d.lineno, d.keyword_col, f"unknown directive {d.keyword!r}")
     return RetargetMap(rules, unmapped, skeleton, model)
 
 

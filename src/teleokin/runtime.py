@@ -293,12 +293,9 @@ def trace_sink(path) -> TraceSink:
 
 
 class DatagramSink:
-    """One datagram per command; send failures are counted, never fatal."""
+    """One datagram per command to ``address``, a ``(host, port)`` pair; send failures are counted, never fatal."""
 
-    def __init__(self, address):
-        if isinstance(address, str):
-            host, _, port = address.rpartition(":")
-            address = (host or "127.0.0.1", int(port))
+    def __init__(self, address: tuple[str, int]):
         self.address = address
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.connect(address)
@@ -316,7 +313,7 @@ class DatagramSink:
         self._sock.close()
 
 
-def datagram_sink(address) -> DatagramSink:
+def datagram_sink(address: tuple[str, int]) -> DatagramSink:
     return DatagramSink(address)
 
 

@@ -41,12 +41,14 @@ _BLOCK_ROWS = 128
 class Thresholds:
     """Audit thresholds beyond the per-joint limits carried by the model.
 
-    ``acceleration_limit=None`` disables the acceleration check, leaving the
-    core battery: limits, velocity, and self-collision.  Frozen, because a
-    validator compiles the collision margin into its pair limits once.
+    The acceleration check is off by default (``acceleration_limit=None``),
+    leaving the core battery: limits, velocity, and self-collision.  A loop
+    faster than its source holds between fresh frames, so its own output
+    fails any finite limit.  Frozen, because a validator compiles the
+    collision margin into its pair limits once.
     """
 
-    acceleration_limit: float | None = 200.0  # rad/s^2
+    acceleration_limit: float | None = None  # rad/s^2
     collision_margin: float = 0.0  # meters of required extra clearance
 
     def __post_init__(self):

@@ -4,6 +4,7 @@ import os
 import socket
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,7 @@ BAD_SPECS = [
     ("run", "--source", "synth:static", "--sink", "validate", "--frames", "5", "--acc-limit", "inf"),
     ("validate", "--trace", "{rec}", "--acc-limit", "-1"),
     ("run", "--source", "synth:static", "--sink", "trace:{rec}.d/x.trc", "--frames", "5"),
+    ("run", "--source", "synth:static", "--sink", "trace:{rec}.trc", "--sink", "trace:{rec}.d/x.trc", "--frames", "5"),
     ("run", "--source", "live:{busy}", "--sink", "null", "--frames", "5"),
     ("gen", "--pattern", "static", "--duration", "1", "--out", "{rec}.d/x.rec"),
 ]
@@ -410,15 +412,19 @@ def test_bad_spec_is_a_usage_error(argv, tmp_path, capsys):
 
 
 def assert_usage_error(argv, tmp_path, capsys):
+    """Exit 2 with an error line, and nothing setup opened left for the collector to close."""
     rec = tmp_path / "static.rec"  # "{rec}.d" is a directory that does not exist
     write_recording(rec, synth_motion("static", rate=100, duration=0.1))
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as busy:  # "{busy}" is its port
         busy.bind(("127.0.0.1", 0))
-        try:
-            code = run_cli(*(arg.format(rec=rec, busy=busy.getsockname()[1]) for arg in argv))
-        except SystemExit as exc:  # argparse rejects a bad flag value this way
-            code = exc.code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run_cli(*(arg.format(rec=rec, busy=busy.getsockname()[1]) for arg in argv))
+            except SystemExit as exc:  # argparse rejects a bad flag value this way
+                code = exc.code
     err = capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err

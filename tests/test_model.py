@@ -72,6 +72,7 @@ def oracle_fk(model, angles):
 
 J1 = MINIMAL_ROBOT.strip()
 TWO_SEGMENTS = "segment root parent=-\nsegment limb parent=root\n"
+MAP1 = "map j1 segment=limb axis=0,0,1 sign=1 scale=1 offset=0"
 MAP3 = "map3 j1,j2,j3 segment=limb order=ZXY signs=1,1,1 scales=1,1,1 offsets=0,0,0"
 
 
@@ -83,47 +84,84 @@ def load(kind, text):
     return load_retarget_map(text, load_skeleton(TWO_SEGMENTS), load_robot_model(MINIMAL_ROBOT))
 
 
-# (case, document kind, document, error, (line, the token the column points at) for a ParseError)
+# (case, document kind, document, error, (line, the token the column points at) for a ParseError, message)
 MALFORMED = [
-    ("unknown key", "robot", J1 + " wat=1", ParseError, (1, "wat=1")),
-    ("duplicate key", "robot", J1.replace("soft=0.05", "soft=0.05 soft=0.1"), ParseError, (1, "soft=0.1")),
-    ("positional after key=value", "robot", J1 + " stray", ParseError, (1, "stray")),
-    ("missing joint name", "robot", J1.replace("joint j1 ", "joint "), ParseError, (1, "joint")),
-    ("missing key", "robot", "# robot\n" + J1.replace(" vmax=10", ""), ParseError, (2, "joint")),
-    ("axis of two values", "robot", J1.replace("axis=0,0,1", "axis=0,1"), ParseError, (1, "axis=")),
-    ("translation of two values", "robot", J1.replace("origin=0,0,0;", "origin=0,0;"), ParseError, (1, "origin=")),
-    ("origin without rotation", "robot", J1.replace("origin=0,0,0;1,0,0,0", "origin=0,0,0"), ParseError, (1, "origin=")),
-    ("non-finite number", "robot", J1.replace("vmax=10", "vmax=inf"), ParseError, (1, "vmax=")),
-    ("zero-norm axis", "robot", J1.replace("axis=0,0,1", "axis=0,0,0"), ParseError, (1, "axis=")),
-    ("zero-norm origin rotation", "robot", J1.replace(";1,0,0,0", ";0,0,0,0"), ParseError, (1, "origin=")),
+    ("unknown key", "robot", J1 + " wat=1", ParseError, (1, "wat=1"), "unknown key 'wat'"),
+    ("duplicate key", "robot", J1.replace("soft=0.05", "soft=0.05 soft=0.1"), ParseError, (1, "soft=0.1"),
+     "duplicate key 'soft'"),
+    ("positional after key=value", "robot", J1 + " stray", ParseError, (1, "stray"),
+     "positional token 'stray' after key=value pairs"),
+    ("missing joint name", "robot", J1.replace("joint j1 ", "joint "), ParseError, (1, "joint"),
+     "missing joint name"),
+    ("missing key", "robot", "# robot\n" + J1.replace(" vmax=10", ""), ParseError, (2, "joint"), "missing vmax="),
+    ("axis of two values", "robot", J1.replace("axis=0,0,1", "axis=0,1"), ParseError, (1, "axis="),
+     "axis= expects 3 comma-separated values"),
+    ("translation of two values", "robot", J1.replace("origin=0,0,0;", "origin=0,0;"), ParseError, (1, "origin="),
+     "expected 3 comma-separated values"),
+    ("rotation of three values", "robot", J1.replace(";1,0,0,0", ";1,0,0"), ParseError, (1, "origin="),
+     "expected 4 comma-separated values"),
+    ("origin without rotation", "robot", J1.replace("origin=0,0,0;1,0,0,0", "origin=0,0,0"), ParseError, (1, "origin="),
+     "origin= expects <tx,ty,tz;qw,qx,qy,qz>"),
+    ("non-finite number", "robot", J1.replace("vmax=10", "vmax=inf"), ParseError, (1, "vmax="),
+     "non-finite number 'inf'"),
+    ("zero-norm axis", "robot", J1.replace("axis=0,0,1", "axis=0,0,0"), ParseError, (1, "axis="),
+     "axis has zero norm"),
+    ("zero-norm origin rotation", "robot", J1.replace(";1,0,0,0", ";0,0,0,0"), ParseError, (1, "origin="),
+     "origin rotation has zero norm"),
     ("bad exclusion reference", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0.1\nexclude link1 link1/0",
-     ParseError, (3, "link1")),
-    ("missing exclusion reference", "robot", J1 + "\nexclude link1/0", ParseError, (2, "exclude")),
-    ("no joints", "robot", "# no joints\n", ValidationError, None),
-    ("duplicate joint names", "robot", J1 + "\n" + J1.replace("child=link1", "child=link2"), ValidationError, None),
-    ("joint linking a link to itself", "robot", J1.replace("parent=base", "parent=link1"), ValidationError, None),
-    ("negative soft margin", "robot", J1.replace("soft=0.05", "soft=-0.05"), ValidationError, None),
-    ("non-positive vmax", "robot", J1.replace("vmax=10", "vmax=0"), ValidationError, None),
-    ("non-positive sphere radius", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0", ValidationError, None),
-    ("empty skeleton", "skeleton", "# no segments\n", ValidationError, None),
-    ("two roots", "skeleton", "segment a parent=-\nsegment b parent=-\n", ValidationError, None),
-    ("unknown skeleton directive", "skeleton", "segmnt a parent=-\n", ParseError, (1, "segmnt")),
-    ("map3 of two joints", "map", MAP3.replace("j1,j2,j3", "j1,j2"), ParseError, (1, "j1,j2")),
-    ("unknown axis order", "map", MAP3.replace("order=ZXY", "order=XYZW"), ParseError, (1, "order=")),
-    ("map3 sign of 2", "map", MAP3.replace("signs=1,1,1", "signs=1,2,1"), ParseError, (1, "signs=")),
-    ("unknown map directive", "map", "unmapped j1\nmapp j1\n", ParseError, (2, "mapp")),
-    ("extra unmapped token", "map", "unmapped j1 j2\n", ParseError, (1, "j2")),
+     ParseError, (3, "link1"), "expected <link>/<sphere-index>, got 'link1'"),
+    ("missing exclusion reference", "robot", J1 + "\nexclude link1/0", ParseError, (2, "exclude"),
+     "missing sphere reference <link>/<index>"),
+    ("sphere center of two values", "robot", J1 + "\nsphere link1 center=0,0 radius=0.1", ParseError, (2, "center="),
+     "center= expects 3 comma-separated values"),
+    ("exclusion with a key", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0.1\nexclude link1/0 link1/0 near=1",
+     ParseError, (3, "near=1"), "unknown key 'near'"),
+    ("no joints", "robot", "# no joints\n", ValidationError, None, "robot model declares no joints"),
+    ("duplicate joint names", "robot", J1 + "\n" + J1.replace("child=link1", "child=link2"), ValidationError, None,
+     "duplicate joint names"),
+    ("joint linking a link to itself", "robot", J1.replace("parent=base", "parent=link1"), ValidationError, None,
+     "joint 'j1' connects link 'link1' to itself"),
+    ("negative soft margin", "robot", J1.replace("soft=0.05", "soft=-0.05"), ValidationError, None,
+     "negative soft margin on joint j1"),
+    ("non-positive vmax", "robot", J1.replace("vmax=10", "vmax=0"), ValidationError, None,
+     "non-positive velocity limit on joint j1"),
+    ("non-positive sphere radius", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0", ValidationError, None,
+     "non-positive sphere radius on link link1"),
+    ("empty skeleton", "skeleton", "# no segments\n", ValidationError, None,
+     "skeleton document declares no segments"),
+    ("two roots", "skeleton", "segment a parent=-\nsegment b parent=-\n", ValidationError, None,
+     "expected exactly one root segment, found 2"),
+    ("undefined parent segment", "skeleton", "segment a parent=-\nsegment b parent=c\n", ParseError, (2, "parent="),
+     "parent segment 'c' not defined yet"),
+    ("unknown skeleton directive", "skeleton", "segmnt a parent=-\n", ParseError, (1, "segmnt"),
+     "unknown directive 'segmnt'"),
+    ("map sign of two values", "map", MAP1.replace("sign=1", "sign=1,1"), ParseError, (1, "sign="),
+     "expected a number, got '1,1'"),
+    ("map sign of 2", "map", MAP1.replace("sign=1", "sign=2"), ParseError, (1, "sign="),
+     "sign must be +1 or -1, got '2'"),
+    ("map3 of two joints", "map", MAP3.replace("j1,j2,j3", "j1,j2"), ParseError, (1, "j1,j2"),
+     "map3 expects three comma-separated joint names"),
+    ("unknown axis order", "map", MAP3.replace("order=ZXY", "order=XYZW"), ParseError, (1, "order="),
+     "unknown axis order 'XYZW'"),
+    ("map3 sign of 2", "map", MAP3.replace("signs=1,1,1", "signs=1,2,1"), ParseError, (1, "signs="),
+     "signs must be +1 or -1, got '1,2,1'"),
+    ("unknown map directive", "map", "unmapped j1\nmapp j1\n", ParseError, (2, "mapp"), "unknown directive 'mapp'"),
+    ("unmapped with a key", "map", "unmapped j1 why=spare\n", ParseError, (1, "why=spare"), "unknown key 'why'"),
+    ("extra unmapped token", "map", "unmapped j1 j2\n", ParseError, (1, "j2"), "unexpected token 'j2'"),
 ]
 
 
-@pytest.mark.parametrize("kind, text, error, where", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
-def test_malformed_document_raises_its_error(kind, text, error, where):
+@pytest.mark.parametrize("kind, text, error, where, message", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_document_raises_its_error(kind, text, error, where, message):
     with pytest.raises(error) as exc:
         load(kind, text)
     assert type(exc.value) is error
-    if where is not None:
+    if where is None:
+        assert str(exc.value) == message
+    else:
         line, token = where
         assert (exc.value.line, exc.value.column) == (line, text.splitlines()[line - 1].index(token) + 1)
+        assert exc.value.message == message
 
 
 class TestLoadRobotModel:

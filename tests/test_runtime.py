@@ -809,14 +809,3 @@ class TestDatagramSink:
         sink.close()
         assert sink.sent + sink.send_errors == 20
         assert sink.send_errors > 0
-
-    def test_address_string_form(self):
-        recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        recv.bind(("127.0.0.1", 0))
-        recv.settimeout(2.0)
-        port = recv.getsockname()[1]
-        sink = datagram_sink(f"127.0.0.1:{port}")
-        sink.emit(make_command(n=2))
-        assert len(recv.recv(1000)) == 4 + 1 + 25 + 16 + 1 + 4
-        sink.close()
-        recv.close()

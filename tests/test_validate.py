@@ -71,17 +71,16 @@ def pipeline_trace(pattern, seconds=1.0, noise=0.01, seed=2):
 
 class TestValidateTrace:
     def test_compliant_pipeline_trace_passes(self):
-        # The core battery: limits, velocity, self-collision.  (The
-        # acceleration check stays off here: a 100 Hz source consumed at
-        # 500 Hz alternates fresh and held samples, and the second
+        # The core battery under default thresholds: limits, velocity,
+        # self-collision.  (No acceleration check by default: a 100 Hz source
+        # consumed at 500 Hz alternates fresh and held samples, and the second
         # difference legitimately spikes at each boundary.)
-        model, trace = pipeline_trace("walk-cycle")
-        report = validate_trace(
-            model, trace, thresholds=Thresholds(acceleration_limit=None), period_us=2000
-        )
-        assert report.passed
-        assert report.violations == []
-        assert report.counts == {k: 0 for k in report.counts}
+        for pattern in ("walk-cycle", "arm-wave", "squat"):
+            model, trace = pipeline_trace(pattern)
+            report = validate_trace(model, trace, period_us=2000)
+            assert report.passed, (pattern, report.counts)
+            assert report.violations == []
+            assert report.counts == {k: 0 for k in report.counts}
 
     def test_single_limit_violation_at_index(self):
         model, trace = pipeline_trace("static", seconds=0.2, noise=0.0)
