@@ -18,7 +18,7 @@ class VirtualClock:
 
     ``sleep_until`` ignores ``readable`` and ``on_readable``: a virtual run
     never waits on a socket, so a live source is only read by the loop's
-    own poll at each cycle.
+    own poll at each tick, and no command goes before its tick.
     """
 
     def __init__(self, start_us: int = 0):
@@ -42,8 +42,8 @@ class WallClock:
     Given a ``readable`` socket, the sleep is a ``select`` on it instead:
     whenever data arrives before the last ``SPIN_WINDOW_US``,
     ``on_readable`` runs (it must read the socket dry) and the wait goes
-    on.  Work done there can end past the spin window, so a wake-up can be
-    late by as much as that work.
+    on.  The loop steps and sends a frame's command there, so that work
+    can end past the spin window, and a wake-up can be late by as much.
     """
 
     SPIN_WINDOW_US = 300

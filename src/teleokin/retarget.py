@@ -210,16 +210,16 @@ def retarget_step(
     frame: MocapFrame,
     dt: float,
     clock,
-    premapped: tuple | None = None,
 ) -> tuple[JointCommand, RetargetDiagnostics]:
     """map_frame -> smooth -> enforce_limits, once, on one frame.
 
     The stages pass the map's float list along; ``angles`` and ``clamped``
-    are the only arrays built.  ``premapped``, if given, is what
-    ``_map_frame`` already returned for this frame; the map is then skipped.
-    A NaN or infinite angle raises NonFiniteAngle before ``state`` changes.
+    are the only arrays built.  The command is stamped with ``clock`` when
+    the clamp is done; the control loop sends it as soon as the step
+    returns, whether at a tick or as the frame arrives.  A NaN or infinite
+    angle raises NonFiniteAngle before ``state`` changes.
     """
-    raw, gimbal_warnings = _map_frame(rmap, frame) if premapped is None else premapped
+    raw, gimbal_warnings = _map_frame(rmap, frame)
     smoothed = _smoothed(state, raw, dt)
     angles, flags, excursion = _clamped(model, smoothed)
     state.previous, state.initialized = smoothed, True
@@ -251,9 +251,5 @@ class Pipeline:
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
 
-    def map(self, frame: MocapFrame) -> tuple[list, int]:
-        """The map stage alone, for ``step``'s ``premapped``; it reads no state, so may run early."""
-        return _map_frame(self.rmap, frame)
-
-    def step(self, frame: MocapFrame, dt: float, clock, premapped: tuple | None = None):
-        return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock, premapped)
+    def step(self, frame: MocapFrame, dt: float, clock):
+        return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock)

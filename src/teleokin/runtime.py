@@ -53,24 +53,23 @@ _RECORD_HEAD = struct.Struct("<IIQQB")  # seq, source seq, source ts, emission t
 
 
 class LatestFrameSlot:
-    """Single-frame mailbox with replace/take semantics; a frame carries its own map.
+    """Single-frame mailbox with replace/take semantics.
 
-    ``map_pending(fn)`` stores ``fn(frame)`` with the pending frame, and a
-    ``write`` drops it with the frame it replaces.  ``take`` returns
-    ``(frame, arrival_us, map or None)``.
+    ``take`` returns ``(frame, arrival_us)`` for the newest frame written
+    since the last take, or None.
 
     ``written = consumed + overwritten (+1 if a frame is pending)`` at all
     times; ``drain`` folds a leftover pending frame into ``overwritten`` so
     the equality is exact once the loop stops.  A live source sets ``poll``
     to its drain and ``socket`` to the socket it drains.  The loop waits on
     ``socket`` and calls ``poll`` as soon as it is readable, and once more
-    at the top of each live cycle, for what came during the spin window.
+    at the top of each live tick that has not sent its command yet, for
+    what came during the spin window.
     """
 
     def __init__(self):
         self._frame = None
         self._arrival_us = 0
-        self._map = None
         self.poll = _no_poll
         self.socket = None
         self.written = 0
@@ -80,19 +79,14 @@ class LatestFrameSlot:
     def write(self, frame, arrival_us: int) -> None:
         if self._frame is not None:
             self.overwritten += 1
-        self._frame, self._arrival_us, self._map = frame, arrival_us, None
+        self._frame, self._arrival_us = frame, arrival_us
         self.written += 1
-
-    def map_pending(self, fn) -> None:
-        """Store ``fn(frame)`` with the pending frame, unless there is none or it has one."""
-        if self._frame is not None and self._map is None:
-            self._map = fn(self._frame)
 
     def take(self):
         if self._frame is None:
             return None
-        taken = (self._frame, self._arrival_us, self._map)
-        self._frame = self._map = None
+        taken = (self._frame, self._arrival_us)
+        self._frame = None
         self.consumed += 1
         return taken
 
@@ -102,7 +96,7 @@ class LatestFrameSlot:
 
     def drain(self) -> None:
         if self._frame is not None:
-            self._frame = self._map = None
+            self._frame = None
             self.overwritten += 1
 
 
@@ -126,7 +120,7 @@ class LoopMetrics:
     clamped_joints: int = 0  # joints the soft-limit clamp changed, summed over fresh commands
     worst_excursion_rad: float = 0.0  # largest distance beyond a soft bound before clamping
     gimbal_warnings: int = 0
-    frames_mapped_on_arrival: int = 0  # fresh commands whose map ran while the loop waited
+    early_commands: int = 0  # fresh commands sent during the wait, before their tick
     compute_us: Histogram = field(default_factory=Histogram)
     fresh_compute_us: Histogram = field(default_factory=Histogram)  # compute_us of fresh cycles
     frame_age_us: Histogram = field(default_factory=Histogram)
@@ -148,7 +142,7 @@ class LoopMetrics:
             f"clamped_joints={self.clamped_joints}",
             f"worst_excursion_rad={self.worst_excursion_rad!r}",
             f"gimbal_warnings={self.gimbal_warnings}",
-            f"frames_mapped_on_arrival={self.frames_mapped_on_arrival}",
+            f"early_commands={self.early_commands}",
             f"headroom_ratio={self.headroom_ratio():.2f}",
         ]
         for name, hist in (
@@ -368,19 +362,24 @@ def run_loop(
     ``start(slot, clock)`` / ``stop()`` (live mode: ``start`` sets the
     slot's ``poll`` and ``socket``).
 
-    Live, the wait before each cycle is the clock's: a wall clock wakes as
-    a datagram arrives, and the loop then does the frame's stateless work
-    off the tick: ``poll`` decodes it into the slot, and ``map_pending``
-    stores the pending frame's map beside it.  Each cycle calls ``poll``
-    first, inside the compute time, for frames that came in the spin
-    window or under a virtual clock; the step maps those itself.
-
-    Each cycle takes the newest pending frame and emits exactly one command;
-    with no pending frame it emits a hold command repeating the last emitted
+    Cycle k's tick is at ``start + k * period``, its window is the wait
+    before it, and each window sends exactly one command, ``seq = k``.
+    Live, a wall clock wakes the wait as a datagram arrives: ``poll``
+    decodes it into the slot, and if window k has not sent its command the
+    loop steps the frame and sends it at once; tick k then sends nothing.
+    A frame still pending when a window opens (it came after the last
+    window's command) goes at once too.  Otherwise tick k polls (live), for
+    frames that came in the spin window or under a virtual clock, and sends
+    the newest pending frame's command, or a hold repeating the last fresh
     angles (model defaults before the first frame).  A fresh frame is
     smoothed with ``dt`` equal to the loop time since the previous fresh
-    frame, in whole periods (one period for the first), so the filter's time
-    constant holds whatever the source and loop rates.
+    cycle, in whole periods (one for the first; never 0, since a window
+    sends one command), so the filter's time constant holds whatever the
+    source and loop rates.
+
+    ``jitter_us`` records every tick's wake-up, a silent one's too.  An
+    early command's ``compute_us`` runs from the wake-up: drain, decode,
+    step and sinks.
 
     Raises SinkBackpressure (metrics attached) after BACKPRESSURE_LIMIT
     consecutive sink calls that each took longer than one period.
@@ -398,18 +397,61 @@ def run_loop(
     last = JointCommand(0, 0, 0, 0, pipeline.model.default_angles, None)  # the last fresh command; holds repeat it
     over_period = 0
     last_fresh_cycle = -1
+    cycle = 0  # window `cycle` has sent its command once metrics.commands > cycle
 
     if live:
         source.start(slot, clk)
     else:
         pending = next(scheduled, None)
 
+    def send(taken, work_start: int) -> None:
+        """Emit cycle ``cycle``'s command: the taken frame's, or a hold without one."""
+        nonlocal last, last_fresh_cycle, over_period
+        if taken is not None:
+            frame, arrival_us = taken
+            # integer us, so equal spans give bit-equal dt
+            periods = cycle - last_fresh_cycle if last_fresh_cycle >= 0 else 1
+            command, diag = pipeline.step(frame, periods * period_us / 1e6, clk)
+            last, last_fresh_cycle = command, cycle
+            command.seq = cycle  # the step's command is this loop's own
+            metrics.clamped_joints += diag.clamped_count
+            metrics.worst_excursion_rad = max(metrics.worst_excursion_rad, diag.worst_excursion)
+            metrics.gimbal_warnings += diag.gimbal_warnings
+            metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
+        else:
+            command = JointCommand(
+                seq=cycle,
+                source_seq=last.source_seq,
+                source_timestamp_us=last.source_timestamp_us,
+                emission_timestamp_us=clk.now_us(),
+                angles=last.angles.copy(),
+                clamped=np.zeros(len(last.angles), dtype=bool),
+                hold=True,
+            )
+            metrics.holds += 1
+        sink_start = clk.now_us()
+        sink.emit(command)
+        done = clk.now_us()
+        metrics.compute_us.record(done - work_start)
+        if taken is not None:
+            metrics.fresh_compute_us.record(done - work_start)
+        metrics.cycles += 1
+        metrics.commands += 1
+        over_period = over_period + 1 if done - sink_start > period_us else 0
+        if over_period >= BACKPRESSURE_LIMIT:
+            raise SinkBackpressure(
+                f"sink exceeded the {period_us} us period for {over_period} consecutive cycles",
+                metrics=metrics,
+            )
+
     def arrived():
+        woke = clk.now_us()
         slot.poll()
-        slot.map_pending(pipeline.map)
+        if metrics.commands == cycle and slot.pending:
+            metrics.early_commands += 1
+            send(slot.take(), woke)
 
     start_us = clk.now_us()
-    cycle = 0
     try:
         while True:
             if max_cycles is not None and cycle >= max_cycles:
@@ -417,64 +459,22 @@ def run_loop(
             target_us = start_us + cycle * period_us
             if duration_s is not None and cycle * period_us >= duration_s * 1e6:
                 break
+            if slot.pending:  # came after the last window's command: this window's goes at once
+                arrived()
             clk.sleep_until(target_us, slot.socket, arrived)
             now = clk.now_us()
             if not live:
                 while pending is not None and start_us + pending[0] <= now:
                     slot.write(pending[1], arrival_us=start_us + pending[0])
                     pending = next(scheduled, None)
-                if (
-                    pending is None
-                    and not slot.pending
-                    and max_cycles is None
-                    and duration_s is None
-                ):
+                if pending is None and not slot.pending and max_cycles is None and duration_s is None:
                     break  # source end; an explicit budget keeps the loop holding instead
             metrics.jitter_us.record(abs(now - target_us))
-            work_start = clk.now_us()
-            if live:
-                slot.poll()
-            taken = slot.take()
-            if taken is not None:
-                frame, arrival_us, premapped = taken
-                # integer us, so equal spans give bit-equal dt
-                periods = cycle - last_fresh_cycle if last_fresh_cycle >= 0 else 1
-                command, diag = pipeline.step(frame, periods * period_us / 1e6, clk, premapped)
-                last, last_fresh_cycle = command, cycle
-                command.seq = cycle  # the step's command is this loop's own
-                metrics.clamped_joints += diag.clamped_count
-                metrics.worst_excursion_rad = max(metrics.worst_excursion_rad, diag.worst_excursion)
-                metrics.gimbal_warnings += diag.gimbal_warnings
-                metrics.frames_mapped_on_arrival += premapped is not None
-                metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
-            else:
-                command = JointCommand(
-                    seq=cycle,
-                    source_seq=last.source_seq,
-                    source_timestamp_us=last.source_timestamp_us,
-                    emission_timestamp_us=clk.now_us(),
-                    angles=last.angles.copy(),
-                    clamped=np.zeros(len(last.angles), dtype=bool),
-                    hold=True,
-                )
-                metrics.holds += 1
-            sink_start = clk.now_us()
-            sink.emit(command)
-            done = clk.now_us()
-            metrics.compute_us.record(done - work_start)
-            if taken is not None:
-                metrics.fresh_compute_us.record(done - work_start)
-            metrics.cycles += 1
-            metrics.commands += 1
-            if done - sink_start > period_us:
-                over_period += 1
-                if over_period >= BACKPRESSURE_LIMIT:
-                    raise SinkBackpressure(
-                        f"sink exceeded the {period_us} us period for {over_period} consecutive cycles",
-                        metrics=metrics,
-                    )
-            else:
-                over_period = 0
+            if metrics.commands == cycle:
+                work_start = clk.now_us()
+                if live:
+                    slot.poll()
+                send(slot.take(), work_start)
             cycle += 1
     finally:
         if live:

@@ -338,7 +338,8 @@ class IncrementalValidator:
     Each command is judged by the same checks as ``validate_trace``, on a
     window of the last two samples plus the new one.  Without ``period_us``
     the period is inferred as ``validate_trace`` infers it, from the first
-    two commands, and holds for the rest of the stream.
+    two commands, and holds for the rest of the stream.  A live stream
+    should pass ``period_us``: its first two commands can be 0-4 ms apart.
     """
 
     def __init__(

@@ -490,23 +490,6 @@ class TestRetargetStep:
             retarget_step(None, model, state, identity_frame(2), 0.002, VirtualClock())
         assert not state.initialized and state.previous == [0.0, 0.0]
 
-    def test_premapped_step_matches_a_plain_step(self, monkeypatch):
-        model, skel, rmap = sample_setup()
-        frames = synth_motion("arm-wave", rate=100, duration=0.4, seed=1)
-        calls = []
-        inner = retarget._map_frame
-        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, f: calls.append(f) or inner(rmap, f))
-        ahead = Pipeline(skel, rmap, model)
-        plain = Pipeline(skel, rmap, model)
-        for k, frame in enumerate(frames[::5]):
-            premapped = ahead.map(frame)
-            got, diag = ahead.step(frame, 0.01 * (k + 1), VirtualClock(), premapped)  # maps nothing
-            want, plain_diag = plain.step(frame, 0.01 * (k + 1), VirtualClock())
-            assert got.angles.tobytes() == want.angles.tobytes()
-            assert np.array_equal(got.clamped, want.clamped)
-            assert diag == plain_diag
-        assert len(calls) == 2 * len(frames[::5])
-
     def test_pipeline_wrapper(self):
         model, skel, rmap = sample_setup()
         pipeline = Pipeline(skel, rmap, model)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from teleokin import clock as clock_module
-from teleokin import retarget
 from teleokin.clock import VirtualClock, WallClock
 from teleokin.data import sample_text
 from teleokin.errors import (
@@ -72,56 +71,44 @@ class TestLatestFrameSlot:
     def test_write_take(self):
         slot = LatestFrameSlot()
         slot.write("f0", 100)
-        assert slot.take() == ("f0", 100, None)
+        assert slot.take() == ("f0", 100)
         assert slot.take() is None
         assert (slot.written, slot.consumed, slot.overwritten) == (1, 1, 0)
-        slot.map_pending(self.fail)  # nothing pending, nothing mapped
         slot.write("f1", 200)
-        slot.map_pending("map of {}".format)
-        slot.map_pending(self.fail)  # the pending frame has its map
-        assert slot.take() == ("f1", 200, "map of f1")
-        assert slot.take() is None
+        assert slot.pending
+        assert slot.take() == ("f1", 200)
+        assert not slot.pending and slot.take() is None
 
     def test_overwrite_keeps_newest(self):
         slot = LatestFrameSlot()
         slot.write("f0", 100)
         slot.write("f1", 200)
-        assert slot.take() == ("f1", 200, None)
+        assert slot.take() == ("f1", 200)
         assert (slot.written, slot.consumed, slot.overwritten) == (2, 1, 1)
 
-    def test_write_drops_the_map_of_the_frame_it_replaces(self):
+    def test_drain_folds_a_pending_frame_into_overwritten(self):
         slot = LatestFrameSlot()
+        slot.drain()  # nothing pending, nothing counted
         slot.write("f0", 100)
-        slot.map_pending("map of {}".format)
-        slot.write("f1", 200)
-        assert slot.take() == ("f1", 200, None)
-        slot.write("f2", 300)
-        slot.map_pending("map of {}".format)
         slot.drain()
-        slot.write("f3", 400)
-        assert slot.take() == ("f3", 400, None)
-        assert (slot.written, slot.consumed, slot.overwritten) == (4, 2, 2)
-
-    @staticmethod
-    def fail(frame):
-        raise AssertionError(f"map_pending mapped {frame!r}")
+        assert not slot.pending and slot.take() is None
+        slot.write("f1", 200)
+        assert slot.take() == ("f1", 200)
+        assert (slot.written, slot.consumed, slot.overwritten) == (2, 1, 1)
 
     def test_accounting_under_scripted_interleavings(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             slot = LatestFrameSlot()
             newest = None
-            for op in rng.integers(0, 3, size=60):
+            for op in rng.integers(0, 2, size=60):
                 if op == 0:
                     newest = int(rng.integers(1000))
-                    slot.write(newest, 0)
-                elif op == 1:
-                    slot.map_pending(lambda frame: ("map", frame))
+                    slot.write(newest, newest + 1)
                 else:
                     got = slot.take()
                     if got is not None:
-                        assert got[0] == newest  # freshness
-                        assert got[2] in (None, ("map", newest))  # never another frame's map
+                        assert got == (newest, newest + 1)  # freshness, with its own arrival
                 pendin = 1 if slot.pending else 0
                 assert slot.written == slot.consumed + slot.overwritten + pendin
             slot.drain()
@@ -507,150 +494,136 @@ class TestRunLoop:
 
     def test_frame_age_counts_the_wait_in_the_socket(self):
         # The frame is sent during cycle 1's emit, after that cycle polled.
-        # The loop decodes it as it arrives, during the wait, but emits its
-        # command only at cycle 2, 20 ms later; the age counts from the
+        # This clock never wakes on the socket, so the datagram waits there
+        # until tick 2 polls it, 20 ms later; the age counts from the
         # kernel's receive stamp.  Cycle 1, not 0: the kernel may switch
         # receive stamps on a little after the socket asks for them, and
         # stamps at recvmsg until then.
-        clock = WallClock()
+        class Deaf(WallClock):
+            def sleep_until(self, deadline_us, readable=None, on_readable=None):
+                super().sleep_until(deadline_us)
+
+        clock = Deaf()
         source = DatagramSource(port=0)
-
-        class SendOnSecondEmit(_CaptureSink):
-            sent_us = None
-
-            def emit(self, cmd):
-                super().emit(cmd)
-                if len(self.commands) == 2:
-                    self.sent_us = clock.now_us()
-                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
-                        out.sendto(encode_frame(identity_frame(23)), ("127.0.0.1", source.port))
-
-        sink = SendOnSecondEmit()
+        sink = _SendOnEmit(source, clock, {2: [identity_frame(23)]})
         metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=clock)
         fresh = [c for c in sink.commands if not c.hold]
         assert len(fresh) == 1 and len(metrics.frame_age_us) == 1
-        waited = fresh[0].emission_timestamp_us - sink.sent_us
+        assert fresh[0].seq == 2 and metrics.early_commands == 0
+        waited = fresh[0].emission_timestamp_us - sink.sent_us[0]
         assert waited >= 10_000
         # the arrival is the kernel's receive stamp just after the send, not the poll
         assert waited - 2_000 <= metrics.frame_age_us.maximum() <= waited + 50
 
-    def test_frame_sent_early_is_mapped_before_its_tick(self, monkeypatch):
+    def test_frame_sent_early_is_mapped_before_its_tick(self):
         # Sent during cycle 1's emit, the frame reaches the socket ~20 ms
-        # before cycle 2: the wait decodes and maps it, and the step reuses
-        # that map.
+        # before tick 2: the wait wakes, maps, smooths and clamps it, and
+        # sends the command at once as cycle 2's.  Tick 2 sends nothing.
         clock = WallClock()
         source = DatagramSource(port=0)
         frame = frames_at_rate(40, 100)[25]
-        calls = []
-        inner = retarget._map_frame
-
-        def recorded(rmap, f):
-            calls.append((clock.now_us(), f))
-            return inner(rmap, f)
-
-        monkeypatch.setattr(retarget, "_map_frame", recorded)
-
-        class SendOnSecondEmit(_CaptureSink):
-            def emit(self, cmd):
-                super().emit(cmd)
-                if len(self.commands) == 2:
-                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
-                        out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
-
-        sink = SendOnSecondEmit()
-        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=clock)
+        pipeline = sample_pipeline()
+        steps = _recorded_steps(pipeline)
+        sink = _SendOnEmit(source, clock, {2: [frame]})
+        metrics = run_loop(source, pipeline, sink, rate_hz=50, max_cycles=4, clock=clock)
+        assert [c.seq for c in sink.commands] == [0, 1, 2, 3]
         (fresh,) = [c for c in sink.commands if not c.hold]
-        assert fresh.seq == 2 and metrics.frames_mapped_on_arrival == 1
-        (mapped_us, decoded), = calls
-        assert mapped_us < fresh.emission_timestamp_us - 5_000  # well before the tick
+        assert fresh.seq == 2 and metrics.early_commands == 1
+        # tick 2 is ~20 ms after the send; the command went well before it
+        assert fresh.emission_timestamp_us - sink.sent_us[0] < 5_000
+        ((decoded, dt),) = steps
+        assert decoded.seq == frame.seq and dt == 0.020
         reference, _ = sample_pipeline().step(decoded, 0.020, VirtualClock())
         assert fresh.angles.tobytes() == reference.angles.tobytes()
         assert np.array_equal(fresh.clamped, reference.clamped)
 
-    def test_overwritten_frame_does_not_lend_its_map(self, monkeypatch):
-        # Frame A arrives early in the wait and is mapped ahead; frame B
-        # arrives after the wait, as if in the spin window, and replaces A
-        # before the tick.  B's command must come from B's own map.
+    def test_overwritten_frame_does_not_lend_its_map(self):
+        # Frames A and B land after tick 2's wait, as if in the spin window:
+        # the tick drains both, B replaces A, and B's command goes out at
+        # the tick, made from B alone.
         source = DatagramSource(port=0)
         frames = frames_at_rate(40, 100)
         frame_a, frame_b = frames[10], frames[30]
-        mapped = []
-        inner = retarget._map_frame
-        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, f: mapped.append(f) or inner(rmap, f))
+        pipeline = sample_pipeline()
+        steps = _recorded_steps(pipeline)
 
-        def send(frame):
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
-                out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
-
-        class LateArrival(WallClock):
-            late = False
+        class LateArrivals(WallClock):
+            waits = 0
 
             def sleep_until(self, deadline_us, readable=None, on_readable=None):
                 super().sleep_until(deadline_us, readable, on_readable)
-                if self.late:
-                    self.late = False
-                    send(frame_b)
+                self.waits += 1
+                if self.waits == 3:
+                    _send(source, frame_a, frame_b)
                     assert select.select([readable], [], [], 5.0)[0]  # queued, not yet read
 
-        clock = LateArrival()
-
-        class SendOnSecondEmit(_CaptureSink):
-            def emit(self, cmd):
-                super().emit(cmd)
-                if len(self.commands) == 2:
-                    send(frame_a)
-                    clock.late = True
-
-        sink = SendOnSecondEmit()
-        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=clock)
+        sink = _CaptureSink()
+        metrics = run_loop(source, pipeline, sink, rate_hz=50, max_cycles=4, clock=LateArrivals())
         (fresh,) = [c for c in sink.commands if not c.hold]
-        assert fresh.source_seq == frame_b.seq
-        assert metrics.frames_overwritten == 1 and metrics.frames_mapped_on_arrival == 0
-        assert [f.seq for f in mapped] == [frame_a.seq, frame_b.seq]
-        reference, _ = sample_pipeline().step(mapped[1], 0.020, VirtualClock())
+        assert fresh.seq == 2 and fresh.source_seq == frame_b.seq
+        assert metrics.frames_overwritten == 1 and metrics.early_commands == 0
+        assert [f.seq for f, _ in steps] == [frame_b.seq]
+        reference, _ = sample_pipeline().step(steps[0][0], 0.020, VirtualClock())
         assert fresh.angles.tobytes() == reference.angles.tobytes()
-        lent, _ = sample_pipeline().step(mapped[0], 0.020, VirtualClock())
+        lent, _ = sample_pipeline().step(frame_a, 0.020, VirtualClock())
         assert not np.array_equal(fresh.angles, lent.angles)  # A's map would show
 
-    def test_two_frames_queued_before_one_drain_give_one_map(self, monkeypatch):
-        # Both datagrams are in the socket before the wait drains it: the
-        # newer frame replaces the older one in the slot, and only the newer
-        # one is mapped, once, on arrival.
+    def test_two_frames_queued_before_one_drain_give_one_map(self):
+        # Both datagrams are in the socket before window 2's wait drains
+        # it: the newer frame replaces the older one in the slot, and only
+        # the newer one is mapped, once, and sent at once as cycle 2's.
         source = DatagramSource(port=0)
         frames = frames_at_rate(40, 100)
         older, newer = frames[10], frames[30]
-        mapped = []
-        inner = retarget._map_frame
-        monkeypatch.setattr(retarget, "_map_frame", lambda rmap, f: mapped.append(f) or inner(rmap, f))
-
-        class SendTwoOnSecondEmit(_CaptureSink):
-            def emit(self, cmd):
-                super().emit(cmd)
-                if len(self.commands) == 2:
-                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
-                        for frame in (older, newer):
-                            out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
-
-        sink = SendTwoOnSecondEmit()
-        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=4, clock=WallClock())
+        pipeline = sample_pipeline()
+        steps = _recorded_steps(pipeline)
+        clock = WallClock()
+        sink = _SendOnEmit(source, clock, {2: [older, newer]})
+        metrics = run_loop(source, pipeline, sink, rate_hz=50, max_cycles=4, clock=clock)
+        assert [c.seq for c in sink.commands] == [0, 1, 2, 3]
         (fresh,) = [c for c in sink.commands if not c.hold]
-        assert [f.seq for f in mapped] == [newer.seq]
-        assert metrics.frames_overwritten == 1 and metrics.frames_mapped_on_arrival == 1
+        assert [(f.seq, dt) for f, dt in steps] == [(newer.seq, 0.020)]
+        assert metrics.frames_overwritten == 1 and metrics.early_commands == 1
         assert fresh.seq == 2 and fresh.source_seq == newer.seq
-        reference, _ = sample_pipeline().step(mapped[0], 0.020, VirtualClock())
+        reference, _ = sample_pipeline().step(steps[0][0], 0.020, VirtualClock())
         assert fresh.angles.tobytes() == reference.angles.tobytes()
+
+    def test_frames_after_a_windows_command_go_in_the_next_window(self):
+        # Two frames land back to back right after window 2's early command.
+        # Window 2 has sent its command, so they wait in the slot (the newer
+        # replaces the older), tick 2 sends nothing, and the newer frame
+        # goes as soon as window 3 opens, with dt of one whole period.
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(40, 100)
+        pipeline = sample_pipeline()
+        steps = _recorded_steps(pipeline)
+        clock = WallClock()
+        sink = _SendOnEmit(source, clock, {2: [frames[5]], 3: [frames[10], frames[30]]})
+        metrics = run_loop(source, pipeline, sink, rate_hz=50, max_cycles=5, clock=clock)
+        assert [c.seq for c in sink.commands] == [0, 1, 2, 3, 4]
+        fresh = [c for c in sink.commands if not c.hold]
+        assert [(c.seq, c.source_seq) for c in fresh] == [(2, frames[5].seq), (3, frames[30].seq)]
+        assert [dt for _, dt in steps] == [0.020, 0.020]
+        assert metrics.early_commands == 2 and metrics.frames_overwritten == 1
+        # window 3 opens at tick 2, ~20 ms after the send; tick 3 is ~40 ms after it
+        assert fresh[1].emission_timestamp_us - sink.sent_us[1] < 30_000
 
     def test_a_host_stall_keeps_one_command_per_cycle(self):
         # A sender streams 120 Hz frames while the host takes the CPU from
-        # the loop for ~15 ms once.  However the loop catches up, it must not
-        # raise, and its commands and frame accounting must stay whole.
+        # the loop for ~15 ms once; the sender stalls for ~30 ms once too,
+        # then sends its overdue frames back to back.  However the loop
+        # catches up, it must not raise, its commands and frame accounting
+        # must stay whole, and every step's dt is whole periods.
         source = DatagramSource(port=0)
         stop = threading.Event()
 
         def send():
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
-                for frame in frames_at_rate(120, 120):
-                    if stop.wait(1 / 120):
+                start = time.monotonic()
+                for k, frame in enumerate(frames_at_rate(120, 120)):
+                    if k == 30 and stop.wait(0.030):
+                        return
+                    if stop.wait(max(0.0, start + k / 120 - time.monotonic())):
                         return
                     out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
 
@@ -663,18 +636,21 @@ class TestRunLoop:
                 if self.waits == 100:
                     time.sleep(0.015)
 
+        pipeline = sample_pipeline()
+        steps = _recorded_steps(pipeline)
         sender = threading.Thread(target=send)
         sender.start()
         sink = _CaptureSink()
         try:
-            metrics = run_loop(source, sample_pipeline(), sink, rate_hz=500, duration_s=0.5, clock=StallOnce())
+            metrics = run_loop(source, pipeline, sink, rate_hz=500, duration_s=0.5, clock=StallOnce())
         finally:
             stop.set()
             sender.join()
         assert metrics.commands == metrics.cycles == len(sink.commands) > 100
         assert [c.seq for c in sink.commands] == list(range(len(sink.commands)))
         assert metrics.frames_written == metrics.frames_consumed + metrics.frames_overwritten
-        assert metrics.frames_consumed > 0
+        assert metrics.frames_consumed == len(steps) > 0
+        assert all(dt >= 0.002 and dt * 500 == round(dt * 500) for _, dt in steps)
 
     def test_live_source_under_virtual_clock_never_waits_on_its_socket(self, monkeypatch):
         def no_select(*args):
@@ -697,7 +673,7 @@ class TestRunLoop:
         sink = _CaptureSink()
         metrics = run_loop(SendOnStart(), sample_pipeline(), sink, rate_hz=500, max_cycles=50, clock=VirtualClock())
         assert metrics.cycles == 50 and metrics.frames_consumed == 1
-        assert metrics.frames_mapped_on_arrival == 0
+        assert metrics.early_commands == 0
         assert [c.seq for c in sink.commands if not c.hold] == [0]
 
     def test_metrics_dump_format(self):
@@ -724,14 +700,14 @@ class TestRunLoop:
             "fresh_compute_us_max=",
             "frame_age_us_max=",
             "jitter_us_p50=",
-            "frames_mapped_on_arrival=",
+            "early_commands=",
             "headroom_ratio=",
         ):
             assert key in dump
         parsed = dict(line.split("=", 1) for line in dump.strip().splitlines())
         assert parsed["cycles"] == "50"
-        # a virtual clock maps in the step and times every cycle at 0 us
-        assert parsed["frames_mapped_on_arrival"] == "0"
+        # a virtual clock sends every command at its tick and times it at 0 us
+        assert parsed["early_commands"] == "0"
         assert parsed["headroom_ratio"] == "0.00"
         timed = LoopMetrics(period_us=2000)
         timed.fresh_compute_us.record(250)
@@ -776,6 +752,40 @@ class _CaptureSink:
 
     def close(self):
         pass
+
+
+def _send(source, *frames):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+        for frame in frames:
+            out.sendto(encode_frame(frame), ("127.0.0.1", source.port))
+
+
+class _SendOnEmit(_CaptureSink):
+    """Captures commands; after the n-th one it sends ``frames[n]`` to ``source``, back to back."""
+
+    def __init__(self, source, clock, frames):
+        super().__init__()
+        self.source, self.clock, self.frames = source, clock, frames
+        self.sent_us = []
+
+    def emit(self, cmd):
+        super().emit(cmd)
+        if len(self.commands) in self.frames:
+            self.sent_us.append(self.clock.now_us())
+            _send(self.source, *self.frames[len(self.commands)])
+
+
+def _recorded_steps(pipeline):
+    """Wrap ``pipeline.step`` on the object, as a tracer does; the list of ``(frame, dt)`` it saw."""
+    steps = []
+    inner = pipeline.step
+
+    def step(frame, dt, clock):
+        steps.append((frame, dt))
+        return inner(frame, dt, clock)
+
+    pipeline.step = step
+    return steps
 
 
 class TestDatagramSink:
