@@ -11,6 +11,8 @@ CRC-protected binary format, 391 bytes for 23 segments.
 import math
 
 from teleokin import (
+    LatestFrameSlot,
+    VirtualClock,
     canonical_skeleton,
     decode_frame,
     encode_frame,
@@ -21,7 +23,9 @@ from teleokin import (
     write_recording,
 )
 
-frames = synth_motion("arm-wave", rate=100, duration=1.0, noise_std=0.01, seed=42)
+# The synthesizer makes each frame when it is asked for one, so an hour of
+# motion costs no more memory than a second.  This demo keeps one second.
+frames = list(synth_motion("arm-wave", rate=100, duration=1.0, noise_std=0.01, seed=42))
 print(f"arm-wave: {len(frames)} frames at 100 Hz")
 
 skeleton = canonical_skeleton()
@@ -49,8 +53,24 @@ write_recording("/tmp/arm_wave.rec", frames)
 loaded = read_recording("/tmp/arm_wave.rec")
 print(f"\nrecording round trip: {len(loaded)} frames from /tmp/arm_wave.rec")
 
-# The control loop replays a recording from a schedule of due times that
-# reproduce the recorded gaps; speed=inf makes every frame due at once.
-instant = schedule(loaded, math.inf)
-ordered = [f.seq for _, f in instant] == [f.seq for f in loaded]
-print(f"schedule at speed=inf: {len(instant)} frames due at {instant[0][0]} us, order preserved: {ordered}")
+# The control loop plays a recording through a source, the same way it
+# reads a live one: started on the loop's slot and clock, the source writes
+# each frame into the slot as it falls due, reproducing the recorded gaps.
+# The slot keeps the newest frame only.
+clock = VirtualClock()
+slot = LatestFrameSlot()
+schedule(loaded).start(slot, clock)
+for t_us in (0, 45_000, 2_000_000):
+    clock.sleep_until(t_us)
+    slot.poll()
+    frame, arrival_us = slot.take()
+    print(f"at {t_us:>7} us: {slot.written:>3} frames written, newest seq={frame.seq} due at {arrival_us} us,"
+          f" source ended: {slot.ended}")
+
+# speed=inf makes every frame due at once, in recorded order.
+slot = LatestFrameSlot()
+schedule(loaded, math.inf).start(slot, VirtualClock())
+slot.poll()
+frame, arrival_us = slot.take()
+print(f"speed=inf: {slot.written} frames written at {arrival_us} us, newest seq={frame.seq},"
+      f" {slot.overwritten} overwritten unread")

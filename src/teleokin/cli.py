@@ -228,8 +228,7 @@ def cmd_run(args) -> int:
     rmap = _read_file(args.map, _read_config, load_retarget_map, skeleton, model)
     with contextlib.ExitStack() as opened:  # on any exit: stop the source, close every sink built
         source, live = _parse_source(args, skeleton)
-        if live:
-            opened.callback(source.stop)  # it bound its port when it was built
+        opened.callback(source.stop)  # a live source bound its port when it was built
         sink, all_sinks, validator = _parse_sinks(args, model, opened)
         pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=args.tau))
         clock = _pick_clock(args, live)

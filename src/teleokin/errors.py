@@ -68,6 +68,10 @@ class EmptyRecording(TeleokinError):
     """A recording with zero frames cannot be scheduled."""
 
 
+class UnorderedTimestamps(TeleokinError):
+    """A scheduled frame is stamped earlier than the frame before it."""
+
+
 class SinkBackpressure(TeleokinError):
     """A sink took longer than the loop period for too many consecutive cycles.
 

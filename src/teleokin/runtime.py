@@ -36,7 +36,7 @@ from .errors import SinkBackpressure, TruncatedFrame
 from .metrics import Histogram, bucket_lines
 from .retarget import JointCommand, Pipeline
 from .stream import CRC_SIZE, append_crc, check_crc, extend_runs, read_magic_file, record_rows, unpack_prefix
-from .validate import IncrementalValidator, Thresholds
+from .validate import IncrementalValidator
 
 log = logging.getLogger(__name__)
 
@@ -60,18 +60,22 @@ class LatestFrameSlot:
 
     ``written = consumed + overwritten (+1 if a frame is pending)`` at all
     times; ``drain`` folds a leftover pending frame into ``overwritten`` so
-    the equality is exact once the loop stops.  A live source sets ``poll``
-    to its drain and ``socket`` to the socket it drains.  The loop waits on
-    ``socket`` and calls ``poll`` as soon as it is readable, and once more
-    at the top of each live tick that has not sent its command yet, for
-    what came during the spin window.
+    the equality is exact once the loop stops.
+
+    Every source fills the slot the same way: its ``start`` sets ``poll``,
+    which writes whatever frames the source has by now.  The loop calls
+    ``poll`` once at each tick, after the wait.  A live source also sets
+    ``socket`` to the socket its ``poll`` drains; the loop waits on it and
+    calls ``poll`` as soon as it is readable.  A source whose frames run
+    out sets ``ended``; a live source never does.
     """
 
     def __init__(self):
         self._frame = None
         self._arrival_us = 0
-        self.poll = _no_poll
+        self.poll = None
         self.socket = None
+        self.ended = False
         self.written = 0
         self.overwritten = 0
         self.consumed = 0
@@ -98,10 +102,6 @@ class LatestFrameSlot:
         if self._frame is not None:
             self._frame = None
             self.overwritten += 1
-
-
-def _no_poll() -> None:
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +132,10 @@ class LoopMetrics:
         return self.period_us / p99 if p99 else 0.0
 
     def format(self) -> str:
-        lines = [
-            f"cycles={self.cycles}",
-            f"commands={self.commands}",
-            f"holds={self.holds}",
-            f"frames_written={self.frames_written}",
-            f"frames_consumed={self.frames_consumed}",
-            f"frames_overwritten={self.frames_overwritten}",
-            f"clamped_joints={self.clamped_joints}",
-            f"worst_excursion_rad={self.worst_excursion_rad!r}",
-            f"gimbal_warnings={self.gimbal_warnings}",
-            f"early_commands={self.early_commands}",
-            f"headroom_ratio={self.headroom_ratio():.2f}",
-        ]
+        scalars = ("cycles", "commands", "holds", "frames_written", "frames_consumed", "frames_overwritten",
+                   "clamped_joints", "worst_excursion_rad", "gimbal_warnings", "early_commands")
+        lines = [f"{name}={getattr(self, name)}" for name in scalars]  # str of a float is its repr
+        lines.append(f"headroom_ratio={self.headroom_ratio():.2f}")
         for name, hist in (
             ("compute_us", self.compute_us),
             ("fresh_compute_us", self.fresh_compute_us),
@@ -282,8 +273,7 @@ class TraceSink:
             self._fh.close()
 
 
-def trace_sink(path) -> TraceSink:
-    return TraceSink(path)
+trace_sink = TraceSink
 
 
 class DatagramSink:
@@ -307,14 +297,8 @@ class DatagramSink:
         self._sock.close()
 
 
-def datagram_sink(address: tuple[str, int]) -> DatagramSink:
-    return DatagramSink(address)
-
-
-def validator_sink(
-    model, thresholds: Thresholds | None = None, period_us: float | None = None
-) -> IncrementalValidator:
-    return IncrementalValidator(model, thresholds, period_us)
+datagram_sink = DatagramSink
+validator_sink = IncrementalValidator
 
 
 class MultiSink:
@@ -356,11 +340,12 @@ def run_loop(
 ) -> LoopMetrics:
     """Drive the pipeline at a fixed rate until the budget or source ends.
 
-    ``source`` is either an iterable of ``(due_us, frame)`` pairs (scheduled
-    mode: the loop feeds the slot itself, deterministic under a virtual
-    clock; due times count from loop start) or an object with
-    ``start(slot, clock)`` / ``stop()`` (live mode: ``start`` sets the
-    slot's ``poll`` and ``socket``).
+    ``source`` has ``start(slot, clock)`` and ``stop()``: ``start`` sets the
+    slot's ``poll`` (and, for a live source, its ``socket``).  ``schedule``
+    builds one from recorded or synthetic frames, deterministic under a
+    virtual clock; ``DatagramSource`` is the live one.  The loop stops at
+    its budget, or, without one, at the first tick after the source has
+    ended with no frame left in the slot.
 
     Cycle k's tick is at ``start + k * period``, its window is the wait
     before it, and each window sends exactly one command, ``seq = k``.
@@ -368,18 +353,19 @@ def run_loop(
     decodes it into the slot, and if window k has not sent its command the
     loop steps the frame and sends it at once; tick k then sends nothing.
     A frame still pending when a window opens (it came after the last
-    window's command) goes at once too.  Otherwise tick k polls (live), for
-    frames that came in the spin window or under a virtual clock, and sends
-    the newest pending frame's command, or a hold repeating the last fresh
-    angles (model defaults before the first frame).  A fresh frame is
-    smoothed with ``dt`` equal to the loop time since the previous fresh
-    cycle, in whole periods (one for the first; never 0, since a window
-    sends one command), so the filter's time constant holds whatever the
-    source and loop rates.
+    window's command) goes at once too.  Every tick polls, for scheduled
+    frames due by now and live ones that came in the spin window or under a
+    virtual clock; if window k has not sent its command, tick k sends the
+    newest pending frame's, or a hold repeating the last fresh angles (model
+    defaults before the first frame).  A fresh frame is smoothed with ``dt``
+    equal to the loop time since the previous fresh cycle, in whole periods
+    (one for the first; never 0, since a window sends one command), so the
+    filter's time constant holds whatever the source and loop rates.
 
-    ``jitter_us`` records every tick's wake-up, a silent one's too.  An
-    early command's ``compute_us`` runs from the wake-up: drain, decode,
-    step and sinks.
+    ``jitter_us`` records every tick's wake-up, a silent one's too.  A
+    tick's ``compute_us`` starts after its poll, so it leaves out making a
+    scheduled frame and draining the socket; an early command's runs from
+    the wake-up: drain, decode, step and sinks.
 
     Raises SinkBackpressure (metrics attached) after BACKPRESSURE_LIMIT
     consecutive sink calls that each took longer than one period.
@@ -390,19 +376,13 @@ def run_loop(
     period_us = loop_period_us(rate_hz)
 
     slot = LatestFrameSlot()
-    live = hasattr(source, "start")
-    scheduled = None if live else iter(source)
-    pending: tuple | None = None
     metrics = LoopMetrics(period_us=period_us)
     last = JointCommand(0, 0, 0, 0, pipeline.model.default_angles, None)  # the last fresh command; holds repeat it
     over_period = 0
     last_fresh_cycle = -1
     cycle = 0  # window `cycle` has sent its command once metrics.commands > cycle
 
-    if live:
-        source.start(slot, clk)
-    else:
-        pending = next(scheduled, None)
+    source.start(slot, clk)
 
     def send(taken, work_start: int) -> None:
         """Emit cycle ``cycle``'s command: the taken frame's, or a hold without one."""
@@ -463,22 +443,15 @@ def run_loop(
                 arrived()
             clk.sleep_until(target_us, slot.socket, arrived)
             now = clk.now_us()
-            if not live:
-                while pending is not None and start_us + pending[0] <= now:
-                    slot.write(pending[1], arrival_us=start_us + pending[0])
-                    pending = next(scheduled, None)
-                if pending is None and not slot.pending and max_cycles is None and duration_s is None:
-                    break  # source end; an explicit budget keeps the loop holding instead
+            slot.poll()
+            if slot.ended and not slot.pending and max_cycles is None and duration_s is None:
+                break  # source end; an explicit budget keeps the loop holding instead
             metrics.jitter_us.record(abs(now - target_us))
             if metrics.commands == cycle:
-                work_start = clk.now_us()
-                if live:
-                    slot.poll()
-                send(slot.take(), work_start)
+                send(slot.take(), clk.now_us())
             cycle += 1
     finally:
-        if live:
-            source.stop()
+        source.stop()
         slot.drain()
         metrics.frames_written = slot.written
         metrics.frames_consumed = slot.consumed

@@ -39,7 +39,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .errors import (
     EmptyRecording,
     TeleokinError,
     TruncatedFrame,
+    UnorderedTimestamps,
     UnsupportedVersion,
 )
 from .geometry import canonicalize_rows, quat_multiply_rows
@@ -372,28 +373,50 @@ def read_recording(path) -> list[MocapFrame]:
     return frames
 
 
-def schedule(frames: Iterable[MocapFrame], speed: float = 1.0):
-    """Turn a recording into ``(due_us, frame)`` pairs for the control loop.
+class ScheduledSource:
+    """A recording (or synthetic motion) played to the control loop; ``schedule`` builds it.
 
-    Due times reproduce the recorded timestamp gaps divided by ``speed``;
-    ``speed=math.inf`` makes everything due at 0 (as fast as the consumer
-    can take them, order preserved).
+    Due times are the recorded timestamp gaps divided by ``speed``; at
+    ``speed=math.inf`` every frame is due at 0, in order.  ``start`` sets the
+    slot's ``poll`` to write each frame due by now, stamped ``start + due``.
+    ``frames`` is read one frame past the newest due one; when it runs out,
+    ``poll`` sets the slot's ``ended``.  An empty ``frames`` raises
+    EmptyRecording at once; a frame stamped before its predecessor raises
+    UnorderedTimestamps when it is read.
     """
-    frames = list(frames)
-    if not frames:
-        raise EmptyRecording("no frames to schedule")
-    if not (speed > 0):
-        raise ValueError("speed must be positive")
-    t0 = frames[0].timestamp_us
-    last = t0
-    out = []
-    for f in frames:
-        if f.timestamp_us < last:
-            raise ValueError("recording timestamps must be non-decreasing")
-        last = f.timestamp_us
-        offset = 0 if math.isinf(speed) else int(round((f.timestamp_us - t0) / speed))
-        out.append((offset, f))
-    return out
+
+    def __init__(self, frames: Iterable[MocapFrame], speed: float = 1.0):
+        if not (speed > 0):
+            raise ValueError("speed must be positive")
+        self._frames, self._speed = iter(frames), speed
+        self._next = next(self._frames, None)  # the frame read ahead; None once they ran out
+        if self._next is None:
+            raise EmptyRecording("no frames to schedule")
+        self._t0 = self._next.timestamp_us
+
+    def start(self, slot, clock) -> None:
+        self._slot, self._clock, self._start_us = slot, clock, clock.now_us()
+        slot.poll = self._feed
+
+    def _feed(self) -> None:
+        now = self._clock.now_us()
+        while self._next is not None:
+            frame = self._next
+            arrival_us = self._start_us + round((frame.timestamp_us - self._t0) / self._speed)  # gap / inf == 0
+            if arrival_us > now:
+                break
+            self._slot.write(frame, arrival_us)
+            self._next = after = next(self._frames, None)
+            if after is not None and after.timestamp_us < frame.timestamp_us:
+                raise UnorderedTimestamps(f"frame seq {after.seq} is stamped {after.timestamp_us} us,"
+                                          f" before its predecessor's {frame.timestamp_us} us")
+        self._slot.ended = self._next is None
+
+    def stop(self) -> None:
+        pass
+
+
+schedule = ScheduledSource
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +487,14 @@ def synth_motion(
     noise_std: float = 0.0,
     seed: int = 0,
     skeleton=None,
-) -> list[MocapFrame]:
-    """Deterministic synthetic motion on the canonical skeleton.
+) -> Iterator[MocapFrame]:
+    """Deterministic synthetic motion on the canonical skeleton, made frame by frame.
 
     Patterns are the documented sinusoidal joint programs above.  Noise adds
     an independent per-segment small-angle rotation about a random unit axis
     with angle ~ Normal(0, noise_std); identical seeds give byte-identical
-    frame sequences.
+    frame sequences.  The arguments are checked at the call; each frame is
+    made, and its noise drawn, when the returned iterator is advanced.
     """
     from .model import canonical_skeleton  # local import to avoid cycles
 
@@ -482,10 +506,12 @@ def synth_motion(
         raise ValueError("noise_std must be non-negative")
     skel = skeleton if skeleton is not None else canonical_skeleton()
     _pattern_angles(pattern, 0.0)  # validate the pattern name up front
+    return _synth_frames(pattern, rate, int(round(rate * duration)), noise_std, seed, skel)
+
+
+def _synth_frames(pattern: str, rate: float, n_frames: int, noise_std: float, seed: int, skel) -> Iterator[MocapFrame]:
     index = {s.name: i for i, s in enumerate(skel.segments)}
     rng = np.random.default_rng(seed)
-    n_frames = int(round(rate * duration))
-    frames = []
     for i in range(n_frames):
         t = i / rate
         quats = np.zeros((len(skel.segments), 4))
@@ -506,8 +532,7 @@ def synth_motion(
             noise[:, 0] = np.cos(half)
             noise[:, 1:] = np.sin(half)[:, None] * axes
             quats = canonicalize_rows(quat_multiply_rows(quats, noise))
-        frames.append(MocapFrame(seq=i, timestamp_us=round(i * 1e6 / rate), orientations=quats))
-    return frames
+        yield MocapFrame(seq=i, timestamp_us=round(i * 1e6 / rate), orientations=quats)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +554,7 @@ class DatagramSource:
     setup, and ``port`` is the bound one (a free port for 0).  ``start``
     hands the socket to the slot as ``socket``, with its drain as ``poll``:
     the loop waits on the socket, drains it when a datagram arrives, and
-    drains it again at the top of each cycle.  The drain decodes every
+    drains it again at each tick, after the wait.  The drain decodes every
     waiting datagram and writes each valid frame to the slot, stamped with
     its kernel receive time on the loop's clock, so ``frame_age_us`` counts
     from the kernel's receipt, whenever the loop reads the datagram.
@@ -550,8 +575,6 @@ class DatagramSource:
         self._sock.setblocking(False)
         self._sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
         self.port = self._sock.getsockname()[1]
-        self._slot = None
-        self._clock = None
 
     def start(self, slot, clock) -> None:
         self._slot, self._clock = slot, clock

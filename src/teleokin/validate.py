@@ -301,10 +301,10 @@ def _checked_period_us(period_us: float) -> float:
 
 
 def _infer_period_us(trace) -> float:
-    if len(trace) < 2:
-        return 1.0
-    deltas = np.diff([cmd.emission_timestamp_us for cmd in trace])
-    period = float(np.median(deltas))
+    """The emission span over the seq span from the first to the last command; 1.0 unless positive."""
+    first, last = trace[0], trace[-1]
+    seqs = last.seq - first.seq
+    period = (last.emission_timestamp_us - first.emission_timestamp_us) / seqs if seqs else 0.0
     return period if period > 0 else 1.0
 
 
@@ -320,8 +320,8 @@ def validate_trace(
     outside them); backward-difference velocity against each joint's vmax;
     optional second-difference acceleration; and sphere self-collision on
     forward kinematics.  Hold commands participate like any other sample.
-    ``period_us`` must be positive and finite; it defaults to the median
-    emission-timestamp delta of the trace.
+    ``period_us`` must be positive and finite; it defaults to the trace's
+    emission-timestamp span over its seq span.
     """
     trace = list(trace)
     thresholds = thresholds or Thresholds()

@@ -212,7 +212,7 @@ def test_criterion_4_one_command_per_frame():
     """Matched 100 Hz source and loop, 1000 frames: 1000 commands, 0 overwritten."""
     model, skel, rmap = load_sample()
     pipeline = Pipeline(skel, rmap, model, FilterState.create(len(model), tau=0.020))
-    frames = synth_motion("arm-wave", rate=100, duration=10.0, noise_std=0.01, seed=8)
+    frames = list(synth_motion("arm-wave", rate=100, duration=10.0, noise_std=0.01, seed=8))
     assert len(frames) == 1000
     capture = _Capture()
     metrics = run_loop(schedule(frames), pipeline, capture, rate_hz=100, clock=VirtualClock())

@@ -132,6 +132,19 @@ class TestRun:
         assert code == 0
         assert len(read_trace(trace)) == 5
 
+    def test_replay_timestamps_going_backwards_name_the_frame(self, tmp_path, capsys):
+        rec = tmp_path / "backwards.rec"
+        stamps = (0, 10_000, 5_000, 20_000)
+        write_recording(rec, [identity_frame(23, seq=seq, timestamp_us=t) for seq, t in enumerate(stamps)])
+        trace = tmp_path / "out.trc"
+        code = run_cli("run", "--source", f"replay:{rec}", "--sink", f"trace:{trace}", "--rate", "100")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: frame seq 2 is stamped 5000 us, before its predecessor's 10000 us" in err
+        assert "Traceback" not in err
+        # frame 2 is read when frame 1 falls due, after cycle 0's command; the sink was closed
+        assert [cmd.source_seq for cmd in read_trace(trace)] == [0]
+
     def test_live_run_counts_decode_errors_by_reason(self, monkeypatch, capsys):
         class SelfFeeding(DatagramSource):  # sends four bad datagrams to itself
             def start(self, slot, clock):

@@ -10,6 +10,10 @@ says why.
 The replay digest pins the file path as well: a recording written by
 ``teleokin gen``, read back by ``read_recording``, retargeted to a trace,
 then read back by ``read_trace`` for ``teleokin validate``.
+
+Two runs also pin ``teleokin run``'s whole stdout under the virtual clock:
+a synth run with a cycle budget, and a replay run without one, which ends
+at the first tick after the recording's last frame was sent.
 """
 
 import hashlib
@@ -65,3 +69,95 @@ def test_replay_trace_and_audit_match_golden(tmp_path, capsys):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == REPLAY_SHA256
     assert main(["validate", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == REPLAY_VALIDATE_STDOUT
+
+
+SYNTH_RUN_STDOUT = """\
+cycles=1000
+commands=1000
+holds=800
+frames_written=200
+frames_consumed=200
+frames_overwritten=0
+clamped_joints=0
+worst_excursion_rad=0.0
+gimbal_warnings=0
+early_commands=0
+headroom_ratio=0.00
+compute_us_p50=0
+compute_us_p99=0
+compute_us_max=0
+compute_us_lt_1us=1000
+fresh_compute_us_p50=0
+fresh_compute_us_p99=0
+fresh_compute_us_max=0
+fresh_compute_us_lt_1us=200
+frame_age_us_p50=0
+frame_age_us_p99=0
+frame_age_us_max=0
+frame_age_us_lt_1us=200
+jitter_us_p50=0
+jitter_us_p99=0
+jitter_us_max=0
+jitter_us_lt_1us=1000
+# kinematic trace audit
+# cycles=1000 period_us=2000
+# velocity threshold: per-joint vmax from the robot model
+# acceleration_limit=off collision_margin=0.0
+verdict=pass
+limit=0 velocity=0 acceleration=0 self-collision=0
+"""
+
+REPLAY_RUN_STDOUT = """\
+cycles=996
+commands=996
+holds=796
+frames_written=200
+frames_consumed=200
+frames_overwritten=0
+clamped_joints=0
+worst_excursion_rad=0.0
+gimbal_warnings=0
+early_commands=0
+headroom_ratio=0.00
+compute_us_p50=0
+compute_us_p99=0
+compute_us_max=0
+compute_us_lt_1us=996
+fresh_compute_us_p50=0
+fresh_compute_us_p99=0
+fresh_compute_us_max=0
+fresh_compute_us_lt_1us=200
+frame_age_us_p50=0
+frame_age_us_p99=0
+frame_age_us_max=0
+frame_age_us_lt_1us=200
+jitter_us_p50=0
+jitter_us_p99=0
+jitter_us_max=0
+jitter_us_lt_1us=996
+# kinematic trace audit
+# cycles=996 period_us=2000
+# velocity threshold: per-joint vmax from the robot model
+# acceleration_limit=off collision_margin=0.0
+verdict=pass
+limit=0 velocity=0 acceleration=0 self-collision=0
+"""
+
+
+def test_synth_run_stdout_matches_golden(capsys):
+    assert main([
+        "run", "--source", "synth:walk-cycle", "--sink", "validate", "--noise", "0.01", "--frames", "1000",
+        "--clock", "virtual",
+    ]) == 0
+    assert capsys.readouterr().out == SYNTH_RUN_STDOUT
+
+
+def test_replay_run_to_the_source_end_stdout_matches_golden(tmp_path, capsys):
+    recording = tmp_path / "walk.moc"
+    assert main([
+        "gen", "--pattern", "walk-cycle", "--rate", "100", "--duration", "2", "--noise", "0.01",
+        "--out", str(recording),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["run", "--source", f"replay:{recording}", "--clock", "virtual", "--sink", "validate"]) == 0
+    assert capsys.readouterr().out == REPLAY_RUN_STDOUT

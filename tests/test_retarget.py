@@ -360,7 +360,7 @@ class TestRetargetStep:
 
     def test_matches_stage_composition_on_arm_wave(self):
         model, skel, rmap = sample_setup()
-        frames = synth_motion("arm-wave", rate=100, duration=1.0, noise_std=0.01, seed=4)
+        frames = list(synth_motion("arm-wave", rate=100, duration=1.0, noise_std=0.01, seed=4))
 
         state = FilterState.create(len(model), tau=0.020)
         clock = VirtualClock()

@@ -285,7 +285,7 @@ class TestWholeTraceDecode:
 
 
 def frames_at_rate(n, rate_hz, pattern="arm-wave", noise=0.0, seed=0):
-    return synth_motion(pattern, rate=rate_hz, duration=n / rate_hz, noise_std=noise, seed=seed)
+    return list(synth_motion(pattern, rate=rate_hz, duration=n / rate_hz, noise_std=noise, seed=seed))
 
 
 class TestRunLoop:
@@ -338,17 +338,45 @@ class TestRunLoop:
 
     def test_hold_before_first_frame_uses_defaults(self):
         pipeline = sample_pipeline()
-        frames = [identity_frame(23, seq=0, timestamp_us=50_000)]  # due at 50 ms
+        frame = identity_frame(23, seq=0, timestamp_us=50_000)
+
+        class FirstFrameLate:  # one frame, due 50 ms after the start, then the source ends
+            def start(self, slot, clock):
+                def poll():
+                    if clock.now_us() >= 50_000 and not slot.ended:
+                        slot.write(frame, 50_000)
+                        slot.ended = True
+
+                slot.poll = poll
+
+            def stop(self):
+                pass
+
         capture = _CaptureSink()
-        run_loop(
-            [(due_us + 50_000, frame) for due_us, frame in schedule(frames)],
-            pipeline,
-            capture,
-            rate_hz=100,
-            clock=VirtualClock(),
-        )
+        metrics = run_loop(FirstFrameLate(), pipeline, capture, rate_hz=100, clock=VirtualClock())
         assert capture.commands[0].hold
         assert np.array_equal(capture.commands[0].angles, pipeline.model.default_angles)
+        assert [c.hold for c in capture.commands] == [True] * 5 + [False]
+        assert metrics.cycles == 6  # the source ended and its frame went: the loop stops
+
+    def test_scheduled_frames_are_read_one_past_the_newest_due(self):
+        frames = frames_at_rate(50, 100)
+        read = []
+
+        def counted():
+            for frame in frames:
+                read.append(frame.seq)
+                yield frame
+
+        class CheckReads(_CaptureSink):
+            def emit(self, cmd):
+                newest_due = cmd.emission_timestamp_us // 10_000  # frame k is due at k * 10 ms
+                assert len(read) <= newest_due + 2
+                super().emit(cmd)
+
+        sink = CheckReads()
+        run_loop(schedule(counted()), sample_pipeline(), sink, rate_hz=500, clock=VirtualClock())
+        assert len(read) == 50 and len(sink.commands) == 246
 
     def test_sink_sees_strictly_increasing_order(self):
         pipeline = sample_pipeline()

@@ -4,13 +4,14 @@ import math
 import socket
 import struct
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from teleokin import stream
-from teleokin.clock import WallClock
+from teleokin.clock import VirtualClock, WallClock
 from teleokin.errors import (
     BadMagic,
     CrcMismatch,
@@ -288,7 +289,7 @@ class TestStreamStats:
 
 class TestRecording:
     def test_round_trip(self, tmp_path):
-        frames = synth_motion("arm-wave", rate=50, duration=0.5, noise_std=0.01, seed=9)
+        frames = list(synth_motion("arm-wave", rate=50, duration=0.5, noise_std=0.01, seed=9))
         path = tmp_path / "wave.rec"
         assert write_recording(path, frames) == 25
         loaded = read_recording(path)
@@ -298,7 +299,7 @@ class TestRecording:
             assert np.allclose(a.orientations, b.orientations, atol=2e-7)
 
     def test_truncated_tail_dropped_with_warning(self, tmp_path, caplog):
-        frames = synth_motion("static", rate=50, duration=0.2)
+        frames = list(synth_motion("static", rate=50, duration=0.2))
         path = tmp_path / "cut.rec"
         write_recording(path, frames)
         data = path.read_bytes()
@@ -414,32 +415,92 @@ class TestWholeFileDecode:
         assert str(raised.value) == str(expected)
 
 
+class _LoggedSlot(LatestFrameSlot):
+    """A slot that keeps ``(arrival_us, seq)`` of every frame written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def write(self, frame, arrival_us):
+        self.log.append((arrival_us, frame.seq))
+        super().write(frame, arrival_us)
+
+
+def polled(source, at_us, start_us=0):
+    """The slot ``source`` fills when started on a virtual clock at ``start_us`` and polled at each of ``at_us``."""
+    clock = VirtualClock(start_us)
+    slot = _LoggedSlot()
+    source.start(slot, clock)
+    for t in at_us:
+        clock.sleep_until(t)
+        slot.poll()
+    return slot
+
+
 class TestReplay:
     def test_empty_recording(self):
         with pytest.raises(EmptyRecording):
             schedule([], speed=1.0)
+        with pytest.raises(EmptyRecording):
+            schedule(iter([]))
 
     def test_infinite_speed_is_immediate_and_ordered(self):
         frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(5)]
-        out = schedule(frames, speed=math.inf)
-        assert [(due, f.seq) for due, f in out] == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+        slot = polled(schedule(frames, speed=math.inf), [0])
+        assert slot.log == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+        assert slot.ended and slot.take()[0].seq == 4
 
     def test_schedule_offsets(self):
         frames = [identity_frame(3, seq=i, timestamp_us=i * 10_000) for i in range(3)]
-        assert [due for due, _ in schedule(frames, speed=1.0)] == [0, 10_000, 20_000]
-        assert [due for due, _ in schedule(frames, speed=2.0)] == [0, 5_000, 10_000]
-        assert [due for due, _ in schedule(frames, speed=math.inf)] == [0, 0, 0]
+        arrivals = {speed: [at for at, _ in polled(schedule(frames, speed), [100_000]).log]
+                    for speed in (1.0, 2.0, math.inf)}
+        assert arrivals == {1.0: [0, 10_000, 20_000], 2.0: [0, 5_000, 10_000], math.inf: [0, 0, 0]}
+        # due times count from the source's start, on the loop's clock
+        assert [at for at, _ in polled(schedule(frames), [100_000], start_us=7).log] == [7, 10_007, 20_007]
+
+    def test_a_frame_is_written_when_due_and_not_before(self):
+        frames = [identity_frame(3, seq=i, timestamp_us=500 + i * 10_000) for i in range(3)]
+        clock = VirtualClock()
+        slot = _LoggedSlot()
+        schedule(frames).start(slot, clock)
+        seen = []
+        for t in (0, 9_999, 10_000, 19_999, 20_000, 30_000):
+            clock.sleep_until(t)
+            slot.poll()
+            seen.append((len(slot.log), slot.ended))
+        assert seen == [(1, False), (1, False), (2, False), (2, False), (3, True), (3, True)]
+
+    def test_an_hour_of_synth_is_built_and_started_in_under_a_megabyte(self):
+        skeleton = canonical_skeleton()
+
+        def started(duration):
+            source = schedule(synth_motion("arm-wave", rate=100, duration=duration, noise_std=0.01, skeleton=skeleton))
+            slot = LatestFrameSlot()
+            source.start(slot, VirtualClock())
+            slot.poll()
+            return slot
+
+        started(0.01)  # numpy's first draws import and set up its generator code
+        tracemalloc.start()
+        try:
+            slot = started(3600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slot.written == 1
+        assert peak < 1_000_000
 
 
 class TestSynth:
     def test_static_is_identity(self):
-        frames = synth_motion("static", rate=100, duration=0.5)
+        frames = list(synth_motion("static", rate=100, duration=0.5))
         assert len(frames) == 50
         for f in frames:
             assert np.array_equal(f.orientations, identity_frame(23).orientations)
 
     def test_arm_wave_amplitude_and_rate(self):
-        frames = synth_motion("arm-wave", rate=100, duration=1.0)
+        frames = list(synth_motion("arm-wave", rate=100, duration=1.0))
         assert len(frames) == 100
         skel = canonical_skeleton()
         idx = skel.index("left_upper_arm")
@@ -452,7 +513,7 @@ class TestSynth:
         assert math.isclose(max(angles), 0.5, abs_tol=1e-3)
 
     def test_walk_cycle_period(self):
-        frames = synth_motion("walk-cycle", rate=100, duration=2.0)
+        frames = list(synth_motion("walk-cycle", rate=100, duration=2.0))
         assert len(frames) == 200
         skel = canonical_skeleton()
         idx = skel.index("left_thigh")
@@ -470,7 +531,7 @@ class TestSynth:
     def test_different_seeds_differ(self):
         a = synth_motion("static", rate=100, duration=0.1, noise_std=0.01, seed=5)
         b = synth_motion("static", rate=100, duration=0.1, noise_std=0.01, seed=6)
-        assert encode_frame(a[0]) != encode_frame(b[0])
+        assert encode_frame(next(a)) != encode_frame(next(b))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -310,6 +310,20 @@ class TestStreamingValidator:
         same_stamp = command_trace(model, rows[:2], period_us=0)
         assert streamed(model, same_stamp).period_us == validate_trace(model, same_stamp).period_us == 1.0
 
+    def test_inferred_period_is_the_emission_span_over_the_seq_span(self):
+        # Live commands go early, up to a period before their tick, so their
+        # emission deltas spread over 0-4 ms around the period; here they are
+        # 1400 us three times in four, so their median reads 30% low.
+        model = sample_model()
+        trace = command_trace(model, np.zeros((41, len(model))), period_us=2000)
+        for cmd in trace:
+            cmd.emission_timestamp_us -= (cmd.seq % 4) * 600
+        deltas = np.diff([cmd.emission_timestamp_us for cmd in trace])
+        assert (deltas.min(), np.median(deltas), deltas.max()) == (1400, 1400, 3800)
+        assert validate_trace(model, trace).period_us == 2000
+        assert validate_trace(model, trace[4:]).period_us == 2000  # the span counts from seq 4
+        assert validate_trace(model, trace[3:]).period_us == (80_000 - 4200) / 37  # 1800 us early at seq 3
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         rows=angle_traces(),
