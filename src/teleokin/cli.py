@@ -30,7 +30,6 @@ from .errors import SinkBackpressure, TeleokinError
 from .model import load_retarget_map, load_robot_model, load_skeleton
 from .retarget import FilterState, Pipeline
 from .runtime import (
-    DatagramSink,
     MultiSink,
     NullSink,
     datagram_sink,
@@ -249,19 +248,11 @@ def cmd_run(args) -> int:
             log.error("aborted: %s", exc)
             metrics, code = exc.metrics, 1
     sys.stdout.write(metrics.format())
-    for s in all_sinks:
-        if isinstance(s, DatagramSink):
-            sys.stdout.write(f"datagram_sent={s.sent}\ndatagram_send_errors={s.send_errors}\n")
-    if live:
-        stats = source.stats
-        sys.stdout.write(
-            f"stream_received={stats.received}\nstream_dropped={stats.dropped}\n"
-            f"stream_duplicates={stats.duplicates}\nstream_out_of_order={stats.out_of_order}\n"
-            f"stream_restarts={stats.restarts}\n"
-            f"stream_decode_errors={sum(source.decode_errors.values())}\n"
-        )
-        for name, count in sorted(source.decode_errors.items()):
-            sys.stdout.write(f"stream_decode_errors_{name}={count}\n")
+    counts: dict[str, int] = {}  # every sink's counters, then the source's; a shared name is summed
+    for part in (*all_sinks, source):
+        for name, count in getattr(part, "counters", dict)().items():
+            counts[name] = counts.get(name, 0) + count
+    sys.stdout.write("".join(f"{name}={count}\n" for name, count in counts.items()))
     if validator is not None:
         report = validator.report()
         sys.stdout.write(report.format())

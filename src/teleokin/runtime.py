@@ -20,6 +20,9 @@ Both use ``stream``'s framing helpers, so their decoders raise the same errors
 as the motion-frame codec.  A truncated final trace record raises.
 
 ``read_trace`` decodes a trace file whole, like ``stream.read_recording``.
+
+``LoopMetrics`` times the loop with ``Histogram``s, which keep one count per
+distinct microsecond value, so the dump's memory does not grow with the run.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy as np
 
 from .clock import WallClock
 from .errors import SinkBackpressure, TruncatedFrame
-from .metrics import Histogram, bucket_lines
 from .retarget import JointCommand, Pipeline
 from .stream import CRC_SIZE, append_crc, check_crc, extend_runs, read_magic_file, record_rows, unpack_prefix
 from .validate import IncrementalValidator
@@ -108,6 +110,41 @@ class LatestFrameSlot:
 # Loop metrics
 
 
+class Histogram:
+    """Exact counts per distinct integer microsecond value: memory grows with their range, not with ``len()``."""
+
+    def __init__(self):
+        self.counts: dict[int, int] = {}
+
+    def record(self, value_us: int) -> None:
+        value = int(value_us)
+        self.counts[value] = self.counts.get(value, 0) + 1
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def bucket_counts(self) -> dict[int, int]:
+        """Counts per power-of-two upper bound ``n`` (values in ``[n/2, n)``; 1 holds zeros), ascending."""
+        buckets: dict[int, int] = {}
+        for value, count in sorted(self.counts.items()):
+            upper = 1 << value.bit_length() if value > 0 else 1
+            buckets[upper] = buckets.get(upper, 0) + count
+        return buckets
+
+    def percentile(self, p: float) -> int:
+        """The sample of rank ``round(p/100 * (n-1))`` in ascending order, ``p`` in [0, 100]; 0 when empty."""
+        n = len(self)
+        rank = max(0, min(n - 1, int(round(p / 100.0 * (n - 1)))))
+        for value, count in sorted(self.counts.items()):
+            rank -= count
+            if rank < 0:
+                return value
+        return 0
+
+    def maximum(self) -> int:
+        return max(self.counts, default=0)
+
+
 @dataclass
 class LoopMetrics:
     period_us: int = 0
@@ -136,16 +173,12 @@ class LoopMetrics:
                    "clamped_joints", "worst_excursion_rad", "gimbal_warnings", "early_commands")
         lines = [f"{name}={getattr(self, name)}" for name in scalars]  # str of a float is its repr
         lines.append(f"headroom_ratio={self.headroom_ratio():.2f}")
-        for name, hist in (
-            ("compute_us", self.compute_us),
-            ("fresh_compute_us", self.fresh_compute_us),
-            ("frame_age_us", self.frame_age_us),
-            ("jitter_us", self.jitter_us),
-        ):
+        for name in ("compute_us", "fresh_compute_us", "frame_age_us", "jitter_us"):
+            hist = getattr(self, name)
             lines.append(f"{name}_p50={hist.percentile(50)}")
             lines.append(f"{name}_p99={hist.percentile(99)}")
             lines.append(f"{name}_max={hist.maximum()}")
-            lines.extend(bucket_lines(name, hist))
+            lines.extend(f"{name}_lt_{upper}us={count}" for upper, count in hist.bucket_counts().items())
         return "\n".join(lines) + "\n"
 
 
@@ -282,9 +315,16 @@ class DatagramSink:
     def __init__(self, address: tuple[str, int]):
         self.address = address
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.connect(address)
+        try:
+            self._sock.connect(address)
+        except OSError:
+            self._sock.close()
+            raise
         self.sent = 0
         self.send_errors = 0
+
+    def counters(self) -> dict[str, int]:
+        return {"datagram_sent": self.sent, "datagram_send_errors": self.send_errors}
 
     def emit(self, cmd: JointCommand) -> None:
         try:

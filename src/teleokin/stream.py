@@ -580,6 +580,14 @@ class DatagramSource:
         self._slot, self._clock = slot, clock
         slot.poll, slot.socket = self._drain, self._sock
 
+    def counters(self) -> dict[str, int]:
+        """The stream statistics, then the decode errors: all of them, then by reason."""
+        counts = {f"stream_{name}": getattr(self.stats, name)
+                  for name in ("received", "dropped", "duplicates", "out_of_order", "restarts")}
+        counts["stream_decode_errors"] = sum(self.decode_errors.values())
+        counts.update((f"stream_decode_errors_{name}", n) for name, n in sorted(self.decode_errors.items()))
+        return counts
+
     def _drain(self) -> None:
         """Decode every datagram waiting on the socket into the slot."""
         while True:

@@ -67,6 +67,17 @@ class TestRun:
         assert out.count("datagram_sent=") == 1
         assert "\ndatagram_sent=10\ndatagram_send_errors=0\n" in out
 
+    def test_counters_of_sinks_of_one_kind_are_summed(self, capsys):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as receiver:
+            receiver.bind(("127.0.0.1", 0))
+            address = f"datagram:127.0.0.1:{receiver.getsockname()[1]}"
+            code = run_cli("run", "--source", "synth:static", "--clock", "virtual", "--frames", "10",
+                           "--sink", address, "--sink", address)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("datagram_sent=") == 1 and out.count("datagram_send_errors=") == 1
+        assert "\ndatagram_sent=20\ndatagram_send_errors=0\n" in out
+
     def test_missing_map_names_path(self, tmp_path, capsys):
         code = run_cli(
             "run", "--map", str(tmp_path / "nope.map"), "--source", "synth:static",

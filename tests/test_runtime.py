@@ -1,11 +1,13 @@
 """Control loop, latest-frame slot, sinks, and command codecs."""
 
 import math
+import random
 import select
 import socket
 import struct
 import threading
 import time
+import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -27,6 +29,7 @@ from teleokin.geometry import quat_from_axis_angle
 from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import (
+    Histogram,
     LatestFrameSlot,
     LoopMetrics,
     MultiSink,
@@ -61,6 +64,46 @@ def make_command(seq=0, n=3, hold=False, emission=1000):
         clamped=np.zeros(n, dtype=bool),
         hold=hold,
     )
+
+
+def _seeded(seed, n, spread, shift=0):
+    rng = random.Random(seed)
+    return [int(rng.lognormvariate(0, spread)) - shift for _ in range(n)]
+
+
+class TestHistogram:
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [],
+            [42],
+            [0] * 100,
+            [3, 3, 3, 9, 9, 1, 1_000] * 30,
+            [120] * 999 + [2_000_000],  # one outlier above the rest
+            _seeded(1, 1_000, 2.0),
+            _seeded(2, 5_000, 4.0),
+            _seeded(3, 7, 1.0),
+            _seeded(4, 300, 1.0, shift=3),  # some values below zero
+        ],
+        ids=["empty", "single", "all-zero", "repeated", "outlier", "seed1", "seed2", "seed3-few", "seed4-negatives"],
+    )
+    def test_matches_the_sorted_list_rule(self, samples):
+        hist = Histogram()
+        for value in samples:
+            hist.record(value)
+        ordered = sorted(samples)
+
+        def at(p):  # the exact rule: the sample of rank round(p/100 * (n-1)), clamped
+            return ordered[max(0, min(len(ordered) - 1, int(round(p / 100 * (len(ordered) - 1)))))] if ordered else 0
+
+        buckets = {}
+        for value in ordered:
+            upper = 1 << value.bit_length() if value > 0 else 1
+            buckets[upper] = buckets.get(upper, 0) + 1
+        assert [hist.percentile(p) for p in (0, 1, 50, 99, 100)] == [at(p) for p in (0, 1, 50, 99, 100)]
+        assert hist.maximum() == (ordered[-1] if ordered else 0)
+        assert list(hist.bucket_counts().items()) == sorted(buckets.items())
+        assert len(hist) == len(samples)
 
 
 class TestLatestFrameSlot:
@@ -741,6 +784,24 @@ class TestRunLoop:
         timed.fresh_compute_us.record(250)
         assert "headroom_ratio=8.00\n" in timed.format()
 
+    def test_metrics_memory_is_flat_in_run_length(self):
+        def retained(cycles):
+            """Bytes still held after a virtual-clock arm-wave run of ``cycles``, its metrics kept."""
+            source = schedule(synth_motion("arm-wave", rate=100, duration=cycles / 500))
+            pipeline = sample_pipeline()
+            tracemalloc.start()
+            try:
+                metrics = run_loop(source, pipeline, NullSink(), rate_hz=500, max_cycles=cycles, clock=VirtualClock())
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert metrics.cycles == len(metrics.compute_us) == cycles
+            return held
+
+        retained(100)  # the first run sets up what any run shares
+        short, long = retained(500), retained(5_000)
+        assert long - short < 16_000
+
     def test_metrics_carry_retarget_diagnostics(self):
         pipeline = sample_pipeline(tau=0.0)
         skel = pipeline.skeleton
@@ -834,6 +895,18 @@ class TestDatagramSink:
         for blob, cmd_bytes in zip(got, sent):
             decoded = decode_command_datagram(blob)
             assert encode_command_datagram(decoded)[:25] == cmd_bytes[:25]
+
+    def test_failed_connect_closes_the_socket(self, monkeypatch):
+        tried = []
+
+        def unresolvable(sock, address):  # stands in for the resolver: no lookup leaves the machine
+            tried.append(sock)
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket.socket, "connect", unresolvable)
+        with pytest.raises(socket.gaierror):
+            datagram_sink(("no.such.host.invalid", 9100))
+        assert len(tried) == 1 and tried[0].fileno() == -1  # closed
 
     def test_unreachable_address_counts_errors_and_continues(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -545,6 +545,28 @@ class TestSynth:
 
 
 class TestDatagramSource:
+    def test_counters_name_the_stream_statistics_then_the_decode_errors(self):
+        source = DatagramSource(port=0)
+        assert list(source.counters()) == ["stream_received", "stream_dropped", "stream_duplicates",
+                                           "stream_out_of_order", "stream_restarts", "stream_decode_errors"]
+        slot = LatestFrameSlot()
+        source.start(slot, WallClock())
+        try:
+            good = encode_frame(identity_frame(3, seq=4))
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                for data in (good[:10], encode_frame(identity_frame(3, seq=1)), b"JUNK" + good[4:], good):
+                    out.sendto(data, ("127.0.0.1", source.port))
+            deadline = time.monotonic() + 5.0
+            while slot.written < 2 and time.monotonic() < deadline:
+                slot.poll()
+        finally:
+            source.stop()
+        assert source.counters() == {
+            "stream_received": 2, "stream_dropped": 2, "stream_duplicates": 0, "stream_out_of_order": 0,
+            "stream_restarts": 0, "stream_decode_errors": 2,
+            "stream_decode_errors_BadMagic": 1, "stream_decode_errors_TruncatedFrame": 1,
+        }
+
     def test_programming_error_is_not_counted_as_a_decode_error(self, monkeypatch):
         def broken_decode(data):
             raise RuntimeError("bug in the decoder")
