@@ -11,6 +11,7 @@ import numpy as np
 
 from teleokin import (
     FilterState,
+    Pipeline,
     VirtualClock,
     enforce_limits,
     identity_frame,
@@ -19,7 +20,6 @@ from teleokin import (
     load_skeleton,
     map_frame,
     quat_from_axis_angle,
-    retarget_step,
     sample_text,
     smooth,
 )
@@ -46,10 +46,9 @@ clamped, flags = enforce_limits(model, smoothed)
 lo, hi = model.soft_lower[wrist], model.soft_upper[wrist]
 print(f"stage 3 clamp:  [{lo:+.2f}, {hi:+.2f}] -> {clamped[wrist]:+.3f} rad, flagged={bool(flags[wrist])}")
 
-# retarget_step is exactly that composition, once, with provenance attached.
-command, diagnostics = retarget_step(
-    rmap, model, FilterState.create(len(model), tau=0.0), frame, 0.002, VirtualClock()
-)
+# Pipeline.step is exactly that composition, once, with provenance attached.
+pipeline = Pipeline(skeleton, rmap, model, FilterState.create(len(model), tau=0.0))
+command, diagnostics = pipeline.step(frame, 0.002, VirtualClock())
 print(
     f"\none step:       wrist {command.angles[wrist]:+.3f} rad, "
     f"{diagnostics.clamped_count} joint clamped, "

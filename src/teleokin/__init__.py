@@ -41,7 +41,6 @@ from .retarget import (
     Pipeline,
     enforce_limits,
     map_frame,
-    retarget_step,
     smooth,
 )
 from .runtime import (
@@ -98,7 +97,6 @@ __all__ = [
     "Pipeline",
     "enforce_limits",
     "map_frame",
-    "retarget_step",
     "smooth",
     "LatestFrameSlot",
     "LoopMetrics",

@@ -103,6 +103,7 @@ def _checked(convert, ok, what: str):
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def number_or_off(text: str) -> float | None:  # argparse prints this name: "invalid number_or_off value"
@@ -135,7 +136,7 @@ def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, 
                         help="virtual for offline sources, wall for live (default %(default)s)")
     parser.add_argument("--source-rate", type=_POSITIVE, default=100.0, help="synth source rate in Hz")
     parser.add_argument("--noise", type=_NON_NEGATIVE, default=noise, help="synth noise std in radians (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_SEED, default=0)
     # not --sink's own default: an appending flag adds to its default, never replaces it
     parser.set_defaults(func=cmd_run, default_sinks=[sink] if sink else [])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -211,39 +211,11 @@ class RobotModel:
 
 
 @dataclass(eq=False)
-class TwistRule:
-    """Map one robot joint from the twist of one segment about an axis."""
-
-    joint: str
-    segment: str
-    axis: np.ndarray
-    sign: float
-    scale: float
-    offset: float
-    joint_index: int = field(default=-1)
-    segment_index: int = field(default=-1)
-
-
-@dataclass(eq=False)
-class TripleRule:
-    """Map three robot joints from a three-angle decomposition of one segment."""
-
-    joints: tuple[str, str, str]
-    segment: str
-    order: str
-    signs: tuple[float, float, float]
-    scales: tuple[float, float, float]
-    offsets: tuple[float, float, float]
-    joint_indices: tuple[int, int, int] = field(default=(-1, -1, -1))
-    segment_index: int = field(default=-1)
-
-
 class RetargetMap:
     """Total, validated human-segment to robot-joint projection rules.
 
-    Joint and segment references are resolved to indices at load time, and
-    the rules are compiled into plain-float tuples the per-frame mapping
-    unpacks directly:
+    The loader resolves joint and segment references to indices and compiles
+    each rule into a plain-float tuple the per-frame mapping unpacks directly:
 
     - ``twist_rules``: ``(segment, ax, ay, az, gain, offset, joint)``;
     - ``triple_rules``: ``(segment, order, i, j, k, s, ((joint, gain, offset) x 3))``,
@@ -252,52 +224,11 @@ class RetargetMap:
     ``gain`` is ``sign * scale``, the product the angle is multiplied by.
     """
 
-    def __init__(self, rules: list, unmapped: list[str], skeleton: HumanSkeleton, model: RobotModel):
-        seen: dict[str, str] = {}
-
-        def claim(joint: str, where: str):
-            model.joint_index(joint)  # raises UnknownReference
-            if joint in seen:
-                raise CoverageError(f"joint {joint!r} referenced twice ({seen[joint]} and {where})")
-            seen[joint] = where
-
-        for r in rules:
-            if isinstance(r, TwistRule):
-                claim(r.joint, "map")
-                r.joint_index = model.joint_index(r.joint)
-                r.segment_index = skeleton.index(r.segment)
-            elif isinstance(r, TripleRule):
-                for j in r.joints:
-                    claim(j, "map3")
-                r.joint_indices = tuple(model.joint_index(j) for j in r.joints)
-                r.segment_index = skeleton.index(r.segment)
-            else:  # pragma: no cover - construction bug, not user input
-                raise TypeError(f"unknown rule type {type(r)!r}")
-        for j in unmapped:
-            claim(j, "unmapped")
-        missing = [n for n in model.joint_names if n not in seen]
-        if missing:
-            raise CoverageError(f"joints not covered by the map: {missing}")
-
-        self.rules = list(rules)
-        self.twist_rules = tuple(
-            (r.segment_index, *(float(c) for c in r.axis), r.sign * r.scale, r.offset, r.joint_index)
-            for r in rules
-            if isinstance(r, TwistRule)
-        )
-        self.triple_rules = tuple(
-            (
-                r.segment_index,
-                r.order,
-                *_euler_axes(r.order),
-                tuple(zip(r.joint_indices, (g * c for g, c in zip(r.signs, r.scales)), r.offsets)),
-            )
-            for r in rules
-            if isinstance(r, TripleRule)
-        )
-        self.joint_count = len(model)
-        self.default_angles = model.default_angles.copy()
-        self.segment_count = len(skeleton)
+    twist_rules: tuple
+    triple_rules: tuple
+    joint_count: int
+    default_angles: np.ndarray
+    segment_count: int
 
 
 class LinkPose(NamedTuple):
@@ -493,26 +424,47 @@ def load_robot_model(text: str) -> RobotModel:
 
 
 def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> RetargetMap:
-    """Parse a map document and resolve it against a skeleton and a model."""
-    rules: list = []
-    unmapped: list[str] = []
+    """Parse a map document, resolving and compiling each rule as it is read.
+
+    Faults are raised in document order; once the whole document is read,
+    every joint of ``model`` must have been claimed by exactly one directive.
+    """
+    seen: dict[str, str] = {}  # joint name -> the directive that claimed it
+
+    def claim(joint: str, where: str) -> int:
+        index = model.joint_index(joint)  # raises UnknownReference
+        if joint in seen:
+            raise CoverageError(f"joint {joint!r} referenced twice ({seen[joint]} and {where})")
+        seen[joint] = where
+        return index
+
+    twist_rules: list[tuple] = []
+    triple_rules: list[tuple] = []
     for d in _directives(text, ("map", "map3", "unmapped")):
         if d.keyword == "map":
             _, joint = d.arg(0, "joint name")
             f = d.fields(1, axis=_axis, sign=_signs(_real), segment=_text, scale=_real, offset=_real)
-            rules.append(TwistRule(joint=joint, **f))
+            joint_index = claim(joint, "map")
+            twist_rules.append((skeleton.index(f["segment"]), *f["axis"].tolist(),
+                                f["sign"] * f["scale"], f["offset"], joint_index))
         elif d.keyword == "map3":
             jcol, jtok = d.arg(0, "joint names <j1>,<j2>,<j3>")
             names = jtok.split(",")
             if len(names) != 3:
                 raise ParseError(d.lineno, jcol, "map3 expects three comma-separated joint names")
             f = d.fields(1, order=_order, signs=_signs(_reals(3)), segment=_text, scales=_reals(3), offsets=_reals(3))
-            rules.append(TripleRule(joints=tuple(names), **f))
+            joints = [claim(name, "map3") for name in names]
+            gains = [s * c for s, c in zip(f["signs"], f["scales"])]
+            triple_rules.append((skeleton.index(f["segment"]), f["order"], *_euler_axes(f["order"]),
+                                 tuple(zip(joints, gains, f["offsets"]))))
         elif d.keyword == "unmapped":
             _, joint = d.arg(0, "joint name")
             d.fields(1)
-            unmapped.append(joint)
-    return RetargetMap(rules, unmapped, skeleton, model)
+            claim(joint, "unmapped")
+    missing = [n for n in model.joint_names if n not in seen]
+    if missing:
+        raise CoverageError(f"joints not covered by the map: {missing}")
+    return RetargetMap(tuple(twist_rules), tuple(triple_rules), len(model), model.default_angles.copy(), len(skeleton))
 
 
 # ---------------------------------------------------------------------------

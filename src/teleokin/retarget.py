@@ -1,6 +1,6 @@
 """Per-frame retargeting: geometric mapping, smoothing, soft-limit clamping.
 
-One call to ``retarget_step`` turns one motion frame into one synchronized
+One call to ``Pipeline.step`` turns one motion frame into one synchronized
 joint command: every output angle comes from the same source frame, and the
 stages run in the fixed order map -> smooth -> clamp.  Clamping last is what
 makes the safety property unconditional: even if the filter overshoots, the
@@ -203,37 +203,6 @@ def smooth(state: FilterState, angles, dt: float) -> np.ndarray:
     return np.array(out)
 
 
-def retarget_step(
-    rmap: RetargetMap,
-    model: RobotModel,
-    state: FilterState,
-    frame: MocapFrame,
-    dt: float,
-    clock,
-) -> tuple[JointCommand, RetargetDiagnostics]:
-    """map_frame -> smooth -> enforce_limits, once, on one frame.
-
-    The stages pass the map's float list along; ``angles`` and ``clamped``
-    are the only arrays built.  The command is stamped with ``clock`` when
-    the clamp is done; the control loop sends it as soon as the step
-    returns, whether at a tick or as the frame arrives.  A NaN or infinite
-    angle raises NonFiniteAngle before ``state`` changes.
-    """
-    raw, gimbal_warnings = _map_frame(rmap, frame)
-    smoothed = _smoothed(state, raw, dt)
-    angles, flags, excursion = _clamped(model, smoothed)
-    state.previous, state.initialized = smoothed, True
-    command = JointCommand(
-        seq=0,
-        source_seq=frame.seq,
-        source_timestamp_us=frame.timestamp_us,
-        emission_timestamp_us=clock.now_us(),
-        angles=np.array(angles),
-        clamped=np.array(flags, dtype=bool),
-    )
-    return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)
-
-
 @dataclass
 class Pipeline:
     """The validated retargeting components a control loop drives."""
@@ -251,5 +220,27 @@ class Pipeline:
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
 
-    def step(self, frame: MocapFrame, dt: float, clock):
-        return retarget_step(self.rmap, self.model, self.filter_state, frame, dt, clock)
+    def step(self, frame: MocapFrame, dt: float, clock) -> tuple[JointCommand, RetargetDiagnostics]:
+        """map_frame -> smooth -> enforce_limits, once, on one frame.
+
+        The stages pass the map's float list along; ``angles`` and
+        ``clamped`` are the only arrays built.  The command is stamped with
+        ``clock`` when the clamp is done; the control loop sends it as soon
+        as the step returns, whether at a tick or as the frame arrives.  A
+        NaN or infinite angle raises NonFiniteAngle before the filter state
+        changes.
+        """
+        state = self.filter_state
+        raw, gimbal_warnings = _map_frame(self.rmap, frame)
+        smoothed = _smoothed(state, raw, dt)
+        angles, flags, excursion = _clamped(self.model, smoothed)
+        state.previous, state.initialized = smoothed, True
+        command = JointCommand(
+            seq=0,
+            source_seq=frame.seq,
+            source_timestamp_us=frame.timestamp_us,
+            emission_timestamp_us=clock.now_us(),
+            angles=np.array(angles),
+            clamped=np.array(flags, dtype=bool),
+        )
+        return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)

@@ -69,7 +69,9 @@ class LatestFrameSlot:
     ``poll`` once at each tick, after the wait.  A live source also sets
     ``socket`` to the socket its ``poll`` drains; the loop waits on it and
     calls ``poll`` as soon as it is readable.  A source whose frames run
-    out sets ``ended``; a live source never does.
+    out sets ``ended``; a live source never does.  The loop sets
+    ``segment_count`` to the count its map expects; a live source drops a
+    frame of another count as undecodable (None accepts any count).
     """
 
     def __init__(self):
@@ -78,6 +80,7 @@ class LatestFrameSlot:
         self.poll = None
         self.socket = None
         self.ended = False
+        self.segment_count = None
         self.written = 0
         self.overwritten = 0
         self.consumed = 0
@@ -416,6 +419,7 @@ def run_loop(
     period_us = loop_period_us(rate_hz)
 
     slot = LatestFrameSlot()
+    slot.segment_count = pipeline.rmap.segment_count
     metrics = LoopMetrics(period_us=period_us)
     last = JointCommand(0, 0, 0, 0, pipeline.model.default_angles, None)  # the last fresh command; holds repeat it
     over_period = 0

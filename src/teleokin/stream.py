@@ -47,6 +47,7 @@ from .errors import (
     BadMagic,
     CrcMismatch,
     DegenerateQuaternion,
+    DimensionMismatch,
     EmptyRecording,
     TeleokinError,
     TruncatedFrame,
@@ -506,12 +507,12 @@ def synth_motion(
         raise ValueError("noise_std must be non-negative")
     skel = skeleton if skeleton is not None else canonical_skeleton()
     _pattern_angles(pattern, 0.0)  # validate the pattern name up front
-    return _synth_frames(pattern, rate, int(round(rate * duration)), noise_std, seed, skel)
+    rng = np.random.default_rng(seed)  # here, so a bad seed is rejected at the call
+    return _synth_frames(pattern, rate, int(round(rate * duration)), noise_std, rng, skel)
 
 
-def _synth_frames(pattern: str, rate: float, n_frames: int, noise_std: float, seed: int, skel) -> Iterator[MocapFrame]:
+def _synth_frames(pattern: str, rate: float, n_frames: int, noise_std: float, rng, skel) -> Iterator[MocapFrame]:
     index = {s.name: i for i, s in enumerate(skel.segments)}
-    rng = np.random.default_rng(seed)
     for i in range(n_frames):
         t = i / rate
         quats = np.zeros((len(skel.segments), 4))
@@ -558,7 +559,8 @@ class DatagramSource:
     waiting datagram and writes each valid frame to the slot, stamped with
     its kernel receive time on the loop's clock, so ``frame_age_us`` counts
     from the kernel's receipt, whenever the loop reads the datagram.
-    Undecodable datagrams are counted (by error type) and dropped; the loop
+    Undecodable datagrams, and frames whose segment count is not the slot's
+    ``segment_count``, are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
     Any other exception is a bug and propagates out of the loop.
     """
@@ -590,6 +592,7 @@ class DatagramSource:
 
     def _drain(self) -> None:
         """Decode every datagram waiting on the socket into the slot."""
+        expected = self._slot.segment_count
         while True:
             try:
                 data, ancdata, _flags, _addr = self._sock.recvmsg(_MAX_DATAGRAM, _STAMP_SPACE)
@@ -597,6 +600,8 @@ class DatagramSource:
                 return
             try:
                 frame = decode_frame(data)
+                if expected is not None and frame.segment_count != expected:
+                    raise DimensionMismatch(f"frame has {frame.segment_count} segments, map expects {expected}")
             except TeleokinError as exc:  # decode errors are counted drops
                 name = type(exc).__name__
                 self.decode_errors[name] = self.decode_errors.get(name, 0) + 1

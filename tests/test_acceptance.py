@@ -35,7 +35,7 @@ from teleokin.model import (
     load_robot_model,
     load_skeleton,
 )
-from teleokin.retarget import FilterState, Pipeline, retarget_step, smooth
+from teleokin.retarget import FilterState, Pipeline, smooth
 from teleokin.runtime import (
     MultiSink,
     NullSink,
@@ -98,18 +98,18 @@ def test_criterion_1_safety_battery():
     velocity check passes deterministically.  The acceleration check is off;
     the core battery is limits, velocity, and self-collision.
     """
-    model, _, rmap = load_sample()
+    model, skel, rmap = load_sample()
     alpha = 1.0 - math.exp(-0.01 / 0.4)
     assert alpha * 2.0 * math.pi / 0.01 < model.velocity_limits.min()
 
-    state = FilterState.create(len(model), tau=0.4)
+    pipeline = Pipeline(skel, rmap, model, FilterState.create(len(model), tau=0.4))
     clock = VirtualClock()
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
     commands = []
     for i in range(100_000):
         frame = MocapFrame(i, i * 10_000, random_unit_rows(rng))
-        cmd, _ = retarget_step(rmap, model, state, frame, 0.010, clock)
+        cmd, _ = pipeline.step(frame, 0.010, clock)
         commands.append(cmd)
     angles = np.stack([c.angles for c in commands])
     assert (angles >= model.soft_lower[None, :]).all()

@@ -156,6 +156,15 @@ class TestRun:
         # frame 2 is read when frame 1 falls due, after cycle 0's command; the sink was closed
         assert [cmd.source_seq for cmd in read_trace(trace)] == [0]
 
+    def test_replay_of_another_segment_count_exits_2(self, tmp_path, capsys):
+        rec = tmp_path / "five.rec"
+        write_recording(rec, [identity_frame(5, seq=seq, timestamp_us=seq * 10_000) for seq in range(3)])
+        code = run_cli("run", "--source", f"replay:{rec}", "--sink", "null", "--rate", "100")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: frame has 5 segments, map expects 23" in err
+        assert "Traceback" not in err
+
     def test_live_run_counts_decode_errors_by_reason(self, monkeypatch, capsys):
         class SelfFeeding(DatagramSource):  # sends four bad datagrams to itself
             def start(self, slot, clock):
@@ -352,6 +361,13 @@ class TestGen:
                     "--out", str(tmp_path / "x.rec"))
         assert exc.value.code == 2
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.rec"
+        assert run_cli("gen", "--pattern", "static", "--duration", "1", "--seed", "-1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBench:
     def test_prints_statistics(self, capsys):
@@ -422,6 +438,9 @@ BAD_SPECS = [
     ("run", "--source", "synth:static", "--sink", "trace:{rec}.trc", "--sink", "trace:{rec}.d/x.trc", "--frames", "5"),
     ("run", "--source", "live:{busy}", "--sink", "null", "--frames", "5"),
     ("gen", "--pattern", "static", "--duration", "1", "--out", "{rec}.d/x.rec"),
+    ("run", "--source", "synth:static", "--sink", "null", "--frames", "5", "--seed", "-1"),
+    ("bench", "--seed", "-1"),
+    ("gen", "--pattern", "static", "--duration", "1", "--seed", "-1", "--out", "{rec}.out"),
 ]
 
 

@@ -246,7 +246,7 @@ class TestLoadRetargetMap:
         rmap = load_retarget_map(
             "map j1 segment=limb axis=0,0,1 sign=+1 scale=1 offset=0\n", self.skel, self.model
         )
-        assert len(rmap.rules) == 1
+        assert len(rmap.twist_rules) == 1 and rmap.triple_rules == ()
         assert rmap.joint_count == 1
 
     def test_missing_joint_is_coverage_error(self):
@@ -275,6 +275,15 @@ class TestLoadRetargetMap:
                 self.model,
             )
 
+    def test_first_fault_in_document_order_wins(self):
+        rule = "map j1 segment=limb axis=0,0,1 sign=+1 scale=1 offset=0"
+        with pytest.raises(UnknownReference, match="ghost"):  # line 3's bad token is not reached
+            load_retarget_map(f"{rule.replace('j1', 'ghost')}\nunmapped j1\n{rule} stray=1\n", self.skel, self.model)
+        with pytest.raises(CoverageError, match=r"referenced twice \(unmapped and map\)"):
+            load_retarget_map(f"unmapped j1\n{rule}\n{rule} stray=1\n", self.skel, self.model)
+        with pytest.raises(ParseError, match="unknown key 'stray'"):
+            load_retarget_map(f"{rule} stray=1\nunmapped ghost\n", self.skel, self.model)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ParseError, match="sign"):
             load_retarget_map(
@@ -286,7 +295,7 @@ class TestLoadRetargetMap:
         skel = load_skeleton(sample_text("human_sample.cfg"))
         rmap = load_retarget_map(sample_text("g1_sample.map"), skel, model)
         assert rmap.joint_count == 23
-        orders = {r.order for r in rmap.rules if hasattr(r, "order")}
+        orders = {rule[1] for rule in rmap.triple_rules}
         assert orders == {"ZXY", "YXZ"}
 
 

@@ -18,14 +18,13 @@ from teleokin.geometry import (
     swing_twist,
 )
 from teleokin import retarget
-from teleokin.model import TwistRule, load_retarget_map, load_robot_model, load_skeleton
+from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
 from teleokin.retarget import (
     FilterState,
     Pipeline,
     _map_frame,
     enforce_limits,
     map_frame,
-    retarget_step,
     smooth,
 )
 from teleokin.stream import MocapFrame, identity_frame, synth_motion
@@ -92,9 +91,12 @@ class TestMapFrame:
         decomposed, gimbal = euler_decompose(q, "ZXY")
         assert not gimbal
         assert np.allclose(decomposed, [0.4, 0.2, -0.3], atol=1e-9)
-        rule = next(r for r in rmap.rules if getattr(r, "segment", "") == "left_thigh")
-        for slot, joint in enumerate(rule.joints):
-            expected = rule.signs[slot] * rule.scales[slot] * decomposed[slot] + rule.offsets[slot]
+        kind, joints, _, order, signs, scales, offsets = next(
+            r for r in _map_rules(sample_text("g1_sample.map")) if r[2] == "left_thigh"
+        )
+        assert (kind, order) == ("map3", "ZXY")
+        for slot, joint in enumerate(joints):
+            expected = signs[slot] * scales[slot] * decomposed[slot] + offsets[slot]
             assert angles[model.joint_index(joint)] == pytest.approx(expected, abs=1e-12)
 
     def test_segment_count_checked(self):
@@ -103,22 +105,44 @@ class TestMapFrame:
             map_frame(rmap, identity_frame(5))
 
 
-def _reference_map(rmap, quats):
-    """Rule by rule through the scalar swing_twist / euler_decompose."""
-    angles = rmap.default_angles.copy()
-    gimbal_warnings = 0
-    for rule in rmap.rules:
-        if isinstance(rule, TwistRule):
-            _, twist = swing_twist(quats[rule.segment_index], rule.axis)
-            angles[rule.joint_index] = rule.sign * rule.scale * twist + rule.offset
+def _map_rules(text):
+    """A map document's rules as its text states them, read without the loader.
+
+    ``("map", joint, segment, unit axis, sign, scale, offset)`` and
+    ``("map3", joints, segment, order, signs, scales, offsets)``, by name.
+    """
+    rules = []
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if not tokens or tokens[0] == "unmapped":
+            continue
+        keys = dict(token.split("=", 1) for token in tokens[2:])
+        if tokens[0] == "map":
+            axis = np.array([float(v) for v in keys["axis"].split(",")])
+            rules.append(("map", tokens[1], keys["segment"], axis / np.linalg.norm(axis),
+                          float(keys["sign"]), float(keys["scale"]), float(keys["offset"])))
         else:
-            decomposed, gimbal = euler_decompose(quats[rule.segment_index], rule.order)
+            reals = [[float(v) for v in keys[key].split(",")] for key in ("signs", "scales", "offsets")]
+            rules.append(("map3", tokens[1].split(","), keys["segment"], keys["order"].upper(), *reals))
+    return rules
+
+
+def _reference_map(model, skel, rules, quats):
+    """Rule by rule, by joint and segment name, through the scalar swing_twist / euler_decompose."""
+    angles = model.default_angles.copy()
+    gimbal_warnings = 0
+    for kind, joints, segment, *rest in rules:
+        q = quats[skel.index(segment)]
+        if kind == "map":
+            axis, sign, scale, offset = rest
+            _, twist = swing_twist(q, axis)
+            angles[model.joint_index(joints)] = sign * scale * twist + offset
+        else:
+            order, signs, scales, offsets = rest
+            decomposed, gimbal = euler_decompose(q, order)
             gimbal_warnings += gimbal
-            for slot, joint_index in enumerate(rule.joint_indices):
-                angles[joint_index] = (
-                    rule.signs[slot] * rule.scales[slot] * float(decomposed[slot])
-                    + rule.offsets[slot]
-                )
+            for slot, joint in enumerate(joints):
+                angles[model.joint_index(joint)] = signs[slot] * scales[slot] * float(decomposed[slot]) + offsets[slot]
     return angles, gimbal_warnings
 
 
@@ -137,6 +161,7 @@ def _intrinsic_rows(order: str, a1, a2, a3) -> np.ndarray:
 def test_compiled_map_matches_scalar_rules():
     """10^5 seeded frames: the compiled map equals the per-rule scalar path bit for bit."""
     model, skel, rmap = sample_setup()
+    rules = _map_rules(sample_text("g1_sample.map"))
     rng = np.random.default_rng(2024)
     n = 100_000
     quats = rng.normal(size=(n, len(skel), 4))
@@ -168,7 +193,7 @@ def test_compiled_map_matches_scalar_rules():
     expected_gimbal = np.empty(n, dtype=int)
     for f in range(n):
         got[f], got_gimbal[f] = _map_frame(rmap, MocapFrame(f, f, quats[f]))
-        expected[f], expected_gimbal[f] = _reference_map(rmap, quats[f])
+        expected[f], expected_gimbal[f] = _reference_map(model, skel, rules, quats[f])
     assert np.array_equal(got, expected)
     assert np.array_equal(got_gimbal, expected_gimbal)
     # The near-gimbal and degenerate inputs reached their branches.
@@ -329,8 +354,8 @@ def _measured_phase_lag(freq: float, tau: float, rate: float) -> float:
 class TestRetargetStep:
     def test_identity_composition(self):
         model, skel, rmap = small_setup(default=0.25)
-        state = FilterState.create(2, tau=0.0)
-        cmd, diag = retarget_step(rmap, model, state, identity_frame(2), 0.01, VirtualClock())
+        pipeline = Pipeline(skel, rmap, model, FilterState.create(2, tau=0.0))
+        cmd, diag = pipeline.step(identity_frame(2), 0.01, VirtualClock())
         assert np.array_equal(cmd.angles, map_frame(rmap, identity_frame(2)))
         assert not cmd.clamped.any()
         assert not cmd.hold
@@ -339,10 +364,10 @@ class TestRetargetStep:
 
     def test_limit_breach_is_clamped_and_diagnosed(self):
         model, skel, rmap = small_setup()
-        state = FilterState.create(2, tau=0.0)
+        pipeline = Pipeline(skel, rmap, model, FilterState.create(2, tau=0.0))
         frame = identity_frame(2)
         frame.orientations[1] = quat_from_axis_angle([0, 1, 0], 3.0)  # past the 2.9 soft bound
-        cmd, diag = retarget_step(rmap, model, state, frame, 0.01, VirtualClock())
+        cmd, diag = pipeline.step(frame, 0.01, VirtualClock())
         assert cmd.angles[0] == 2.9
         assert cmd.clamped[0]
         assert diag.clamped_count == 1
@@ -350,10 +375,9 @@ class TestRetargetStep:
 
     def test_command_carries_frame_identity_and_clock_time(self):
         model, skel, rmap = small_setup()
-        state = FilterState.create(2)
         clock = VirtualClock(start_us=5000)
         frame = identity_frame(2, seq=17, timestamp_us=424242)
-        cmd, _ = retarget_step(rmap, model, state, frame, 0.01, clock)
+        cmd, _ = Pipeline(skel, rmap, model).step(frame, 0.01, clock)
         assert cmd.source_seq == 17
         assert cmd.source_timestamp_us == 424242
         assert cmd.emission_timestamp_us == 5000
@@ -362,11 +386,11 @@ class TestRetargetStep:
         model, skel, rmap = sample_setup()
         frames = list(synth_motion("arm-wave", rate=100, duration=1.0, noise_std=0.01, seed=4))
 
-        state = FilterState.create(len(model), tau=0.020)
+        pipeline = Pipeline(skel, rmap, model, FilterState.create(len(model), tau=0.020))
         clock = VirtualClock()
         stepped = []
         for f in frames:
-            cmd, _ = retarget_step(rmap, model, state, f, 0.010, clock)
+            cmd, _ = pipeline.step(f, 0.010, clock)
             stepped.append(cmd.angles)
 
         ref_state = FilterState.create(len(model), tau=0.020)
@@ -378,14 +402,14 @@ class TestRetargetStep:
 
     def test_safety_on_random_frames(self):
         model, skel, rmap = sample_setup()
-        state = FilterState.create(len(model), tau=0.020)
+        pipeline = Pipeline(skel, rmap, model, FilterState.create(len(model), tau=0.020))
         clock = VirtualClock()
         rng = np.random.default_rng(12)
         for i in range(1000):
             quats = rng.normal(size=(23, 4))
             quats /= np.linalg.norm(quats, axis=1)[:, None]
             frame = MocapFrame(i, i * 10_000, quats)
-            cmd, _ = retarget_step(rmap, model, state, frame, 0.010, clock)
+            cmd, _ = pipeline.step(frame, 0.010, clock)
             assert (cmd.angles >= model.soft_lower).all()
             assert (cmd.angles <= model.soft_upper).all()
 
@@ -408,13 +432,13 @@ class TestRetargetStep:
             f"map j{i} segment=s{i} axis=0,0,1 sign=+1 scale=1 offset=0" for i in range(n)
         ]
         rmap = load_retarget_map("\n".join(map_lines), skel, model)
-        state = FilterState.create(n, tau=0.0)
+        pipeline = Pipeline(skel, rmap, model, FilterState.create(n, tau=0.0))
         rng = np.random.default_rng(13)
         clock = VirtualClock()
         for i in range(200):
             inputs = rng.uniform(-math.pi + 1e-6, math.pi, size=n)
             quats = np.stack([quat_from_axis_angle([0, 0, 1], a) for a in inputs])
-            cmd, _ = retarget_step(rmap, model, state, MocapFrame(i, i, quats), 0.01, clock)
+            cmd, _ = pipeline.step(MocapFrame(i, i, quats), 0.01, clock)
             assert np.allclose(cmd.angles, inputs, atol=1e-9)
 
     def test_gimbal_warning_counted(self):
@@ -424,8 +448,7 @@ class TestRetargetStep:
         frame.orientations[skel.index("left_thigh")] = quat_from_axis_angle(
             [1, 0, 0], math.pi / 2
         )
-        state = FilterState.create(len(model))
-        _, diag = retarget_step(rmap, model, state, frame, 0.01, VirtualClock())
+        _, diag = Pipeline(skel, rmap, model).step(frame, 0.01, VirtualClock())
         assert diag.gimbal_warnings >= 1
 
     def test_float_tail_matches_numpy_reference(self, monkeypatch):
@@ -441,10 +464,13 @@ class TestRetargetStep:
             )
         ]
         model = load_robot_model("\n".join(lines))
+        skel = load_skeleton("segment root parent=-\n")
+        rmap = load_retarget_map("".join(f"unmapped j{i}\n" for i in range(len(model))), skel, model)
         lower, upper = model.soft_lower, model.soft_upper
         for tau in (0.0, 0.02):  # pass-through and smoothing
             rng = np.random.default_rng(21)
             state = FilterState.create(len(model), tau=tau)
+            pipeline = Pipeline(skel, rmap, model, state)
             previous = None
             for step in range(400):
                 raw = rng.uniform(lower - 1.0, upper + 1.0)
@@ -460,10 +486,10 @@ class TestRetargetStep:
                     raw[2] = math.nan
                     before = list(state.previous)
                     with pytest.raises(NonFiniteAngle, match="joint 2"):
-                        retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
+                        pipeline.step(identity_frame(1), dt, VirtualClock())
                     assert np.array(state.previous).tobytes() == np.array(before).tobytes()
                     continue
-                cmd, diag = retarget_step(None, model, state, identity_frame(1), dt, VirtualClock())
+                cmd, diag = pipeline.step(identity_frame(1), dt, VirtualClock())
 
                 if previous is None:
                     smoothed = raw.copy()
@@ -483,11 +509,11 @@ class TestRetargetStep:
                 assert np.array(state.previous).tobytes() == smoothed.tobytes()
 
     def test_non_finite_first_angle_leaves_the_filter_uninitialized(self, monkeypatch):
-        model, _, _ = small_setup()
+        model, skel, rmap = small_setup()
         state = FilterState.create(len(model))
         monkeypatch.setattr(retarget, "_map_frame", lambda rmap, frame: ([math.inf, 0.0], 0))
         with pytest.raises(NonFiniteAngle, match="joint 0"):
-            retarget_step(None, model, state, identity_frame(2), 0.002, VirtualClock())
+            Pipeline(skel, rmap, model, state).step(identity_frame(2), 0.002, VirtualClock())
         assert not state.initialized and state.previous == [0.0, 0.0]
 
     def test_pipeline_wrapper(self):

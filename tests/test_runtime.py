@@ -747,6 +747,29 @@ class TestRunLoop:
         assert metrics.early_commands == 0
         assert [c.seq for c in sink.commands if not c.hold] == [0]
 
+    def test_live_frame_of_another_segment_count_is_a_counted_drop(self):
+        class SendOnStart:  # a 5-segment frame between two 23-segment ones
+            def __init__(self):
+                self.inner = DatagramSource(port=0)
+
+            def start(self, slot, clock):
+                self.inner.start(slot, clock)
+                good = frames_at_rate(3, 100)
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                    for frame in (good[0], identity_frame(5, seq=1), good[2]):
+                        out.sendto(encode_frame(frame), ("127.0.0.1", self.inner.port))
+
+            def stop(self):
+                self.inner.stop()
+
+        source, sink = SendOnStart(), _CaptureSink()
+        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=500, max_cycles=50, clock=WallClock())
+        counters = source.inner.counters()
+        assert counters["stream_decode_errors"] == counters["stream_decode_errors_DimensionMismatch"] == 1
+        assert counters["stream_received"] == metrics.frames_written == 2
+        assert {c.source_seq for c in sink.commands if not c.hold} <= {0, 2}
+        assert metrics.cycles == 50 and metrics.frames_consumed >= 1
+
     def test_metrics_dump_format(self):
         pipeline = sample_pipeline()
         frames = frames_at_rate(50, 100)
