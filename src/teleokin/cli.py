@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rate", type=_POSITIVE, default=100.0, help="frame rate in Hz (default 100)")
     gen.add_argument("--duration", type=_POSITIVE, required=True, help="seconds of motion")
     gen.add_argument("--noise", type=_NON_NEGATIVE, default=0.0, help="noise std in radians")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_SEED, default=0)
     gen.add_argument("--out", required=True, help="output MOCREC01 file")
     gen.set_defaults(func=cmd_gen)
 

@@ -505,6 +505,8 @@ def synth_motion(
         raise ValueError("duration must be positive")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     skel = skeleton if skeleton is not None else canonical_skeleton()
     _pattern_angles(pattern, 0.0)  # validate the pattern name up front
     rng = np.random.default_rng(seed)  # here, so a bad seed is rejected at the call

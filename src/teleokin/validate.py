@@ -13,9 +13,11 @@ Self-collision of many rows takes the batch FK and numpy sphere distances in
 blocks.  Self-collision of one row (each streamed command) takes a
 plain-float FK, sphere centres and pair distances over tables compiled from
 the model, so the streaming validator fits in a 500 Hz control loop.  The
-scalar ``forward_kinematics`` is its test oracle.  The tables are compiled
-once per model and collision margin and kept on the model, so neither a
-validator nor a ``validate_trace`` call rebuilds them.
+scalar ``forward_kinematics`` is its test oracle.  A streamed command whose
+angles are bit-identical to the previous one's reuses that row's colliding
+pairs: a 500 Hz loop fed at 100-120 Hz repeats most commands as holds.  The
+tables are compiled once per model and collision margin and kept on the
+model, so neither a validator nor a ``validate_trace`` call rebuilds them.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class _SphereTable:
 
     Index arrays serve a window of rows: ``distances`` on the batch FK.
     Plain-float tuples serve one row, which ``row_distances`` runs through
-    its own forward kinematics without building arrays:
+    its own forward kinematics without building arrays (``row_collisions``
+    keeps the last row's colliding pairs, which a hold repeats bit for bit):
 
     - ``joints``: ``(parent, origin translation, *r, *u)``, with links numbered
       as in ``link_names`` (the base, then each joint's child), ``r`` the
@@ -148,6 +151,7 @@ class _SphereTable:
         self.joints = tuple(joints)
         self.spheres = tuple((index[s.link], tuple(s.center.tolist())) for s in model.spheres)
         self.pairs = tuple(zip(self.a.tolist(), self.b.tolist(), self.ids, self.limits.tolist()))
+        self._last = (None, ())  # (row bytes, row_collisions of that row)
 
     def distances(self, poses: dict[str, LinkPose], rows: slice) -> np.ndarray:
         """(m, pairs) sphere-centre distances for ``rows`` of batch-shaped poses."""
@@ -185,6 +189,20 @@ class _SphereTable:
             centers.append((px + dx, py + dy, pz + dz))
         return [math.dist(centers[a], centers[b]) for a, b, _, _ in self.pairs]
 
+    def row_collisions(self, row: np.ndarray) -> tuple[tuple[str, float, float], ...]:
+        """``(pair id, distance, limit)`` of each colliding pair for one float64 row
+        of finite or NaN angles; a row bit-identical to the last one reuses its result.
+
+        Key and result are one attribute, replaced whole: validators sharing the
+        table can thrash it, but never pair one row's key with another's result.
+        """
+        key, last = row.tobytes(), self._last
+        if last[0] != key:
+            distances = self.row_distances(row.tolist())
+            hits = tuple((pair, d, limit) for (_, _, pair, limit), d in zip(self.pairs, distances) if d < limit)
+            last = self._last = (key, hits)
+        return last[1]
+
 
 def _sphere_table(model: RobotModel, margin: float = 0.0) -> _SphereTable:
     """The model's sphere table for ``margin``: compiled once, then kept on the model."""
@@ -209,12 +227,7 @@ def _collisions(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cy
     """
     angles = np.where(np.isinf(angles), np.nan, angles)
     if len(angles) == 1:
-        distances = spheres.row_distances(angles[0].tolist())
-        return [
-            Violation("self-collision", cycle, pair, d, limit)
-            for (_, _, pair, limit), d in zip(spheres.pairs, distances)
-            if d < limit
-        ]
+        return [Violation("self-collision", cycle, *hit) for hit in spheres.row_collisions(angles[0])]
     found = []
     poses = forward_kinematics_batch(model, angles)
     for block in range(0, len(angles), _BLOCK_ROWS):

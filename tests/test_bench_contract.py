@@ -17,7 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload, trace", [("offline-retarget", "0"), ("online-validate", "0"), ("offline-retarget", "1")])
+@pytest.mark.parametrize("workload, trace", [
+    ("offline-retarget", "0"), ("online-validate", "0"), ("offline-retarget", "1"), ("online-validate", "1"),
+])
 def test_workload_runs_correct_with_no_failures(workload, trace):
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.5", "--trace", trace],

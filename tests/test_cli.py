@@ -363,9 +363,11 @@ class TestGen:
 
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x.rec"
-        assert run_cli("gen", "--pattern", "static", "--duration", "1", "--seed", "-1", "--out", str(out)) == 2
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the flag, as for run and bench
+            run_cli("gen", "--pattern", "static", "--duration", "1", "--seed", "-1", "--out", str(out))
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        assert "argument --seed: must be an integer >= 0, got '-1'" in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -542,6 +542,8 @@ class TestSynth:
             synth_motion("static", rate=100, duration=1, noise_std=-0.1)
         with pytest.raises(ValueError):
             synth_motion("moonwalk", rate=100, duration=1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth_motion("static", rate=100, duration=1, seed=-1)
 
 
 class TestDatagramSource:

@@ -417,6 +417,86 @@ class TestRowKernel:
             np.testing.assert_allclose(row_distances, batch, rtol=0, atol=1e-12)
 
 
+def colliding_row(model):
+    """A soft-interval pose with at least one self-collision."""
+    rows = np.random.default_rng(21).uniform(model.soft_lower, model.soft_upper, size=(200, len(model)))
+    table = _SphereTable(model)
+    return next(row for row in rows if table.row_collisions(row))
+
+
+class TestRowMemo:
+    """A streamed row bit-identical to the previous one reuses its colliding pairs."""
+
+    @staticmethod
+    def count_row_poses(monkeypatch):
+        calls = []
+        row_poses = _SphereTable.row_poses
+
+        def counting(self, angles):
+            calls.append(list(angles))
+            return row_poses(self, angles)
+
+        monkeypatch.setattr(_SphereTable, "row_poses", counting)
+        return calls
+
+    def test_each_run_of_identical_rows_is_computed_once(self, monkeypatch):
+        calls = self.count_row_poses(monkeypatch)
+        model = sample_model()
+        rng = np.random.default_rng(4)
+        runs = [5, 1, 3, 4]
+        rows = np.concatenate([np.tile(rng.uniform(-1, 1, len(model)), (n, 1)) for n in runs])
+        streamed(model, command_trace(model, rows, period_us=2000))
+        assert len(calls) == len(runs)
+
+    def test_a_repeated_colliding_pose_reports_at_every_cycle(self):
+        model = sample_model()
+        trace = command_trace(model, np.tile(colliding_row(model), (5, 1)), period_us=2000)
+        online = [v for v in streamed(model, trace).violations if v.kind == "self-collision"]
+        offline = [v for v in validate_trace(model, trace).violations if v.kind == "self-collision"]
+        per_cycle = len(online) // 5
+        assert per_cycle and [v.cycle for v in online] == [c for c in range(5) for _ in range(per_cycle)]
+        assert len({id(v) for v in online}) == len(online)
+        assert [v.line() for v in online] == [v.line() for v in offline]
+
+    def test_a_signed_zero_or_one_ulp_is_recomputed(self, monkeypatch):
+        calls = self.count_row_poses(monkeypatch)
+        model = sample_model()
+        zero = np.zeros(len(model))
+        negative = zero.copy()
+        negative[3] = -0.0
+        ulp = zero.copy()
+        ulp[3] = np.nextafter(0.0, 1.0)
+        rows = [zero, zero, negative, negative, ulp, zero]
+        trace = command_trace(model, rows, period_us=2000)
+        assert streamed(model, trace).format() == validate_trace(model, trace).format()
+        assert len(calls) == 4
+        assert math.copysign(1.0, calls[1][3]) == -1.0 and calls[2][3] == np.nextafter(0.0, 1.0)
+
+    def test_two_validators_of_one_model_report_as_they_do_alone(self):
+        model = sample_model()
+        hit = colliding_row(model)
+        ours = command_trace(model, [hit, hit, np.zeros(len(model)), hit, hit], period_us=2000)
+        theirs = command_trace(model, [np.zeros(len(model))] * 2 + [hit] * 3, period_us=2000)
+        alone = [streamed(model, ours).format(), streamed(model, theirs).format()]
+        a, b = validator_sink(model), validator_sink(model)
+        for x, y in zip(ours, theirs):
+            a.emit(x)
+            b.emit(y)
+        assert [a.report().format(), b.report().format()] == alone
+        assert alone[0] != alone[1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # inf - inf in the velocity check
+    def test_a_repeated_row_with_nan_or_inf_matches_the_offline_audit(self):
+        model = sample_model()
+        row = colliding_row(model)
+        row[model.joint_index("waist_yaw")] = math.nan
+        row[model.joint_index("left_shoulder_pitch")] = math.inf
+        trace = command_trace(model, np.tile(row, (2, 1)), period_us=2000)
+        offline = validate_trace(model, trace)
+        assert streamed(model, trace).format() == offline.format()
+        assert offline.counts["limit"] == 4 and offline.counts["self-collision"] == 2
+
+
 def test_sphere_table_is_compiled_once_per_model_and_margin(monkeypatch):
     compiled = []
 
