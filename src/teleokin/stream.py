@@ -246,7 +246,9 @@ class StreamStats:
     As in RFC 3550 §A.1, if the very next frame follows it by one, the two
     open a new span: the old span's drops are kept, the first frame is no
     longer out of order, and ``restarts`` counts the resynchronisation.
-    ``span`` is then the current span's.
+    ``span`` is then the current span's.  ``observe`` tells whether a frame
+    became the newest: it was the first, moved the newest number forward,
+    or confirmed a restart.
     """
 
     SEQ_WINDOW = 1024
@@ -263,8 +265,8 @@ class StreamStats:
         self._earlier_drops = 0  # dropped in spans before the last restart
         self._restart_seq: int | None = None  # the number that would confirm a restart
 
-    def observe(self, seq: int) -> None:
-        """Count one received frame."""
+    def observe(self, seq: int) -> bool:
+        """Count one received frame; True if it is now the newest one seen."""
         self.received += 1
         restart_seq, self._restart_seq = self._restart_seq, None
         if seq == restart_seq:  # the sender restarted its count one frame ago
@@ -274,24 +276,25 @@ class StreamStats:
             self._start((seq - 1) % _SEQ_MODULUS)
         elif self._newest is None:
             self._start(seq)
-            return
+            return True
         step = (seq - self._newest) % _SEQ_MODULUS
         if 0 < step < _SEQ_MODULUS // 2:  # ahead of the newest, across a wrap or not
             self._newest += step
             self._window = (self._window << step | 1) & _SEQ_MASK if step < self.SEQ_WINDOW else 1
             self._arrived += 1
-            return
+            return True
         behind = -step % _SEQ_MODULUS
         if behind < self.SEQ_WINDOW:
             if self._window >> behind & 1:
                 self.duplicates += 1
-                return
+                return False
             self._window |= 1 << behind
             self._arrived += 1
             self._first = min(self._first, self._newest - behind)
         else:
             self._restart_seq = (seq + 1) % _SEQ_MODULUS
         self.out_of_order += 1
+        return False
 
     def _start(self, seq: int) -> None:
         self._first = self._newest = seq
@@ -558,9 +561,13 @@ class DatagramSource:
     hands the socket to the slot as ``socket``, with its drain as ``poll``:
     the loop waits on the socket, drains it when a datagram arrives, and
     drains it again at each tick, after the wait.  The drain decodes every
-    waiting datagram and writes each valid frame to the slot, stamped with
-    its kernel receive time on the loop's clock, so ``frame_age_us`` counts
-    from the kernel's receipt, whenever the loop reads the datagram.
+    waiting datagram and writes each valid frame that is the newest seen to
+    the slot, stamped with its kernel receive time on the loop's clock, so
+    ``frame_age_us`` counts from the kernel's receipt, whenever the loop
+    reads the datagram.  A late or repeated frame is counted in the stats
+    (out of order, duplicate) and not written, so the robot never steps
+    back toward an older pose.  A sender that restarts its count loses its
+    first frame: it looks far behind until the next one confirms the restart.
     Undecodable datagrams, and frames whose segment count is not the slot's
     ``segment_count``, are counted (by error type) and dropped; the loop
     never sees them, and the resulting sequence gaps show up in the stats.
@@ -608,8 +615,8 @@ class DatagramSource:
                 name = type(exc).__name__
                 self.decode_errors[name] = self.decode_errors.get(name, 0) + 1
                 continue
-            self.stats.observe(frame.seq)
-            self._slot.write(frame, self._arrival_us(ancdata))
+            if self.stats.observe(frame.seq):
+                self._slot.write(frame, self._arrival_us(ancdata))
 
     def _arrival_us(self, ancdata) -> int:
         """The datagram's kernel receive stamp (wall time) on the loop's clock."""

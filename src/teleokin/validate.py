@@ -1,23 +1,27 @@
 """Kinematic audit of command traces: limits, continuity, self-collisions.
 
-One core judges the rows of an (n, joints) angle window: soft limits,
-backward-difference velocity and acceleration, and sphere self-collision on
-forward kinematics.  The offline checker runs it once over the whole trace;
-the streaming validator keeps the last two samples and runs it on a 3-row
-window whose last row is the new command, so both report the same
-violations in the same order.  Velocity is judged against each joint's
-configured velocity limit using backward differences at the nominal period —
-the report header names that proxy so results can be re-thresholded.
+One core judges the rows of an (n, joints) angle window, split by what
+each check reads: a row's own checks (soft limits, and sphere self-collision
+on forward kinematics) read that row alone; its rate checks
+(backward-difference velocity and acceleration) read the rows before it.
+The offline checker runs both over the whole trace; the streaming
+validator runs the row's own checks on the new command and the rate checks
+on a 3-row window of the last two samples plus the new command, so both
+report the same violations in the same order.  Velocity is judged against
+each joint's configured velocity limit using backward differences at the
+nominal period — the report header names that proxy so results can be
+re-thresholded.
 
 Self-collision of many rows takes the batch FK and numpy sphere distances in
 blocks.  Self-collision of one row (each streamed command) takes a
 plain-float FK, sphere centres and pair distances over tables compiled from
 the model, so the streaming validator fits in a 500 Hz control loop.  The
-scalar ``forward_kinematics`` is its test oracle.  A streamed command whose
-angles are bit-identical to the previous one's reuses that row's colliding
-pairs: a 500 Hz loop fed at 100-120 Hz repeats most commands as holds.  The
-tables are compiled once per model and collision margin and kept on the
-model, so neither a validator nor a ``validate_trace`` call rebuilds them.
+scalar ``forward_kinematics`` is its test oracle.  A 500 Hz loop fed at
+100-120 Hz repeats most commands as holds, so the streaming validator keeps
+the last row's own violations, and a row bit-identical to it gets them back
+stamped with its cycle.  The tables are compiled once per model and
+collision margin, kept on the model and never written again, so validators
+and ``validate_trace`` calls share them.
 """
 
 from __future__ import annotations
@@ -108,8 +112,8 @@ class _SphereTable:
 
     Index arrays serve a window of rows: ``distances`` on the batch FK.
     Plain-float tuples serve one row, which ``row_distances`` runs through
-    its own forward kinematics without building arrays (``row_collisions``
-    keeps the last row's colliding pairs, which a hold repeats bit for bit):
+    its own forward kinematics without building arrays.  Nothing is written
+    after ``__init__``, so one table serves any number of validators:
 
     - ``joints``: ``(parent, origin translation, *r, *u)``, with links numbered
       as in ``link_names`` (the base, then each joint's child), ``r`` the
@@ -151,7 +155,6 @@ class _SphereTable:
         self.joints = tuple(joints)
         self.spheres = tuple((index[s.link], tuple(s.center.tolist())) for s in model.spheres)
         self.pairs = tuple(zip(self.a.tolist(), self.b.tolist(), self.ids, self.limits.tolist()))
-        self._last = (None, ())  # (row bytes, row_collisions of that row)
 
     def distances(self, poses: dict[str, LinkPose], rows: slice) -> np.ndarray:
         """(m, pairs) sphere-centre distances for ``rows`` of batch-shaped poses."""
@@ -189,20 +192,6 @@ class _SphereTable:
             centers.append((px + dx, py + dy, pz + dz))
         return [math.dist(centers[a], centers[b]) for a, b, _, _ in self.pairs]
 
-    def row_collisions(self, row: np.ndarray) -> tuple[tuple[str, float, float], ...]:
-        """``(pair id, distance, limit)`` of each colliding pair for one float64 row
-        of finite or NaN angles; a row bit-identical to the last one reuses its result.
-
-        Key and result are one attribute, replaced whole: validators sharing the
-        table can thrash it, but never pair one row's key with another's result.
-        """
-        key, last = row.tobytes(), self._last
-        if last[0] != key:
-            distances = self.row_distances(row.tolist())
-            hits = tuple((pair, d, limit) for (_, _, pair, limit), d in zip(self.pairs, distances) if d < limit)
-            last = self._last = (key, hits)
-        return last[1]
-
 
 def _sphere_table(model: RobotModel, margin: float = 0.0) -> _SphereTable:
     """The model's sphere table for ``margin``: compiled once, then kept on the model."""
@@ -227,7 +216,8 @@ def _collisions(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cy
     """
     angles = np.where(np.isinf(angles), np.nan, angles)
     if len(angles) == 1:
-        return [Violation("self-collision", cycle, *hit) for hit in spheres.row_collisions(angles[0])]
+        hits = zip(spheres.pairs, spheres.row_distances(angles[0].tolist()))
+        return [Violation("self-collision", cycle, pair, d, limit) for (_, _, pair, limit), d in hits if d < limit]
     found = []
     poses = forward_kinematics_batch(model, angles)
     for block in range(0, len(angles), _BLOCK_ROWS):
@@ -245,53 +235,48 @@ def _collisions(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cy
     return found
 
 
-def _judge(
-    model: RobotModel,
-    spheres: _SphereTable,
-    thresholds: Thresholds,
-    angles: np.ndarray,
-    dt: float,
-    first: int,
-    cycle: int,
-) -> list[Violation]:
-    """The four checks on rows ``first:`` of an (n, joints) angle window.
-
-    Row ``first`` is cycle ``cycle``; earlier rows only feed the backward
-    differences.  Returns violations sorted by cycle, kind, identifier.
-    """
+def _pose_violations(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cycle: int) -> list[Violation]:
+    """Limit and self-collision violations of an (n, joints) window whose row 0
+    is ``cycle``: the checks that read each row alone."""
     names = model.joint_names
-    judged = angles[first:]
     found: list[Violation] = []
-
-    inside = (judged >= model.soft_lower) & (judged <= model.soft_upper)  # False for NaN
+    inside = (angles >= model.soft_lower) & (angles <= model.soft_upper)  # False for NaN
     for i, j in zip(*np.nonzero(~inside)):
-        value = judged[i, j]
+        value = angles[i, j]
         bound = model.soft_upper[j] if value > model.soft_upper[j] else model.soft_lower[j]
         found.append(Violation("limit", cycle + int(i), names[j], float(value), float(bound)))
+    if spheres.pairs:
+        found.extend(_collisions(model, spheres, angles, cycle))
+    return found
 
+
+def _rate_violations(
+    model: RobotModel, thresholds: Thresholds, angles: np.ndarray, dt: float, first: int, cycle: int
+) -> list[Violation]:
+    """Velocity and acceleration violations of rows ``first:`` of an (n, joints)
+    window: the checks that read the rows before.
+
+    Row ``first`` is cycle ``cycle``; earlier rows only feed the backward
+    differences.
+    """
+    names = model.joint_names
+    found: list[Violation] = []
     rates = [("velocity", 1, dt, model.velocity_limits)]
     if thresholds.acceleration_limit is not None:
         limit = np.full(len(names), thresholds.acceleration_limit)
         rates.append(("acceleration", 2, dt * dt, limit))
     for kind, order, scale, limit in rates:
         start = max(first - order, 0)  # difference row k judges window row start + order + k
-        rate = np.abs(np.diff(angles[start:], n=order, axis=0)) / scale
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, no rate violation; the limit check flags inf
+            rate = np.abs(np.diff(angles[start:], n=order, axis=0)) / scale
         for i, j in zip(*np.nonzero(rate > limit)):
-            found.append(
-                Violation(
-                    kind,
-                    cycle + start + order - first + int(i),
-                    names[j],
-                    float(rate[i, j]),
-                    float(limit[j]),
-                )
-            )
-
-    if spheres.pairs:
-        found.extend(_collisions(model, spheres, judged, cycle))
-
-    found.sort(key=lambda v: (v.cycle, KINDS.index(v.kind), v.identifier))
+            at = cycle + start + order - first + int(i)
+            found.append(Violation(kind, at, names[j], float(rate[i, j]), float(limit[j])))
     return found
+
+
+def _report_order(v: Violation) -> tuple:
+    return v.cycle, KINDS.index(v.kind), v.identifier
 
 
 def _angles_matrix(model: RobotModel, trace) -> np.ndarray:
@@ -341,18 +326,23 @@ def validate_trace(
     angles = _angles_matrix(model, trace)
     period_us = _infer_period_us(trace) if period_us is None else _checked_period_us(period_us)
     spheres = _sphere_table(model, thresholds.collision_margin)
-    violations = _judge(model, spheres, thresholds, angles, period_us / 1e6, 0, 0)
+    found = _pose_violations(model, spheres, angles, 0)
+    found += _rate_violations(model, thresholds, angles, period_us / 1e6, 0, 0)
+    violations = sorted(found, key=_report_order)
     return ValidationReport(violations, cycles=len(trace), period_us=period_us, thresholds=thresholds)
 
 
 class IncrementalValidator:
     """Streaming validator with the sink protocol (``emit``/``close``/``report``).
 
-    Each command is judged by the same checks as ``validate_trace``, on a
-    window of the last two samples plus the new one.  Without ``period_us``
-    the period is inferred as ``validate_trace`` infers it, from the first
-    two commands, and holds for the rest of the stream.  A live stream
-    should pass ``period_us``: its first two commands can be 0-4 ms apart.
+    Each command is judged by the same checks as ``validate_trace``: its
+    own (limit, self-collision) on its row, its rates on a window of the
+    last two samples plus the new one.  A row bit-identical to the previous
+    one reuses that row's own violations, stamped with the new cycle; the
+    rates are judged every command.  Without ``period_us`` the period is
+    inferred as ``validate_trace`` infers it, from the first two commands,
+    and holds for the rest of the stream.  A live stream should pass
+    ``period_us``: its first two commands can be 0-4 ms apart.
     """
 
     def __init__(
@@ -369,6 +359,7 @@ class IncrementalValidator:
         self._tail = np.empty((0, len(model)))
         self._cycle = 0
         self._first = None
+        self._pose = (None, [])  # (row bytes, that row's pose violations)
 
     def _period_us(self) -> float:
         return self.period_us if self.period_us is not None else 1.0
@@ -379,10 +370,14 @@ class IncrementalValidator:
             self._first = cmd
         elif self.period_us is None:
             self.period_us = _infer_period_us([self._first, cmd])
+        key = row.tobytes()
+        if self._pose[0] != key:
+            self._pose = (key, _pose_violations(self.model, self._spheres, row, 0))
+        found = [Violation(v.kind, self._cycle, v.identifier, v.value, v.threshold) for v in self._pose[1]]
         window = np.concatenate([self._tail, row])
         dt = self._period_us() / 1e6
-        found = _judge(self.model, self._spheres, self.thresholds, window, dt, len(window) - 1, self._cycle)
-        self.violations.extend(found)
+        found += _rate_violations(self.model, self.thresholds, window, dt, len(window) - 1, self._cycle)
+        self.violations.extend(sorted(found, key=_report_order))
         self._tail = window[-2:]
         self._cycle += 1
 

@@ -679,6 +679,19 @@ class TestRunLoop:
         # window 3 opens at tick 2, ~20 ms after the send; tick 3 is ~40 ms after it
         assert fresh[1].emission_timestamp_us - sink.sent_us[1] < 30_000
 
+    def test_an_older_frame_in_a_later_window_is_not_stepped(self):
+        # Frame k + 1 goes as window 2's command; frame k lands in window 3,
+        # late.  The drain drops it, so windows 3 and 4 hold instead of
+        # stepping the robot back.
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(40, 100)
+        clock = WallClock()
+        sink = _SendOnEmit(source, clock, {2: [frames[30]], 3: [frames[29]]})
+        run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=5, clock=clock)
+        fresh = [c for c in sink.commands if not c.hold]
+        assert [(c.seq, c.source_seq) for c in fresh] == [(2, frames[30].seq)]
+        assert (source.stats.received, source.stats.out_of_order) == (2, 1)
+
     def test_a_host_stall_keeps_one_command_per_cycle(self):
         # A sender streams 120 Hz frames while the host takes the CPU from
         # the loop for ~15 ms once; the sender stalls for ~30 ms once too,

@@ -269,6 +269,13 @@ class TestStreamStats:
         stats.observe(10)  # 9 then 10: read as a restart at 9
         assert (stats.restarts, stats.out_of_order, stats.span) == (1, 2, 2)
 
+    def test_observe_tells_whether_the_frame_is_the_newest(self):
+        stats = StreamStats()
+        newest = [stats.observe(seq) for seq in (5, 7, 6, 7, 8, 0xFFFFFFFF, 9)]
+        assert newest == [True, True, False, False, True, False, True]
+        restart = [stats.observe(seq) for seq in (5000, 0, 1, 2)]  # 0 and 1 confirm a restart at 0
+        assert restart == [True, False, True, True] and stats.restarts == 1
+
     def test_memory_is_bounded(self):
         import tracemalloc
 
@@ -546,7 +553,66 @@ class TestSynth:
             synth_motion("static", rate=100, duration=1, seed=-1)
 
 
+def send_and_drain(source, slot, *seqs):
+    """Send frames of ``seqs`` over loopback, then poll until the source has received them all."""
+    received = source.stats.received + len(seqs)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+        for seq in seqs:
+            out.sendto(encode_frame(identity_frame(3, seq=seq)), ("127.0.0.1", source.port))
+    deadline = time.monotonic() + 5.0
+    while source.stats.received < received and time.monotonic() < deadline:
+        slot.poll()
+    assert source.stats.received == received
+
+
+def taken_seq(slot):
+    taken = slot.take()
+    return None if taken is None else taken[0].seq
+
+
 class TestDatagramSource:
+    @pytest.fixture
+    def live(self):
+        source = DatagramSource(port=0)
+        slot = LatestFrameSlot()
+        source.start(slot, WallClock())
+        yield source, slot
+        source.stop()
+
+    def test_an_older_frame_in_the_same_drain_does_not_replace_the_newer(self, live):
+        source, slot = live
+        send_and_drain(source, slot, 10, 9)
+        assert taken_seq(slot) == 10
+        assert (source.stats.out_of_order, slot.written) == (1, 1)
+
+    def test_an_older_frame_after_a_take_is_not_taken(self, live):
+        source, slot = live
+        send_and_drain(source, slot, 20)
+        assert taken_seq(slot) == 20
+        send_and_drain(source, slot, 19)
+        assert taken_seq(slot) is None
+        assert source.stats.out_of_order == 1
+
+    def test_a_repeated_frame_is_not_taken_again(self, live):
+        source, slot = live
+        send_and_drain(source, slot, 20)
+        assert taken_seq(slot) == 20
+        send_and_drain(source, slot, 20)
+        assert taken_seq(slot) is None
+        assert source.stats.duplicates == 1
+
+    def test_a_restarted_sender_is_taken_from_its_second_frame(self, live):
+        source, slot = live
+        send_and_drain(source, slot, 5000)
+        assert taken_seq(slot) == 5000
+        send_and_drain(source, slot, 0)  # far behind: a straggler until the next frame says otherwise
+        assert taken_seq(slot) is None
+        send_and_drain(source, slot, 1)
+        assert taken_seq(slot) == 1
+        send_and_drain(source, slot, 2)
+        assert taken_seq(slot) == 2
+        assert (source.stats.restarts, source.stats.out_of_order) == (1, 0)
+
     def test_counters_name_the_stream_statistics_then_the_decode_errors(self):
         source = DatagramSource(port=0)
         assert list(source.counters()) == ["stream_received", "stream_dropped", "stream_duplicates",

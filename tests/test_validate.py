@@ -421,11 +421,12 @@ def colliding_row(model):
     """A soft-interval pose with at least one self-collision."""
     rows = np.random.default_rng(21).uniform(model.soft_lower, model.soft_upper, size=(200, len(model)))
     table = _SphereTable(model)
-    return next(row for row in rows if table.row_collisions(row))
+    return next(row for row in rows if (np.array(table.row_distances(row.tolist())) < table.limits).any())
 
 
 class TestRowMemo:
-    """A streamed row bit-identical to the previous one reuses its colliding pairs."""
+    """A streamed row bit-identical to the previous one reuses its limit and
+    self-collision violations; its rates are judged afresh."""
 
     @staticmethod
     def count_row_poses(monkeypatch):
@@ -445,8 +446,13 @@ class TestRowMemo:
         rng = np.random.default_rng(4)
         runs = [5, 1, 3, 4]
         rows = np.concatenate([np.tile(rng.uniform(-1, 1, len(model)), (n, 1)) for n in runs])
-        streamed(model, command_trace(model, rows, period_us=2000))
-        assert len(calls) == len(runs)
+        trace = command_trace(model, rows, period_us=2000)
+        for thresholds in (Thresholds(), Thresholds(acceleration_limit=200.0)):
+            calls.clear()
+            online = streamed(model, trace, thresholds=thresholds)
+            assert len(calls) == len(runs)
+            offline = validate_trace(model, trace, thresholds=thresholds)
+            assert [v.line() for v in online.violations] == [v.line() for v in offline.violations]
 
     def test_a_repeated_colliding_pose_reports_at_every_cycle(self):
         model = sample_model()
@@ -485,16 +491,30 @@ class TestRowMemo:
         assert [a.report().format(), b.report().format()] == alone
         assert alone[0] != alone[1]
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # inf - inf in the velocity check
     def test_a_repeated_row_with_nan_or_inf_matches_the_offline_audit(self):
         model = sample_model()
         row = colliding_row(model)
         row[model.joint_index("waist_yaw")] = math.nan
         row[model.joint_index("left_shoulder_pitch")] = math.inf
-        trace = command_trace(model, np.tile(row, (2, 1)), period_us=2000)
-        offline = validate_trace(model, trace)
-        assert streamed(model, trace).format() == offline.format()
-        assert offline.counts["limit"] == 4 and offline.counts["self-collision"] == 2
+        trace = command_trace(model, np.tile(row, (3, 1)), period_us=2000)
+        for thresholds in (Thresholds(), Thresholds(acceleration_limit=200.0)):
+            offline = validate_trace(model, trace, thresholds=thresholds)
+            assert streamed(model, trace, thresholds=thresholds).format() == offline.format()
+            assert offline.counts["limit"] == 6 and offline.counts["self-collision"] == 3
+
+    def test_the_sphere_table_keeps_no_stream_state(self):
+        model = sample_model()
+        table = validate._sphere_table(model)
+        before = dict(vars(table))
+        hit = colliding_row(model)
+        trace = command_trace(model, [hit, hit, np.zeros(len(model)), hit, hit], period_us=2000)
+        a, b = validator_sink(model), validator_sink(model)
+        for x, y in zip(trace, trace[::-1]):
+            a.emit(x)
+            b.emit(y)
+        assert a._spheres is b._spheres is table
+        assert a.report().counts["self-collision"] and b.report().counts["self-collision"]
+        assert vars(table) == before
 
 
 def test_sphere_table_is_compiled_once_per_model_and_margin(monkeypatch):
