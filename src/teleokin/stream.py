@@ -242,16 +242,23 @@ class StreamStats:
     than the window behind the newest cannot be told from a duplicate: it
     counts as out of order, and its number stays dropped.
 
-    Such a frame may also be the first of a sender that restarted its count.
-    As in RFC 3550 §A.1, if the very next frame follows it by one, the two
-    open a new span: the old span's drops are kept, the first frame is no
-    longer out of order, and ``restarts`` counts the resynchronisation.
-    ``span`` is then the current span's.  ``observe`` tells whether a frame
-    became the newest: it was the first, moved the newest number forward,
-    or confirmed a restart.
+    A sender that restarted its count re-sends numbers already seen, or
+    numbers too far behind to place.  So a frame ``MAX_MISORDER`` or more
+    behind the newest whose number already arrived, or any frame the window
+    or more behind, is a restart candidate.  As in RFC 3550 §A.1, if the
+    very next frame follows it by one and is a candidate too, the two open a
+    new span: the old span's drops are kept, the first frame's count as a
+    duplicate or out of order is undone, and ``restarts`` counts the
+    resynchronisation.  ``span`` is then the current span's.  A late frame
+    inside the window that had not arrived is never a candidate, so late
+    frames alone cannot fake a restart; two consecutive numbers repeated
+    that far behind read as one.  ``observe`` tells whether a frame became
+    the newest: it was the first, moved the newest number forward, or
+    confirmed a restart.
     """
 
     SEQ_WINDOW = 1024
+    MAX_MISORDER = 100
 
     def __init__(self):
         self.received = 0
@@ -263,38 +270,48 @@ class StreamStats:
         self._newest: int | None = None
         self._window = 0  # bit i set: number _newest - i arrived
         self._earlier_drops = 0  # dropped in spans before the last restart
-        self._restart_seq: int | None = None  # the number that would confirm a restart
+        # (the number that would confirm a restart, whether the candidate before it
+        # was a duplicate), or None
+        self._restart: tuple[int, bool] | None = None
 
     def observe(self, seq: int) -> bool:
         """Count one received frame; True if it is now the newest one seen."""
         self.received += 1
-        restart_seq, self._restart_seq = self._restart_seq, None
-        if seq == restart_seq:  # the sender restarted its count one frame ago
-            self.restarts += 1
-            self.out_of_order -= 1  # that frame opens the new span
-            self._earlier_drops += self.span - self._arrived
-            self._start((seq - 1) % _SEQ_MODULUS)
-        elif self._newest is None:
+        restart, self._restart = self._restart, None
+        if self._newest is None:
             self._start(seq)
             return True
         step = (seq - self._newest) % _SEQ_MODULUS
         if 0 < step < _SEQ_MODULUS // 2:  # ahead of the newest, across a wrap or not
-            self._newest += step
-            self._window = (self._window << step | 1) & _SEQ_MASK if step < self.SEQ_WINDOW else 1
-            self._arrived += 1
-            return True
+            return self._advance(step)
         behind = -step % _SEQ_MODULUS
+        duplicate = behind < self.SEQ_WINDOW and bool(self._window >> behind & 1)
+        if duplicate and behind >= self.MAX_MISORDER or behind >= self.SEQ_WINDOW:  # a restart candidate
+            if restart is not None and seq == restart[0]:  # the sender restarted its count one frame ago
+                if restart[1]:  # that frame opens the new span
+                    self.duplicates -= 1
+                else:
+                    self.out_of_order -= 1
+                self.restarts += 1
+                self._earlier_drops += self.span - self._arrived
+                self._start((seq - 1) % _SEQ_MODULUS)
+                return self._advance(1)
+            self._restart = ((seq + 1) % _SEQ_MODULUS, duplicate)
+        if duplicate:
+            self.duplicates += 1
+            return False
         if behind < self.SEQ_WINDOW:
-            if self._window >> behind & 1:
-                self.duplicates += 1
-                return False
             self._window |= 1 << behind
             self._arrived += 1
             self._first = min(self._first, self._newest - behind)
-        else:
-            self._restart_seq = (seq + 1) % _SEQ_MODULUS
         self.out_of_order += 1
         return False
+
+    def _advance(self, step: int) -> bool:
+        self._newest += step
+        self._window = (self._window << step | 1) & _SEQ_MASK if step < self.SEQ_WINDOW else 1
+        self._arrived += 1
+        return True
 
     def _start(self, seq: int) -> None:
         self._first = self._newest = seq

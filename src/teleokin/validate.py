@@ -19,7 +19,8 @@ the model, so the streaming validator fits in a 500 Hz control loop.  The
 scalar ``forward_kinematics`` is its test oracle.  A 500 Hz loop fed at
 100-120 Hz repeats most commands as holds, so the streaming validator keeps
 the last row's own violations, and a row bit-identical to it gets them back
-stamped with its cycle.  The tables are compiled once per model and
+stamped with its cycle; it skips each rate whose rows are all bit-identical,
+which could not fire.  The tables are compiled once per model and
 collision margin, kept on the model and never written again, so validators
 and ``validate_trace`` calls share them.
 """
@@ -251,13 +252,15 @@ def _pose_violations(model: RobotModel, spheres: _SphereTable, angles: np.ndarra
 
 
 def _rate_violations(
-    model: RobotModel, thresholds: Thresholds, angles: np.ndarray, dt: float, first: int, cycle: int
+    model: RobotModel, thresholds: Thresholds, angles: np.ndarray, dt: float, first: int, cycle: int, settled: int = 0
 ) -> list[Violation]:
     """Velocity and acceleration violations of rows ``first:`` of an (n, joints)
     window: the checks that read the rows before.
 
     Row ``first`` is cycle ``cycle``; earlier rows only feed the backward
-    differences.
+    differences.  Rates of order ``settled`` or lower are skipped: the
+    caller knows that the rows they read are bit-identical, so every
+    difference is 0 or NaN, and no positive limit is exceeded.
     """
     names = model.joint_names
     found: list[Violation] = []
@@ -265,7 +268,7 @@ def _rate_violations(
     if thresholds.acceleration_limit is not None:
         limit = np.full(len(names), thresholds.acceleration_limit)
         rates.append(("acceleration", 2, dt * dt, limit))
-    for kind, order, scale, limit in rates:
+    for kind, order, scale, limit in rates[settled:]:  # ordered by order, 1 then 2
         start = max(first - order, 0)  # difference row k judges window row start + order + k
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, no rate violation; the limit check flags inf
             rate = np.abs(np.diff(angles[start:], n=order, axis=0)) / scale
@@ -288,7 +291,7 @@ def _angles_matrix(model: RobotModel, trace) -> np.ndarray:
             raise DimensionMismatch(
                 f"command has {len(cmd.angles)} angles, model has {n_joints} joints"
             )
-    return np.stack([np.asarray(cmd.angles, dtype=float) for cmd in trace])
+    return np.array([cmd.angles for cmd in trace], dtype=float)
 
 
 def _checked_period_us(period_us: float) -> float:
@@ -338,11 +341,15 @@ class IncrementalValidator:
     Each command is judged by the same checks as ``validate_trace``: its
     own (limit, self-collision) on its row, its rates on a window of the
     last two samples plus the new one.  A row bit-identical to the previous
-    one reuses that row's own violations, stamped with the new cycle; the
-    rates are judged every command.  Without ``period_us`` the period is
-    inferred as ``validate_trace`` infers it, from the first two commands,
-    and holds for the rest of the stream.  A live stream should pass
-    ``period_us``: its first two commands can be 0-4 ms apart.
+    one reuses that row's own violations, stamped with the new cycle, and a
+    rate of order k is skipped when the k rows before the new one are
+    bit-identical to it: its differences are 0 or NaN, under any positive
+    limit.  So a hold with the acceleration check off does no rate work,
+    and with it on only the first hold after a fresh row computes its
+    acceleration.  Without ``period_us`` the period is inferred as
+    ``validate_trace`` infers it, from the first two commands, and holds for
+    the rest of the stream.  A live stream should pass ``period_us``: its
+    first two commands can be 0-4 ms apart.
     """
 
     def __init__(
@@ -360,6 +367,7 @@ class IncrementalValidator:
         self._cycle = 0
         self._first = None
         self._pose = (None, [])  # (row bytes, that row's pose violations)
+        self._repeats = 0  # rows just before the last one bit-identical to it, at most 2
 
     def _period_us(self) -> float:
         return self.period_us if self.period_us is not None else 1.0
@@ -371,14 +379,18 @@ class IncrementalValidator:
         elif self.period_us is None:
             self.period_us = _infer_period_us([self._first, cmd])
         key = row.tobytes()
-        if self._pose[0] != key:
+        if self._pose[0] == key:
+            self._repeats = min(self._repeats + 1, 2)
+        else:
+            self._repeats = 0
             self._pose = (key, _pose_violations(self.model, self._spheres, row, 0))
         found = [Violation(v.kind, self._cycle, v.identifier, v.value, v.threshold) for v in self._pose[1]]
-        window = np.concatenate([self._tail, row])
-        dt = self._period_us() / 1e6
-        found += _rate_violations(self.model, self.thresholds, window, dt, len(window) - 1, self._cycle)
+        if self._repeats < 2:  # else no rate can fire, and the tail already holds the row twice
+            window = np.concatenate([self._tail, row])
+            dt = self._period_us() / 1e6
+            found += _rate_violations(self.model, self.thresholds, window, dt, len(window) - 1, self._cycle, self._repeats)
+            self._tail = window[-2:]
         self.violations.extend(sorted(found, key=_report_order))
-        self._tail = window[-2:]
         self._cycle += 1
 
     def close(self) -> None:

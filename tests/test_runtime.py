@@ -692,6 +692,23 @@ class TestRunLoop:
         assert [(c.seq, c.source_seq) for c in fresh] == [(2, frames[30].seq)]
         assert (source.stats.received, source.stats.out_of_order) == (2, 1)
 
+    def test_a_restarted_sender_is_stepped_from_its_second_frame(self):
+        # Window 2 takes frames 0..149 but 10 and 11; in window 3, 10 and 11
+        # land late, 139 numbers behind: not stepped.  In window 4 the
+        # sender restarts its count at 0: 0 and 1 were both seen 100 or more
+        # numbers behind the newest, so 1 confirms the restart and is
+        # stepped; the loop goes back to it, as the sender did.
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(150, 100)
+        clock = WallClock()
+        sent = {2: [f for f in frames if f.seq not in (10, 11)], 3: frames[10:12], 4: frames[:2]}
+        sink = _SendOnEmit(source, clock, sent)
+        run_loop(source, sample_pipeline(), sink, rate_hz=50, max_cycles=6, clock=clock)
+        fresh = [c for c in sink.commands if not c.hold]
+        assert [(c.seq, c.source_seq) for c in fresh] == [(2, 149), (4, 1)]
+        stats = source.stats
+        assert (stats.received, stats.restarts, stats.out_of_order, stats.duplicates) == (152, 1, 2, 0)
+
     def test_a_host_stall_keeps_one_command_per_cycle(self):
         # A sender streams 120 Hz frames while the host takes the CPU from
         # the loop for ~15 ms once; the sender stalls for ~30 ms once too,

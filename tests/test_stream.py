@@ -190,9 +190,12 @@ class TestStreamStats:
             assert stats.received + stats.dropped >= stats.span
 
     def test_matches_unbounded_accounting_inside_the_window(self):
-        # Reference: every number ever seen kept in a set (the accounting
-        # before the window), on streams whose disorder stays inside it.
+        # Reference: every number seen in the current span kept in a set (the
+        # accounting before the window), with the restart rule applied to it:
+        # two consecutive numbers repeated MAX_MISORDER or more behind the
+        # newest open a new span.
         rng = np.random.default_rng(4)
+        total_restarts = 0
         for _ in range(50):
             base = int(rng.integers(0, 1 << 32))
             offsets = np.arange(3000)[rng.random(3000) > 0.1]  # drops
@@ -201,8 +204,18 @@ class TestStreamStats:
             offsets = offsets[np.argsort(offsets + rng.uniform(0, 300, len(offsets)))]
             stats = StreamStats()
             seen, dup, ooo, newest = set(), 0, 0, None
+            restarts, earlier_drops, candidate = 0, 0, None
             for off in offsets.tolist():
                 stats.observe((base + off) % (1 << 32))
+                previous, candidate = candidate, None
+                if off in seen and newest - off >= StreamStats.MAX_MISORDER:
+                    if previous == off - 1:  # a restart: the previous frame opens the new span
+                        dup -= 1
+                        restarts += 1
+                        earlier_drops += max(seen) - min(seen) + 1 - len(seen)
+                        seen, newest = {off - 1, off}, off
+                        continue
+                    candidate = off
                 if off in seen:
                     dup += 1
                     continue
@@ -210,8 +223,12 @@ class TestStreamStats:
                 seen.add(off)
                 newest = off if newest is None else max(newest, off)
             assert (stats.received, stats.duplicates, stats.out_of_order) == (len(offsets), dup, ooo)
+            assert stats.restarts == restarts
             assert stats.span == max(seen) - min(seen) + 1
-            assert stats.dropped == stats.span - len(seen)
+            assert stats.dropped == earlier_drops + stats.span - len(seen)
+            assert stats.received + stats.dropped >= stats.span
+            total_restarts += restarts
+        assert total_restarts > 0  # the draw reaches the restart rule
 
     def test_wraparound_is_not_a_drop(self):
         stats = StreamStats()
@@ -268,6 +285,35 @@ class TestStreamStats:
         assert (stats.restarts, stats.out_of_order, stats.dropped) == (0, 3, 0)
         stats.observe(10)  # 9 then 10: read as a restart at 9
         assert (stats.restarts, stats.out_of_order, stats.span) == (1, 2, 2)
+
+    def test_a_restart_within_the_window_is_accepted_from_its_second_frame(self):
+        stats = StreamStats()
+        for seq in range(600):
+            stats.observe(seq)
+        newest = [stats.observe(seq) for seq in range(700)]  # the sender restarted its count
+        assert newest == [False] + [True] * 699
+        assert (stats.restarts, stats.duplicates, stats.out_of_order, stats.dropped) == (1, 0, 0, 0)
+        assert (stats.received, stats.span) == (1300, 700)
+        assert stats.received + stats.dropped >= stats.span
+
+    def test_late_frames_far_behind_are_no_restart(self):
+        stats = StreamStats()
+        for seq in (*range(100), *range(110, 600)):  # 100..109 missing
+            stats.observe(seq)
+        # late frames that had not arrived, each after a repeat of the number before it
+        assert [stats.observe(seq) for seq in (99, 100, 101, 499, 102)] == [False] * 5
+        assert (stats.restarts, stats.out_of_order, stats.duplicates, stats.dropped) == (0, 3, 2, 7)
+        assert stats.observe(600)
+
+    def test_a_repeated_pair_far_behind_reads_as_a_restart(self):
+        stats = StreamStats()
+        for seq in (*range(100), *range(110, 600)):  # 100..109 missing
+            stats.observe(seq)
+        # 450 and 451 repeated: read as a sender restarted at 450
+        assert [stats.observe(seq) for seq in (450, 451, 600)] == [False, True, True]
+        assert (stats.restarts, stats.out_of_order, stats.duplicates) == (1, 0, 0)
+        assert stats.span == 151 and stats.dropped == 10 + 148  # 452..599 count as the new span's drops
+        assert stats.received + stats.dropped >= stats.span
 
     def test_observe_tells_whether_the_frame_is_the_newest(self):
         stats = StreamStats()

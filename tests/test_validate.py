@@ -296,6 +296,27 @@ class TestStreamingValidator:
             assert [(v.cycle, v.identifier) for v in limit] == [(1, "left_knee")]
             assert [v.line() for v in online.violations] == [v.line() for v in offline.violations]
 
+    def test_emit_checks_the_length_and_copies_the_angles(self):
+        model = sample_model()
+        validator = validator_sink(model, period_us=2000)
+        message = f"command has 3 angles, model has {len(model)} joints"
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            validator.emit(command_trace(model, [np.zeros(3)])[0])
+        flat = command_trace(model, [np.zeros(len(model))])[0]
+        flat.angles = flat.angles[None]
+        with pytest.raises(DimensionMismatch, match=f"^command has 1 angles, model has {len(model)} joints$"):
+            validator.emit(flat)
+
+        rows = np.zeros((4, len(model)))
+        rows[1:3, model.joint_index("waist_yaw")] = 0.001
+        expected = streamed(model, command_trace(model, rows, period_us=2000), period_us=2000).format()
+        trace = command_trace(model, rows, period_us=2000)
+        trace[0].angles = trace[0].angles.tolist()  # a plain list of floats
+        for cmd in trace:
+            validator.emit(cmd)
+            cmd.angles[model.joint_index("waist_yaw")] = 3.0  # after emit: changes nothing
+        assert validator.report().format() == expected
+
     def test_inferred_period_is_reported(self):
         model = sample_model()
         rows = np.zeros((4, len(model)))
@@ -424,9 +445,30 @@ def colliding_row(model):
     return next(row for row in rows if (np.array(table.row_distances(row.tolist())) < table.limits).any())
 
 
+@st.composite
+def repeated_runs(draw):
+    """Runs of 1-4 bit-identical rows.  Each run's row changes the last one's
+    by a jump, or on one joint to NaN, +-inf, -0.0, 0.0 or one ulp up."""
+    n_joints = len(sample_model())
+    row, rows = np.zeros(n_joints), []
+    for _ in range(draw(st.integers(1, 6))):
+        row = row.copy()
+        j = draw(st.integers(0, n_joints - 1))
+        change = draw(st.sampled_from(["jump", "nan", "inf", "-inf", "-0.0", "0.0", "ulp"]))
+        if change == "jump":
+            row = draw(arrays(float, n_joints, elements=st.floats(-1.0, 1.0)))
+        elif change == "ulp":
+            row[j] = np.nextafter(row[j], math.inf)
+        else:
+            row[j] = float(change)
+        rows += [row] * draw(st.integers(1, 4))
+    return rows
+
+
 class TestRowMemo:
     """A streamed row bit-identical to the previous one reuses its limit and
-    self-collision violations; its rates are judged afresh."""
+    self-collision violations, and skips each rate whose rows are all
+    bit-identical to it."""
 
     @staticmethod
     def count_row_poses(monkeypatch):
@@ -501,6 +543,43 @@ class TestRowMemo:
             offline = validate_trace(model, trace, thresholds=thresholds)
             assert streamed(model, trace, thresholds=thresholds).format() == offline.format()
             assert offline.counts["limit"] == 6 and offline.counts["self-collision"] == 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=repeated_runs(),
+        acceleration_limit=st.sampled_from([None, 200.0]),
+        period_us=st.sampled_from([None, 10_000]),
+    )
+    def test_skipped_rates_match_the_offline_audit(self, rows, acceleration_limit, period_us):
+        model = sample_model()
+        trace = command_trace(model, rows, period_us=2000)
+        thresholds = Thresholds(acceleration_limit)
+        offline = validate_trace(model, trace, thresholds=thresholds, period_us=period_us)
+        assert streamed(model, trace, thresholds=thresholds, period_us=period_us).format() == offline.format()
+
+    def test_a_repeat_computes_only_the_rates_that_can_fire(self, monkeypatch):
+        orders = []
+        diff = np.diff
+
+        def counting(a, n=1, **kwargs):
+            orders.append(n)
+            return diff(a, n=n, **kwargs)
+
+        monkeypatch.setattr(np, "diff", counting)
+        model = sample_model()
+        runs = [3, 5, 4]
+        rng = np.random.default_rng(6)
+        rows = np.concatenate([np.tile(rng.uniform(-1, 1, len(model)), (n, 1)) for n in runs])
+        trace = command_trace(model, rows, period_us=2000)
+        for thresholds, fresh, first_hold in ((Thresholds(), [1], []), (Thresholds(200.0), [1, 2], [2])):
+            validator = validator_sink(model, thresholds, period_us=2000)
+            computed = []
+            for cmd in trace:
+                orders.clear()
+                validator.emit(cmd)
+                computed.append(sorted(orders))
+            assert computed == [c for n in runs for c in [fresh, first_hold] + [[]] * (n - 2)]
+            assert validator.report().format() == validate_trace(model, trace, thresholds, 2000).format()
 
     def test_the_sphere_table_keeps_no_stream_state(self):
         model = sample_model()

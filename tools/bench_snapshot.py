@@ -10,9 +10,12 @@ Run it from the root of a checkout.  In order, it records:
 2. ``perfbench/run.py --workload all --seed 1 --seconds 30`` at ``--trace 0``
    and at ``--trace 1``: each workload's ``DETAIL`` line and the result line;
 3. three ``teleokin bench --rate 500 --frames 5000`` metrics dumps;
-4. the wake-up probe again.
+4. three of the same with ``--sink validate``, the operator's paced
+   validator path: each dump, the validator's verdict line and the exit
+   code (1 on a ``fail`` verdict, recorded like a pass);
+5. the wake-up probe again.
 
-A wall-clock tail in 2 and 3 can then be read against the host's own
+A wall-clock tail in 2 to 4 can then be read against the host's own
 wake-up tail around it.  The file also names the machine, Python and numpy,
 and counts the lines of ``src/teleokin/*.py`` (``src_lines``), the size of
 the program the numbers belong to.
@@ -38,6 +41,7 @@ PROBE_SPIN_NS = 300_000
 PROBE_WAKEUPS = 2500  # 5 s
 PERFBENCH_SECONDS = 30
 BENCH_RUNS = 3
+BENCH = [sys.executable, "-m", "teleokin", "bench", "--rate", "500", "--frames", "5000"]
 
 
 def wakeup_probe() -> dict:
@@ -63,16 +67,19 @@ def wakeup_probe() -> dict:
     }
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str], ok=(0,)) -> subprocess.CompletedProcess:
+    """Run ``argv`` from the checkout; an exit code not in ``ok`` raises."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    return done.stdout
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    if done.returncode not in ok:
+        raise subprocess.CalledProcessError(done.returncode, argv, done.stdout, done.stderr)
+    return done
 
 
 def perfbench(trace: int) -> dict:
     out = _run([sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "1",
                 "--seconds", str(PERFBENCH_SECONDS), "--trace", str(trace)])
-    lines = out.splitlines()
+    lines = out.stdout.splitlines()
     details = [json.loads(line[len("DETAIL "):]) for line in lines if line.startswith("DETAIL ")]
     return {"result": json.loads(lines[-1]), "detail": details}
 
@@ -86,9 +93,23 @@ def _number(text: str):
     return text
 
 
+def _dump(lines: list[str]) -> dict:
+    return {key: _number(value) for key, _, value in (line.partition("=") for line in lines)}
+
+
 def teleokin_bench() -> dict:
-    out = _run([sys.executable, "-m", "teleokin", "bench", "--rate", "500", "--frames", "5000"])
-    return {key: _number(value) for key, _, value in (line.partition("=") for line in out.splitlines())}
+    return _dump(_run(BENCH).stdout.splitlines())
+
+
+def teleokin_bench_validate() -> dict:
+    """One paced ``bench --sink validate`` run: its dump, the validator's
+    verdict line and the exit code.  A ``fail`` verdict exits 1 and is
+    recorded, not raised."""
+    done = _run([*BENCH, "--sink", "validate"], ok=(0, 1))
+    lines = done.stdout.splitlines()
+    audit = lines.index("# kinematic trace audit")  # the validator's report follows the dump
+    verdict = next(line for line in lines[audit:] if line.startswith("verdict="))
+    return {"exit_code": done.returncode, "verdict": verdict, "dump": _dump(lines[:audit])}
 
 
 def host() -> dict:
@@ -125,6 +146,7 @@ def main(argv=None) -> int:
     snapshot["perfbench_trace0"] = perfbench(0)
     snapshot["perfbench_trace1"] = perfbench(1)
     snapshot["teleokin_bench"] = [teleokin_bench() for _ in range(BENCH_RUNS)]
+    snapshot["teleokin_bench_validate"] = [teleokin_bench_validate() for _ in range(BENCH_RUNS)]
     snapshot["wakeup_probe_after"] = wakeup_probe()
     Path(args.out).write_text(json.dumps(snapshot, indent=1) + "\n")
     return 0
