@@ -13,6 +13,12 @@ Document order is significant: the joint order of the robot file is the
 command-vector order, and a joint's parent link must already exist when the
 joint is declared.  Loaded objects are immutable by convention and safe to
 share across threads.
+
+``RobotModel`` compiles its kinematic chain, sphere centres and checked
+sphere pairs once, into plain floats, which ``forward_kinematics_batch``
+(a whole trace) and ``forward_kinematics_row`` (one command, the same
+rule) read.  ``forward_kinematics``, their test oracle, composes each
+joint's origin and axis rotations directly.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .errors import (
 from .geometry import (
     EULER_ORDERS,
     _euler_axes,
+    _quat_mul,
+    _quat_rotate,
     quat_from_axis_angle,
     quat_identity,
     quat_multiply,
@@ -171,17 +179,22 @@ class RobotModel:
             ):
                 raise ValidationError(f"default angle outside the soft interval on joint {j.name}")
 
-        per_link_counts: dict[str, int] = {}
+        refs: list[tuple[str, int]] = []  # (link, index within the link) of each sphere
+        per_link: dict[str, int] = {}
         for s in spheres:
             if s.link not in known:
                 raise UnknownReference(f"collision sphere references unknown link {s.link!r}")
             if not (s.radius > 0):
                 raise ValidationError(f"non-positive sphere radius on link {s.link}")
-            per_link_counts[s.link] = per_link_counts.get(s.link, 0) + 1
-        for (la, ia), (lb, ib) in exclusions:
-            for link, idx in ((la, ia), (lb, ib)):
-                if per_link_counts.get(link, 0) <= idx:
+            refs.append((s.link, per_link.get(s.link, 0)))
+            per_link[s.link] = refs[-1][1] + 1
+        number = {ref: k for k, ref in enumerate(refs)}
+        excluded = set()
+        for pair in exclusions:
+            for link, idx in pair:
+                if (link, idx) not in number:
                     raise UnknownReference(f"exclusion references missing sphere {link}/{idx}")
+            excluded.add(tuple(sorted(number[(link, idx)] for link, idx in pair)))
 
         self.joints = list(joints)
         self.spheres = spheres
@@ -191,10 +204,33 @@ class RobotModel:
         self.soft_upper = np.array([j.limit_max - j.soft_margin for j in joints])
         # (lower, upper) per joint as floats, for the per-frame clamp
         self.soft_bounds = tuple(zip(self.soft_lower.tolist(), self.soft_upper.tolist()))
-        # collision margin -> the validator's compiled sphere table, built on first use
-        self._sphere_tables: dict = {}
         self.velocity_limits = np.array([j.velocity_limit for j in joints])
         self.default_angles = np.array([j.default_angle for j in joints])
+
+        # Compiled once, in plain floats, for the row and batch FK and the
+        # collision check.  Links are numbered as in ``link_names``: the base,
+        # then each joint's child.
+        self.link_names = [self.base_link] + [j.child_link for j in joints]
+        link_index = {link: i for i, link in enumerate(self.link_names)}
+        # (parent link, origin translation, r, u) per joint: r is the origin
+        # rotation and u = r * (0, axis), so the joint turns its child by
+        # r * (cos(a/2), sin(a/2) * axis) = cos(a/2) * r + sin(a/2) * u.
+        chain = []
+        for j in joints:
+            r = tuple(j.origin_rotation.tolist())
+            u = _quat_mul(r, (0.0, *j.axis.tolist()))
+            chain.append((link_index[j.parent_link], tuple(j.origin_translation.tolist()), r, u))
+        self.chain = tuple(chain)
+        self.sphere_refs = refs
+        self.sphere_centers = tuple((link_index[s.link], tuple(s.center.tolist())) for s in spheres)
+        # (a, b, id, ra + rb) of each pair checked: spheres on different links, not excluded
+        labels = [f"{link}/{k}" for link, k in refs]
+        self.sphere_pairs = tuple(
+            (a, b, f"{labels[a]},{labels[b]}", spheres[a].radius + spheres[b].radius)
+            for a in range(len(refs))
+            for b in range(a + 1, len(refs))
+            if refs[a][0] != refs[b][0] and (a, b) not in excluded
+        )
 
     def __len__(self) -> int:
         return len(self.joints)
@@ -267,6 +303,13 @@ class _Directive:
         if position >= len(self.positional):
             raise ParseError(self.lineno, self.keyword_col, f"missing {what}")
         return self.positional[position]
+
+    def resolve(self, lookup, col: int, name: str):
+        """``lookup(name)``; an UnknownReference it raises names this line and ``col``."""
+        try:
+            return lookup(name)
+        except UnknownReference as exc:
+            raise UnknownReference(f"line {self.lineno}, col {col}: {exc}") from None
 
     def fields(self, n_positional: int, **parsers) -> dict:
         """Each key's value, converted by its parser, in the order given.
@@ -431,21 +474,24 @@ def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> 
     """
     seen: dict[str, str] = {}  # joint name -> the directive that claimed it
 
-    def claim(joint: str, where: str) -> int:
-        index = model.joint_index(joint)  # raises UnknownReference
+    def claim(d: _Directive, col: int, joint: str) -> int:
+        index = d.resolve(model.joint_index, col, joint)
         if joint in seen:
-            raise CoverageError(f"joint {joint!r} referenced twice ({seen[joint]} and {where})")
-        seen[joint] = where
+            raise CoverageError(f"joint {joint!r} referenced twice ({seen[joint]} and {d.keyword})")
+        seen[joint] = d.keyword
         return index
+
+    def segment(d: _Directive, name: str) -> int:
+        return d.resolve(skeleton.index, d.pairs["segment"][0], name)
 
     twist_rules: list[tuple] = []
     triple_rules: list[tuple] = []
     for d in _directives(text, ("map", "map3", "unmapped")):
         if d.keyword == "map":
-            _, joint = d.arg(0, "joint name")
+            jcol, joint = d.arg(0, "joint name")
             f = d.fields(1, axis=_axis, sign=_signs(_real), segment=_text, scale=_real, offset=_real)
-            joint_index = claim(joint, "map")
-            twist_rules.append((skeleton.index(f["segment"]), *f["axis"].tolist(),
+            joint_index = claim(d, jcol, joint)
+            twist_rules.append((segment(d, f["segment"]), *f["axis"].tolist(),
                                 f["sign"] * f["scale"], f["offset"], joint_index))
         elif d.keyword == "map3":
             jcol, jtok = d.arg(0, "joint names <j1>,<j2>,<j3>")
@@ -453,14 +499,14 @@ def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> 
             if len(names) != 3:
                 raise ParseError(d.lineno, jcol, "map3 expects three comma-separated joint names")
             f = d.fields(1, order=_order, signs=_signs(_reals(3)), segment=_text, scales=_reals(3), offsets=_reals(3))
-            joints = [claim(name, "map3") for name in names]
+            joints = [claim(d, jcol, name) for name in names]
             gains = [s * c for s, c in zip(f["signs"], f["scales"])]
-            triple_rules.append((skeleton.index(f["segment"]), f["order"], *_euler_axes(f["order"]),
+            triple_rules.append((segment(d, f["segment"]), f["order"], *_euler_axes(f["order"]),
                                  tuple(zip(joints, gains, f["offsets"]))))
         elif d.keyword == "unmapped":
-            _, joint = d.arg(0, "joint name")
+            jcol, joint = d.arg(0, "joint name")
             d.fields(1)
-            claim(joint, "unmapped")
+            claim(d, jcol, joint)
     missing = [n for n in model.joint_names if n not in seen]
     if missing:
         raise CoverageError(f"joints not covered by the map: {missing}")
@@ -490,13 +536,32 @@ def forward_kinematics(model: RobotModel, angles) -> dict[str, LinkPose]:
     return poses
 
 
-def forward_kinematics_batch(model: RobotModel, angles) -> dict[str, LinkPose]:
+def forward_kinematics_row(model: RobotModel, angles) -> list[tuple[tuple, tuple]]:
+    """``(position, rotation)`` float tuples of every link in ``link_names``
+    for one row of finite or NaN angles.
+
+    The batch FK's rule in plain floats, with no array built, for one
+    streamed command.  Like the batch FK, rotations are composed without
+    renormalisation.
+    """
+    poses = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))]
+    for (parent, origin, (rw, rx, ry, rz), (uw, ux, uy, uz)), angle in zip(model.chain, angles):
+        (px, py, pz), q = poses[parent]
+        dx, dy, dz = _quat_rotate(q, origin)
+        c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+        turn = (c * rw + s * uw, c * rx + s * ux, c * ry + s * uy, c * rz + s * uz)
+        poses.append(((px + dx, py + dy, pz + dz), _quat_mul(q, turn)))
+    return poses
+
+
+def forward_kinematics_batch(model: RobotModel, angles) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized FK over a whole trace: ``angles`` is (n_samples, n_joints).
 
-    Returns per-link ``LinkPose`` tuples of stacked arrays, positions
-    (n_samples, 3) and rotations (n_samples, 4).  Rotations are composed
-    without per-step renormalization; drift over realistic tree depths stays
-    far below validation tolerances.
+    Returns ``(positions, rotations)``, stacked per link in ``link_names``
+    order: (links, n_samples, 3) and (links, n_samples, 4).  Each joint
+    applies the row FK's rule, ``parent * (cos(a/2) * r + sin(a/2) * u)``.
+    Rotations are composed without per-step renormalization; drift over
+    realistic tree depths stays far below validation tolerances.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(model.joints):
@@ -504,14 +569,12 @@ def forward_kinematics_batch(model: RobotModel, angles) -> dict[str, LinkPose]:
             f"expected (n, {len(model.joints)}) joint angles, got shape {angles.shape}"
         )
     n = angles.shape[0]
-    poses = {model.base_link: LinkPose(np.zeros((n, 3)), np.tile(quat_identity(), (n, 1)))}
-    for idx, joint in enumerate(model.joints):
-        parent = poses[joint.parent_link]
-        position = parent.position + quat_rotate_rows(parent.rotation, joint.origin_translation)
-        rotation = quat_multiply_rows(parent.rotation, joint.origin_rotation)
-        half = 0.5 * angles[:, idx]
-        jq = np.empty((n, 4))
-        jq[:, 0] = np.cos(half)
-        jq[:, 1:] = np.sin(half)[:, None] * joint.axis[None, :]
-        poses[joint.child_link] = LinkPose(position, quat_multiply_rows(rotation, jq))
-    return poses
+    positions = np.zeros((len(model.link_names), n, 3))
+    rotations = np.zeros((len(model.link_names), n, 4))
+    rotations[0, :, 0] = 1.0
+    for link, ((parent, origin, r, u), column) in enumerate(zip(model.chain, angles.T), start=1):
+        half = 0.5 * column
+        q = rotations[parent]
+        positions[link] = positions[parent] + quat_rotate_rows(q, np.array(origin))
+        rotations[link] = quat_multiply_rows(q, np.cos(half)[:, None] * r + np.sin(half)[:, None] * u)
+    return positions, rotations

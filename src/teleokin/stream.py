@@ -347,8 +347,23 @@ def write_recording(path, frames: Iterable[MocapFrame]) -> int:
     return count
 
 
+def _tail_fault(data: bytes, offset: int) -> TeleokinError | None:
+    """The BadMagic or UnsupportedVersion shown by whatever magic and version
+    bytes the short tail at ``offset`` has, else None."""
+    magic = data[offset : offset + len(FRAME_MAGIC)]
+    if magic != FRAME_MAGIC[: len(magic)]:
+        return BadMagic(f"expected {FRAME_MAGIC!r}, got {magic!r}")
+    version = data[offset + len(FRAME_MAGIC) : offset + len(FRAME_MAGIC) + 1]
+    if version and version[0] != PROTOCOL_VERSION:
+        return UnsupportedVersion(f"frame version {version[0]}")
+    return None
+
+
 def read_recording(path) -> list[MocapFrame]:
     """Read a MOCREC01 file; a truncated final frame is dropped with a warning.
+
+    A short tail whose magic or version bytes are wrong is a corrupt frame,
+    not a truncated one, and raises BadMagic or UnsupportedVersion.
 
     Each frame's framing and CRC are checked in file order; then the frames
     of each run of equal segment counts are decoded together, up to
@@ -363,13 +378,13 @@ def read_recording(path) -> list[MocapFrame]:
     offset = len(RECORDING_MAGIC)
     while offset < len(data):
         remaining = len(data) - offset
-        if remaining < HEADER_SIZE:
-            dropped = f"dropping truncated final frame ({remaining} trailing bytes)"
-            break
-        count = data[offset + HEADER_SIZE - 1]
-        frame_len = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
-        if remaining < frame_len:
-            dropped = f"dropping truncated final frame ({remaining} of {frame_len} bytes)"
+        frame_len = None
+        if remaining >= HEADER_SIZE:
+            frame_len = HEADER_SIZE + data[offset + HEADER_SIZE - 1] * _SEGMENT_SIZE + CRC_SIZE
+        if frame_len is None or remaining < frame_len:
+            fault = _tail_fault(data, offset)  # a corrupt tail is no truncated frame
+            size = f"{remaining} trailing bytes" if frame_len is None else f"{remaining} of {frame_len} bytes"
+            dropped = f"dropping truncated final frame ({size})"
             break
         try:
             _frame_head(data, offset, frame_len)

@@ -13,16 +13,16 @@ nominal period — the report header names that proxy so results can be
 re-thresholded.
 
 Self-collision of many rows takes the batch FK and numpy sphere distances in
-blocks.  Self-collision of one row (each streamed command) takes a
-plain-float FK, sphere centres and pair distances over tables compiled from
-the model, so the streaming validator fits in a 500 Hz control loop.  The
-scalar ``forward_kinematics`` is its test oracle.  A 500 Hz loop fed at
-100-120 Hz repeats most commands as holds, so the streaming validator keeps
-the last row's own violations, and a row bit-identical to it gets them back
-stamped with its cycle; it skips each rate whose rows are all bit-identical,
-which could not fire.  The tables are compiled once per model and
-collision margin, kept on the model and never written again, so validators
-and ``validate_trace`` calls share them.
+blocks.  Self-collision of one row (each streamed command) takes the
+plain-float row FK, sphere centres and pair distances, so the streaming
+validator fits in a 500 Hz control loop.  Both FKs live in ``model`` and
+read the chain, sphere and pair tables the model compiles once at load;
+this module adds the collision margin to each pair's radius sum, once per
+validator and per ``validate_trace`` call, and writes nothing on the
+model.  A 500 Hz loop fed at 100-120 Hz repeats most commands as holds, so
+the streaming validator keeps the last row's own violations, and a row
+bit-identical to it gets them back stamped with its cycle; it skips each
+rate whose rows are all bit-identical, which could not fire.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrace
-from .geometry import _quat_mul, _quat_rotate, quat_rotate_rows
-from .model import LinkPose, RobotModel, forward_kinematics_batch
+from .geometry import _quat_rotate, quat_rotate_rows
+from .model import RobotModel, forward_kinematics_batch, forward_kinematics_row
 from .retarget import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
@@ -51,8 +51,8 @@ class Thresholds:
     The acceleration check is off by default (``acceleration_limit=None``),
     leaving the core battery: limits, velocity, and self-collision.  A loop
     faster than its source holds between fresh frames, so its own output
-    fails any finite limit.  Frozen, because a validator compiles the
-    collision margin into its pair limits once.
+    fails any finite limit.  Frozen, because a validator adds the
+    collision margin to its pair limits once.
     """
 
     acceleration_limit: float | None = None  # rad/s^2
@@ -108,135 +108,55 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-class _SphereTable:
-    """A model's collision spheres and the pairs to check, compiled twice.
+def collision_pairs(model: RobotModel) -> list[tuple[tuple[str, int], tuple[str, int]]]:
+    """All sphere pairs that must be checked: different links, not excluded."""
+    refs = model.sphere_refs
+    return [(refs[a], refs[b]) for a, b, _, _ in model.sphere_pairs]
 
-    Index arrays serve a window of rows: ``distances`` on the batch FK.
-    Plain-float tuples serve one row, which ``row_distances`` runs through
-    its own forward kinematics without building arrays.  Nothing is written
-    after ``__init__``, so one table serves any number of validators:
 
-    - ``joints``: ``(parent, origin translation, *r, *u)``, with links numbered
-      as in ``link_names`` (the base, then each joint's child), ``r`` the
-      origin rotation and ``u = r * (0, axis)`` (see ``row_poses``);
-    - ``spheres``: ``(link, centre)``;
-    - ``pairs``: ``(a, b, id, limit)``, sphere indices and ``ra + rb + margin``.
+def _pair_limits(model: RobotModel, margin: float) -> list[float]:
+    """The distance each checked pair must keep: ``(ra + rb) + margin``."""
+    return [reach + margin for _, _, _, reach in model.sphere_pairs]
+
+
+def _collisions(model: RobotModel, limits: list[float], angles: np.ndarray, cycle: int) -> list[Violation]:
+    """Self-collision violations of an (n, joints) window whose row 0 is ``cycle``.
+
+    One row takes the plain-float row FK, many rows the batch FK, with
+    sphere distances in blocks.  Infinite angles become NaN first: the
+    limit check already flags them, and ``sin`` cannot take them.  A NaN
+    distance is no collision.
     """
-
-    def __init__(self, model: RobotModel, margin: float = 0.0):
-        per_link: dict[str, int] = {}
-        self.refs = []  # (link, index within the link) of every sphere
-        for s in model.spheres:
-            per_link[s.link] = per_link.get(s.link, 0) + 1
-            self.refs.append((s.link, per_link[s.link] - 1))
-        number = {ref: k for k, ref in enumerate(self.refs)}
-        excluded = {tuple(sorted((number[tuple(a)], number[tuple(b)]))) for a, b in model.exclusions}
-        pairs = [
-            (i, j)
-            for i, (link, _) in enumerate(self.refs)
-            for j in range(i + 1, len(self.refs))
-            if link != self.refs[j][0] and (i, j) not in excluded
-        ]
-        self.a = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.b = np.array([j for _, j in pairs], dtype=np.intp)
-        labels = [f"{link}/{k}" for link, k in self.refs]
-        self.ids = [f"{labels[i]},{labels[j]}" for i, j in pairs]
-        self.sphere_links = [s.link for s in model.spheres]
-        self.centers = np.array([s.center for s in model.spheres]).reshape(-1, 3)
-        radii = np.array([s.radius for s in model.spheres])
-        self.limits = radii[self.a] + radii[self.b] + margin
-
-        self.link_names = [model.base_link] + [j.child_link for j in model.joints]
-        index = {link: i for i, link in enumerate(self.link_names)}
-        joints = []
-        for j in model.joints:
-            r = tuple(j.origin_rotation.tolist())
-            u = _quat_mul(r, (0.0, *j.axis.tolist()))
-            joints.append((index[j.parent_link], tuple(j.origin_translation.tolist()), *r, *u))
-        self.joints = tuple(joints)
-        self.spheres = tuple((index[s.link], tuple(s.center.tolist())) for s in model.spheres)
-        self.pairs = tuple(zip(self.a.tolist(), self.b.tolist(), self.ids, self.limits.tolist()))
-
-    def distances(self, poses: dict[str, LinkPose], rows: slice) -> np.ndarray:
-        """(m, pairs) sphere-centre distances for ``rows`` of batch-shaped poses."""
-        position = np.stack([poses[link].position[rows] for link in self.sphere_links], axis=1)
-        rotation = np.stack([poses[link].rotation[rows] for link in self.sphere_links], axis=1)
-        centers = position + quat_rotate_rows(rotation, self.centers)
-        # Per coordinate: gathering whole (m, pairs, 3) rows is several times slower.
-        return np.sqrt(sum((centers[:, self.a, c] - centers[:, self.b, c]) ** 2 for c in range(3)))
-
-    def row_poses(self, angles) -> list[tuple[tuple, tuple]]:
-        """``(position, rotation)`` float tuples of every link in ``link_names``
-        for one row of finite or NaN angles.
-
-        A joint turns its child by ``r * (cos(a/2), sin(a/2) * axis)``, which
-        is ``cos(a/2) * r + sin(a/2) * u`` for the compiled ``r`` and
-        ``u = r * (0, axis)``.  Like the batch FK, rotations are composed
-        without renormalisation.
-        """
-        poses = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))]
-        for (parent, origin, rw, rx, ry, rz, uw, ux, uy, uz), angle in zip(self.joints, angles):
-            (px, py, pz), q = poses[parent]
-            dx, dy, dz = _quat_rotate(q, origin)
-            c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-            turn = (c * rw + s * uw, c * rx + s * ux, c * ry + s * uy, c * rz + s * uz)
-            poses.append(((px + dx, py + dy, pz + dz), _quat_mul(q, turn)))
-        return poses
-
-    def row_distances(self, angles) -> list[float]:
-        """Sphere-centre distance of every pair for one row of finite or NaN angles."""
-        poses = self.row_poses(angles)
+    angles = np.where(np.isinf(angles), np.nan, angles)
+    pairs = model.sphere_pairs
+    if len(angles) == 1:
+        poses = forward_kinematics_row(model, angles[0].tolist())
         centers = []
-        for link, center in self.spheres:
+        for link, center in model.sphere_centers:
             (px, py, pz), q = poses[link]
             dx, dy, dz = _quat_rotate(q, center)
             centers.append((px + dx, py + dy, pz + dz))
-        return [math.dist(centers[a], centers[b]) for a, b, _, _ in self.pairs]
-
-
-def _sphere_table(model: RobotModel, margin: float = 0.0) -> _SphereTable:
-    """The model's sphere table for ``margin``: compiled once, then kept on the model."""
-    table = model._sphere_tables.get(margin)
-    if table is None:
-        table = model._sphere_tables[margin] = _SphereTable(model, margin)
-    return table
-
-
-def collision_pairs(model: RobotModel) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-    """All sphere pairs that must be checked: different links, not excluded."""
-    table = _sphere_table(model)
-    return [(table.refs[i], table.refs[j]) for i, j in zip(table.a, table.b)]
-
-
-def _collisions(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cycle: int) -> list[Violation]:
-    """Self-collision violations of an (n, joints) window whose row 0 is ``cycle``.
-
-    One row takes the compiled plain-float FK, many rows the batch FK in
-    blocks.  Infinite angles become NaN first: the limit check already flags
-    them, and ``sin`` cannot take them.  A NaN distance is no collision.
-    """
-    angles = np.where(np.isinf(angles), np.nan, angles)
-    if len(angles) == 1:
-        hits = zip(spheres.pairs, spheres.row_distances(angles[0].tolist()))
-        return [Violation("self-collision", cycle, pair, d, limit) for (_, _, pair, limit), d in hits if d < limit]
+        dist = [math.dist(centers[a], centers[b]) for a, b, _, _ in pairs]
+        hits = zip(pairs, dist, limits)
+        return [Violation("self-collision", cycle, pair, d, limit) for (_, _, pair, _), d, limit in hits if d < limit]
+    links, local = map(np.array, zip(*model.sphere_centers))
+    a, b, ids, _ = zip(*pairs)
+    a, b, limits = np.array(a), np.array(b), np.array(limits)[:, None]
     found = []
-    poses = forward_kinematics_batch(model, angles)
+    positions, rotations = forward_kinematics_batch(model, angles)
     for block in range(0, len(angles), _BLOCK_ROWS):
-        dist = spheres.distances(poses, slice(block, block + _BLOCK_ROWS))
-        for i, k in zip(*np.nonzero(dist < spheres.limits)):
+        rows = slice(block, block + _BLOCK_ROWS)
+        centers = positions[links, rows] + quat_rotate_rows(rotations[links, rows], local[:, None])  # (spheres, m, 3)
+        # Per coordinate: gathering whole (pairs, m, 3) rows is several times slower.
+        dist = np.sqrt(sum((centers[a, :, c] - centers[b, :, c]) ** 2 for c in range(3)))
+        for k, i in zip(*np.nonzero(dist < limits)):
             found.append(
-                Violation(
-                    "self-collision",
-                    cycle + block + int(i),
-                    spheres.ids[k],
-                    float(dist[i, k]),
-                    float(spheres.limits[k]),
-                )
+                Violation("self-collision", cycle + block + int(i), ids[k], float(dist[k, i]), float(limits[k, 0]))
             )
     return found
 
 
-def _pose_violations(model: RobotModel, spheres: _SphereTable, angles: np.ndarray, cycle: int) -> list[Violation]:
+def _pose_violations(model: RobotModel, limits: list[float], angles: np.ndarray, cycle: int) -> list[Violation]:
     """Limit and self-collision violations of an (n, joints) window whose row 0
     is ``cycle``: the checks that read each row alone."""
     names = model.joint_names
@@ -246,8 +166,8 @@ def _pose_violations(model: RobotModel, spheres: _SphereTable, angles: np.ndarra
         value = angles[i, j]
         bound = model.soft_upper[j] if value > model.soft_upper[j] else model.soft_lower[j]
         found.append(Violation("limit", cycle + int(i), names[j], float(value), float(bound)))
-    if spheres.pairs:
-        found.extend(_collisions(model, spheres, angles, cycle))
+    if limits:
+        found.extend(_collisions(model, limits, angles, cycle))
     return found
 
 
@@ -328,8 +248,7 @@ def validate_trace(
     thresholds = thresholds or Thresholds()
     angles = _angles_matrix(model, trace)
     period_us = _infer_period_us(trace) if period_us is None else _checked_period_us(period_us)
-    spheres = _sphere_table(model, thresholds.collision_margin)
-    found = _pose_violations(model, spheres, angles, 0)
+    found = _pose_violations(model, _pair_limits(model, thresholds.collision_margin), angles, 0)
     found += _rate_violations(model, thresholds, angles, period_us / 1e6, 0, 0)
     violations = sorted(found, key=_report_order)
     return ValidationReport(violations, cycles=len(trace), period_us=period_us, thresholds=thresholds)
@@ -362,7 +281,7 @@ class IncrementalValidator:
         self.thresholds = thresholds or Thresholds()
         self.period_us = period_us if period_us is None else _checked_period_us(period_us)
         self.violations: list[Violation] = []
-        self._spheres = _sphere_table(model, self.thresholds.collision_margin)
+        self._limits = _pair_limits(model, self.thresholds.collision_margin)
         self._tail = np.empty((0, len(model)))
         self._cycle = 0
         self._first = None
@@ -383,7 +302,7 @@ class IncrementalValidator:
             self._repeats = min(self._repeats + 1, 2)
         else:
             self._repeats = 0
-            self._pose = (key, _pose_violations(self.model, self._spheres, row, 0))
+            self._pose = (key, _pose_violations(self.model, self._limits, row, 0))
         found = [Violation(v.kind, self._cycle, v.identifier, v.value, v.threshold) for v in self._pose[1]]
         if self._repeats < 2:  # else no rate can fire, and the tail already holds the row twice
             window = np.concatenate([self._tail, row])

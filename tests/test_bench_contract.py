@@ -4,6 +4,7 @@ Each case runs ``perfbench/run.py`` for half a second and checks that it
 exits 0 with every check correct and no failed operation on the last line.
 A change that breaks an entry point the child calls (``Pipeline``,
 ``pipeline.step``, the loader, ``run_loop``, the sinks) fails here.
+The traced cases also check that the batch FK's span times something.
 live-udp is left out: it runs on the wall clock over loopback UDP.
 """
 
@@ -28,3 +29,7 @@ def test_workload_runs_correct_with_no_failures(workload, trace):
     assert result.returncode == 0, result.stderr[-2000:]
     last = json.loads(result.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, result.stdout[-2000:]
+    if trace == "1":
+        # The span wraps the batch FK at ``validate.forward_kinematics_batch``;
+        # a call that bypasses that global would read 0 here.
+        assert last["metrics"]["model.fk_batch_us_per_command"]["value"] > 0, result.stdout[-2000:]

@@ -262,18 +262,25 @@ class TestLoadRetargetMap:
             load_retarget_map(doc, self.skel, self.model)
 
     def test_unknown_segment(self):
-        with pytest.raises(UnknownReference, match="ghost"):
+        # the message names the directive's line and the token's column
+        with pytest.raises(UnknownReference, match=r"^line 1, col 8: unknown segment 'ghost'$"):
             load_retarget_map(
                 "map j1 segment=ghost axis=0,0,1 sign=+1 scale=1 offset=0\n", self.skel, self.model
             )
+        with pytest.raises(UnknownReference, match=r"^line 3, col 21: unknown segment 'ghost'$"):
+            load_retarget_map(
+                "# comment\n\n  map j1 axis=0,0,1 segment=ghost sign=+1 scale=1 offset=0\n", self.skel, self.model
+            )
 
     def test_unknown_joint(self):
-        with pytest.raises(UnknownReference, match="ghost"):
+        with pytest.raises(UnknownReference, match=r"^line 1, col 5: unknown joint 'ghost'$"):
             load_retarget_map(
                 "map ghost segment=limb axis=0,0,1 sign=+1 scale=1 offset=0\nunmapped j1\n",
                 self.skel,
                 self.model,
             )
+        with pytest.raises(UnknownReference, match=r"^line 2, col 10: unknown joint 'ghost'$"):
+            load_retarget_map("unmapped j1\nunmapped ghost\n", self.skel, self.model)
 
     def test_first_fault_in_document_order_wins(self):
         rule = "map j1 segment=limb axis=0,0,1 sign=+1 scale=1 offset=0"
@@ -366,12 +373,13 @@ class TestForwardKinematics:
         model = load_robot_model(sample_text("g1_sample.cfg"))
         rng = np.random.default_rng(3)
         angles = rng.uniform(model.soft_lower, model.soft_upper, size=(50, len(model)))
-        batch = forward_kinematics_batch(model, angles)
+        positions, rotations = forward_kinematics_batch(model, angles)
         for i in range(50):
             single = forward_kinematics(model, angles[i])
-            for link in single:
-                assert np.allclose(batch[link].position[i], single[link].position, atol=1e-12)
-                bq = batch[link].rotation[i]
+            assert model.link_names == list(single)
+            for k, link in enumerate(model.link_names):
+                assert np.allclose(positions[k, i], single[link].position, atol=1e-12)
+                bq = rotations[k, i]
                 sq = single[link].rotation
                 # same rotation regardless of sign convention
                 assert min(np.abs(bq - sq).max(), np.abs(bq + sq).max()) < 1e-12

@@ -428,6 +428,27 @@ class TestWholeFileDecode:
         assert all(same_bits(a, b) for a, b in zip(loaded, expected))
         assert any((e.orientations[:, 0] == 0).any() for e in expected)  # ties were exercised
 
+    @pytest.mark.parametrize("tail, error", [
+        (b"XXXX" + bytes(14) + bytes([200]) + bytes(20), BadMagic),  # would need 3223 bytes
+        (b"XXXX" + bytes(14) + bytes([0]) + bytes(20), BadMagic),
+        (b"MX", BadMagic),
+        (b"MOC1" + bytes([7]) + bytes(34), UnsupportedVersion),
+        (b"MOC1" + bytes([7]), UnsupportedVersion),
+        (b"MOC", None),
+        (b"MOC1" + bytes([1]), None),
+    ])
+    def test_a_short_tail_with_a_wrong_magic_or_version_raises(self, tmp_path, caplog, tail, error):
+        rng = np.random.default_rng(32)
+        path = tmp_path / "tail.rec"
+        self.write(path, [wire_frame(rng, seq, 23) for seq in range(5)] + [tail])
+        if error is not None:
+            with pytest.raises(error):
+                read_recording(path)
+            return
+        with caplog.at_level("WARNING"):
+            assert len(read_recording(path)) == 5
+        assert f"dropping truncated final frame ({len(tail)} trailing bytes)" in caplog.text
+
     def test_many_random_frames(self, tmp_path):
         rng = np.random.default_rng(32)
         encoded = [wire_frame(rng, seq, 23) for seq in range(1000)]

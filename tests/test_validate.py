@@ -1,5 +1,6 @@
 """Trace audit: limit/velocity/acceleration checks, collisions, the streaming validator."""
 
+import copy
 import dataclasses
 import math
 
@@ -16,6 +17,7 @@ from teleokin.geometry import canonicalize_rows
 from teleokin.model import (
     forward_kinematics,
     forward_kinematics_batch,
+    forward_kinematics_row,
     load_retarget_map,
     load_robot_model,
     load_skeleton,
@@ -24,7 +26,7 @@ from teleokin import validate
 from teleokin.retarget import FilterState, JointCommand, Pipeline
 from teleokin.runtime import run_loop, validator_sink
 from teleokin.stream import schedule, synth_motion
-from teleokin.validate import KINDS, Thresholds, _SphereTable, collision_pairs, validate_trace
+from teleokin.validate import KINDS, Thresholds, collision_pairs, validate_trace
 
 from test_model import oracle_fk
 
@@ -377,7 +379,7 @@ def assert_streaming_equals_offline(rows, thresholds, period_us):
     for a, b in zip(online.violations, offline.violations):
         assert a.threshold == b.threshold
         if a.kind == "self-collision":
-            # one streamed row takes the compiled plain-float FK, a trace the batch FK
+            # one streamed row takes the plain-float row FK, a trace the batch FK
             assert a.value == pytest.approx(b.value, rel=0, abs=1e-9)
         else:
             assert a.value == b.value
@@ -406,7 +408,7 @@ def random_tree_model(seed=3, n_joints=12):
 
 @pytest.mark.parametrize("make_model", [sample_model, random_tree_model], ids=["sample", "random-tree"])
 class TestRowKernel:
-    """The validator's one-row FK and pair distances against the numpy oracles."""
+    """The row and batch FK and the row pair distances against the oracles."""
 
     @staticmethod
     def rows(model):
@@ -416,33 +418,50 @@ class TestRowKernel:
             rows[start::6, rng.integers(len(model))] = math.nan
         return rows
 
+    @staticmethod
+    def assert_poses_match(model, reference, poses):
+        assert model.link_names == list(reference)
+        for link, (position, rotation) in zip(model.link_names, poses):
+            np.testing.assert_allclose(position, reference[link].position, rtol=0, atol=1e-12)
+            # q and -q are one rotation; the scalar FK returns the canonical sign
+            rotation = canonicalize_rows(np.array(rotation))
+            np.testing.assert_allclose(rotation, reference[link].rotation, rtol=0, atol=1e-12)
+
     def test_row_poses_match_the_scalar_fk(self, make_model):
         model = make_model()
-        spheres = _SphereTable(model)
         for row in self.rows(model):
-            reference = forward_kinematics(model, row)
-            poses = spheres.row_poses(row.tolist())
-            assert spheres.link_names == list(reference)
-            for link, (position, rotation) in zip(spheres.link_names, poses):
-                np.testing.assert_allclose(position, reference[link].position, rtol=0, atol=1e-12)
-                # q and -q are one rotation; the scalar FK returns the canonical sign
-                rotation = canonicalize_rows(np.array(rotation))
-                np.testing.assert_allclose(rotation, reference[link].rotation, rtol=0, atol=1e-12)
+            self.assert_poses_match(model, forward_kinematics(model, row), forward_kinematics_row(model, row.tolist()))
+
+    def test_batch_poses_match_the_scalar_fk(self, make_model):
+        # The random tree's origin rotations are not the identity, so a batch
+        # FK that dropped them would fail here.
+        model = make_model()
+        rows = self.rows(model)
+        positions, rotations = forward_kinematics_batch(model, rows)
+        assert positions.shape == (len(model.link_names), len(rows), 3)
+        assert rotations.shape == (len(model.link_names), len(rows), 4)
+        for i, row in enumerate(rows):
+            poses = list(zip(positions[:, i], rotations[:, i]))
+            self.assert_poses_match(model, forward_kinematics(model, row), poses)
 
     def test_row_distances_match_the_batch_distances(self, make_model):
+        # With every limit infinite, each pair of finite distance is reported
+        # with its distance: one row takes the row FK, two rows the batch FK.
         model = make_model()
-        spheres = _SphereTable(model)
+        limits = [math.inf] * len(model.sphere_pairs)
         for row in self.rows(model):
-            batch = spheres.distances(forward_kinematics_batch(model, row[None]), slice(0, 1))[0]
-            row_distances = spheres.row_distances(row.tolist())
-            np.testing.assert_allclose(row_distances, batch, rtol=0, atol=1e-12)
+            one = {v.identifier: v.value for v in validate._collisions(model, limits, row[None], 0)}
+            batch = validate._collisions(model, limits, np.stack([row, row]), 0)
+            two = {v.identifier: v.value for v in batch if v.cycle == 0}
+            assert one.keys() == two.keys()
+            np.testing.assert_allclose(list(one.values()), [two[pair] for pair in one], rtol=0, atol=1e-12)
 
 
 def colliding_row(model):
     """A soft-interval pose with at least one self-collision."""
     rows = np.random.default_rng(21).uniform(model.soft_lower, model.soft_upper, size=(200, len(model)))
-    table = _SphereTable(model)
-    return next(row for row in rows if (np.array(table.row_distances(row.tolist())) < table.limits).any())
+    limits = validate._pair_limits(model, 0.0)
+    return next(row for row in rows if validate._collisions(model, limits, row[None], 0))
 
 
 @st.composite
@@ -473,13 +492,12 @@ class TestRowMemo:
     @staticmethod
     def count_row_poses(monkeypatch):
         calls = []
-        row_poses = _SphereTable.row_poses
 
-        def counting(self, angles):
+        def counting(model, angles):
             calls.append(list(angles))
-            return row_poses(self, angles)
+            return forward_kinematics_row(model, angles)
 
-        monkeypatch.setattr(_SphereTable, "row_poses", counting)
+        monkeypatch.setattr(validate, "forward_kinematics_row", counting)
         return calls
 
     def test_each_run_of_identical_rows_is_computed_once(self, monkeypatch):
@@ -581,39 +599,42 @@ class TestRowMemo:
             assert computed == [c for n in runs for c in [fresh, first_hold] + [[]] * (n - 2)]
             assert validator.report().format() == validate_trace(model, trace, thresholds, 2000).format()
 
-    def test_the_sphere_table_keeps_no_stream_state(self):
+    def test_validators_do_not_write_the_models_compiled_geometry(self):
         model = sample_model()
-        table = validate._sphere_table(model)
-        before = dict(vars(table))
+        compiled = ("link_names", "chain", "sphere_refs", "sphere_centers", "sphere_pairs")
+        before = {name: copy.deepcopy(getattr(model, name)) for name in compiled}
+        attributes = set(vars(model))
         hit = colliding_row(model)
         trace = command_trace(model, [hit, hit, np.zeros(len(model)), hit, hit], period_us=2000)
-        a, b = validator_sink(model), validator_sink(model)
+        margin = Thresholds(collision_margin=0.01)
+        a, b, c = validator_sink(model), validator_sink(model), validator_sink(model, margin)
         for x, y in zip(trace, trace[::-1]):
             a.emit(x)
             b.emit(y)
-        assert a._spheres is b._spheres is table
+            c.emit(x)
+        assert validate_trace(model, trace, margin).format() == c.report().format()
         assert a.report().counts["self-collision"] and b.report().counts["self-collision"]
-        assert vars(table) == before
+        assert {name: getattr(model, name) for name in compiled} == before
+        assert set(vars(model)) == attributes
 
 
-def test_sphere_table_is_compiled_once_per_model_and_margin(monkeypatch):
-    compiled = []
-
-    class Counting(_SphereTable):
-        def __init__(self, model, margin=0.0):
-            compiled.append(margin)
-            super().__init__(model, margin)
-
-    monkeypatch.setattr(validate, "_SphereTable", Counting)
-    model = sample_model()
-    trace = command_trace(model, np.tile(model.default_angles, (5, 1)))
-    for _ in range(3):
-        validate_trace(model, trace)
-        validator_sink(model).emit(trace[0])
-        collision_pairs(model)
-    wide = Thresholds(collision_margin=0.01)
-    validate_trace(model, trace, wide)
-    validator_sink(model, wide).emit(trace[0])
-    assert compiled == [0.0, 0.01]
-    validate_trace(sample_model(), trace)  # an equal but distinct model compiles its own
-    assert compiled == [0.0, 0.01, 0.0]
+@pytest.mark.parametrize("make_model", [sample_model, random_tree_model], ids=["sample", "random-tree"])
+def test_the_collision_margin_is_added_at_compare_time(make_model):
+    model = make_model()
+    radius, per_link = {}, {}
+    for s in model.spheres:
+        k = per_link[s.link] = per_link.get(s.link, -1) + 1
+        radius[f"{s.link}/{k}"] = s.radius
+    margin = 0.01
+    rows = np.random.default_rng(21).uniform(model.soft_lower, model.soft_upper, size=(200, len(model)))
+    trace = command_trace(model, rows, period_us=2000)
+    thresholds = Thresholds(collision_margin=margin)
+    offline = validate_trace(model, trace, thresholds)
+    online = streamed(model, trace, thresholds=thresholds)
+    assert [v.line() for v in online.violations] == [v.line() for v in offline.violations]
+    for report in (online, offline):
+        hits = [v for v in report.violations if v.kind == "self-collision"]
+        assert hits
+        for v in hits:
+            a, b = v.identifier.split(",")
+            assert v.threshold == (radius[a] + radius[b]) + margin
