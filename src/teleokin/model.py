@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -304,12 +305,16 @@ class _Directive:
             raise ParseError(self.lineno, self.keyword_col, f"missing {what}")
         return self.positional[position]
 
+    def error(self, kind: type[ValidationError], col: int, message: str) -> ValidationError:
+        """A ``kind`` error whose message names this line and ``col``, as a ParseError's does."""
+        return kind(f"line {self.lineno}, col {col}: {message}")
+
     def resolve(self, lookup, col: int, name: str):
         """``lookup(name)``; an UnknownReference it raises names this line and ``col``."""
         try:
             return lookup(name)
         except UnknownReference as exc:
-            raise UnknownReference(f"line {self.lineno}, col {col}: {exc}") from None
+            raise self.error(UnknownReference, col, str(exc)) from None
 
     def fields(self, n_positional: int, **parsers) -> dict:
         """Each key's value, converted by its parser, in the order given.
@@ -438,10 +443,16 @@ def load_skeleton(text: str) -> HumanSkeleton:
 
 
 def load_robot_model(text: str) -> RobotModel:
-    """Parse and validate a robot document (``joint``/``sphere``/``exclude``)."""
+    """Parse and validate a robot document (``joint``/``sphere``/``exclude``).
+
+    A sphere may name a link, and an exclusion a sphere, declared further
+    down, so those references are checked once the document is read: the
+    first unknown one, in document order, names its line and token.
+    """
     joints: list[RobotJoint] = []
     spheres: list[CollisionSphere] = []
     exclusions: list[tuple[tuple[str, int], tuple[str, int]]] = []
+    references: list[tuple[_Directive, int, str, int | None]] = []  # (directive, col, link, sphere index or None)
     for d in _directives(text, ("joint", "sphere", "exclude")):
         if d.keyword == "joint":
             _, name = d.arg(0, "joint name")
@@ -450,8 +461,9 @@ def load_robot_model(text: str) -> RobotModel:
             joints.append(RobotJoint(name, f["parent"], f["child"], *f["origin"], f["axis"], *f["limits"],
                                      f["soft"], f["vmax"], f["default"]))
         elif d.keyword == "sphere":
-            _, link = d.arg(0, "link name")
+            col, link = d.arg(0, "link name")
             f = d.fields(1, center=_reals(3), radius=_real)
+            references.append((d, col, link, None))
             spheres.append(CollisionSphere(link, np.array(f["center"]), f["radius"]))
         elif d.keyword == "exclude":
             refs = []
@@ -461,8 +473,16 @@ def load_robot_model(text: str) -> RobotModel:
                 if not sep or not idx.isdigit():
                     raise ParseError(d.lineno, col, f"expected <link>/<sphere-index>, got {tok!r}")
                 refs.append((link, int(idx)))
+                references.append((d, col, link, int(idx)))
             d.fields(2)
             exclusions.append((refs[0], refs[1]))
+    links = {link for j in joints for link in (j.parent_link, j.child_link)}
+    per_link = Counter(s.link for s in spheres)
+    for d, col, link, idx in references:
+        if idx is None and link not in links:
+            raise d.error(UnknownReference, col, f"collision sphere references unknown link {link!r}")
+        if idx is not None and idx >= per_link[link]:
+            raise d.error(UnknownReference, col, f"exclusion references missing sphere {link}/{idx}")
     return RobotModel(joints, spheres, exclusions)
 
 
@@ -477,7 +497,7 @@ def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> 
     def claim(d: _Directive, col: int, joint: str) -> int:
         index = d.resolve(model.joint_index, col, joint)
         if joint in seen:
-            raise CoverageError(f"joint {joint!r} referenced twice ({seen[joint]} and {d.keyword})")
+            raise d.error(CoverageError, col, f"joint {joint!r} referenced twice ({seen[joint]} and {d.keyword})")
         seen[joint] = d.keyword
         return index
 

@@ -26,8 +26,10 @@ file read, a strided view of equal records' payloads) also frame
 ``runtime``'s command datagrams and trace files, so all three formats'
 decoders raise the same errors (see ``errors``).
 
-``read_recording`` decodes a file whole, not frame by frame, with the same
-quaternion kernel that ``decode_frame`` runs on its one frame.
+``read_recording`` decodes a file whole, not frame by frame, in numpy
+passes; ``decode_frame`` decodes its one live frame in plain floats.  The
+two follow one normalisation and sign rule (``_unit_quats``), and tests pin
+them to the same bits.
 """
 
 from __future__ import annotations
@@ -194,8 +196,11 @@ def _frame_head(data: bytes, offset: int, length: int) -> tuple[int, int, int]:
 def _unit_quats(wire: np.ndarray) -> np.ndarray:
     """Unit, canonical-sign float64 quaternions from ``(..., segments, 4)`` float32 wire data.
 
-    Raises DegenerateQuaternion for the first segment, in row order, whose
-    norm is near zero or not finite.
+    The rule both decoders follow: each row is divided by its norm, the
+    square root of ``((w*w + x*x) + y*y) + z*z`` (the order in which
+    ``np.linalg.norm`` sums a row), then canonical-signed by
+    ``canonicalize_rows``.  Raises DegenerateQuaternion for the first
+    segment, in row order, whose norm is near zero or not finite.
     """
     quats = wire.astype(np.float64)
     norms = np.linalg.norm(quats, axis=-1)
@@ -215,10 +220,24 @@ def decode_frame(data: bytes) -> MocapFrame:
     them as "discard this frame".  A quaternion whose norm is near zero or
     not finite is degenerate; the rest are re-normalized from their float32
     quantization and canonical-signed.
+
+    The quaternions are decoded in plain floats, with one array built at
+    the end: a live frame arrives after an idle gap, when each numpy call
+    runs cold.  ``_unit_quats``'s rule is written out per segment, so this
+    gives ``read_recording``'s bits.
     """
     seq, timestamp_us, count = _frame_head(data, 0, len(data))
-    wire = np.frombuffer(data, dtype="<f4", count=count * 4, offset=HEADER_SIZE).reshape(count, 4)
-    return MocapFrame(seq, timestamp_us, _unit_quats(wire))
+    values = iter(struct.unpack_from(f"<{4 * count}f", data, HEADER_SIZE))
+    rows = []
+    for segment, (w, x, y, z) in enumerate(zip(values, values, values, values)):
+        norm = math.sqrt(((w * w + x * x) + y * y) + z * z)
+        if not _WIRE_DEGENERATE_NORM < norm < math.inf:  # False for NaN too
+            raise DegenerateQuaternion(f"segment {segment} has norm {norm:.3e}")
+        w, x, y, z = w / norm, x / norm, y / norm, z / norm
+        if w < 0 or w == 0 and (x < 0 or x == 0 and (y < 0 or y == 0 and z < 0)):
+            w, x, y, z = -w, -x, -y, -z
+        rows.append((w, x, y, z))
+    return MocapFrame(seq, timestamp_us, np.array(rows).reshape(count, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +385,11 @@ def read_recording(path) -> list[MocapFrame]:
     not a truncated one, and raises BadMagic or UnsupportedVersion.
 
     Each frame's framing and CRC are checked in file order; then the frames
-    of each run of equal segment counts are decoded together, up to
-    ``_DECODE_ROWS`` per numpy pass, and every frame's ``orientations`` is a
-    row view of its pass's block.  A file with several faults raises the
-    first faulty frame's error, as decoding frame by frame would.
+    of each run of equal segment counts are decoded together by
+    ``_unit_quats``, up to ``_DECODE_ROWS`` per numpy pass, and every
+    frame's ``orientations`` is a row view of its pass's block.  A file
+    with several faults raises the first faulty frame's error, as decoding
+    frame by frame would.
     """
     data = read_magic_file(path, RECORDING_MAGIC, "recording")
     runs: list = []

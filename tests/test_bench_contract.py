@@ -5,7 +5,9 @@ exits 0 with every check correct and no failed operation on the last line.
 A change that breaks an entry point the child calls (``Pipeline``,
 ``pipeline.step``, the loader, ``run_loop``, the sinks) fails here.
 The traced cases also check that the batch FK's span times something.
-live-udp is left out: it runs on the wall clock over loopback UDP.
+The live-udp case runs on the wall clock over loopback UDP, so it checks
+only perfbench's correctness verdict (``correct``, ``failed == 0``), never
+a timing.
 """
 
 import json
@@ -20,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("workload, trace", [
     ("offline-retarget", "0"), ("online-validate", "0"), ("offline-retarget", "1"), ("online-validate", "1"),
+    ("live-udp", "0"),
 ])
 def test_workload_runs_correct_with_no_failures(workload, trace):
     result = subprocess.run(

@@ -19,6 +19,8 @@ from teleokin.errors import (
 )
 from teleokin.geometry import quat_from_axis_angle, quat_rotate_vector
 from teleokin.model import (
+    CollisionSphere,
+    RobotModel,
     canonical_skeleton,
     forward_kinematics,
     forward_kinematics_batch,
@@ -207,13 +209,30 @@ class TestLoadRobotModel:
             load_robot_model(doc)
 
     def test_sphere_unknown_link(self):
-        with pytest.raises(UnknownReference):
-            load_robot_model(MINIMAL_ROBOT + "sphere ghost center=0,0,0 radius=0.1\n")
+        # the message names the sphere's line and its link token's column
+        with pytest.raises(UnknownReference,
+                           match=r"^line 2, col 9: collision sphere references unknown link 'ghost'$"):
+            load_robot_model(MINIMAL_ROBOT + "sphere  ghost center=0,0,0 radius=0.1\n")
 
     def test_exclusion_missing_sphere(self):
         doc = MINIMAL_ROBOT + "sphere link1 center=0,0,0 radius=0.1\nexclude link1/0 link1/4\n"
-        with pytest.raises(UnknownReference):
+        with pytest.raises(UnknownReference, match=r"^line 3, col 17: exclusion references missing sphere link1/4$"):
             load_robot_model(doc)
+
+    def test_references_resolve_against_the_whole_document(self):
+        # a sphere may precede the joint that declares its link, and an exclusion the sphere
+        doc = ("exclude link1/0 base/0\nsphere link1 center=0,0,0 radius=0.1\n"
+               + MINIMAL_ROBOT + "sphere base center=0,0,1 radius=0.1\n")
+        assert load_robot_model(doc).exclusions == [(("link1", 0), ("base", 0))]
+        with pytest.raises(UnknownReference, match=r"^line 1, col 17: exclusion references missing sphere base/1$"):
+            load_robot_model("exclude link1/0 base/1\nsphere ghost center=0,0,0 radius=0.1\n" + doc)
+
+    def test_a_model_built_in_code_checks_its_references(self):
+        joints = load_robot_model(MINIMAL_ROBOT).joints
+        with pytest.raises(UnknownReference, match=r"^collision sphere references unknown link 'ghost'$"):
+            RobotModel(joints, [CollisionSphere("ghost", np.zeros(3), 0.1)])
+        with pytest.raises(UnknownReference, match=r"^exclusion references missing sphere link1/1$"):
+            RobotModel(joints, [CollisionSphere("link1", np.zeros(3), 0.1)], [(("link1", 0), ("link1", 1))])
 
     def test_sample_config_counts(self):
         model = load_robot_model(sample_text("g1_sample.cfg"))
@@ -258,7 +277,7 @@ class TestLoadRetargetMap:
             "map j1 segment=limb axis=0,0,1 sign=+1 scale=1 offset=0\n"
             "unmapped j1\n"
         )
-        with pytest.raises(CoverageError, match="referenced twice"):
+        with pytest.raises(CoverageError, match=r"^line 2, col 10: joint 'j1' referenced twice \(map and unmapped\)$"):
             load_retarget_map(doc, self.skel, self.model)
 
     def test_unknown_segment(self):

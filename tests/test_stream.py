@@ -489,6 +489,104 @@ class TestWholeFileDecode:
         assert str(raised.value) == str(expected)
 
 
+def raw_frame(rows, seq=0) -> bytes:
+    """An encoded frame of the float32 ``rows`` exactly as given: no normalisation, no sign fix."""
+    quats = np.asarray(rows, dtype="<f4").reshape(-1, 4)
+    header = struct.pack("<4sBBIQB", FRAME_MAGIC, 1, 0, seq, 0, len(quats))
+    return stream.append_crc(header + quats.tobytes())
+
+
+_F32 = np.finfo(np.float32)
+_SUBNORMAL = float(_F32.smallest_subnormal)
+_BELOW_CUT = float(np.float32(1e-6))  # 9.99999997e-07: the largest float32 below the cut
+_ABOVE_CUT = float(np.nextafter(np.float32(1e-6), np.float32(1)))
+_TO_CUT = np.float32(7.105993571343561e-11)  # (_BELOW_CUT, _TO_CUT, 0, 0) has norm 1e-6 exactly
+
+
+class TestDecodeRule:
+    """``decode_frame`` (plain floats) and ``read_recording`` (numpy passes) follow one rule.
+
+    The edge cases are here; ``TestWholeFileDecode`` compares the two on
+    random frames, where a sum of squares in another order rounds some rows
+    differently.
+    """
+
+    def both(self, tmp_path, encoded):
+        """``decode_frame``'s and ``read_recording``'s frame, or the error each raised."""
+        path = tmp_path / "one.rec"
+        path.write_bytes(stream.RECORDING_MAGIC + encoded)
+        results = []
+        for decode in (lambda: decode_frame(encoded), lambda: read_recording(path)[0]):
+            try:
+                results.append(decode())
+            except TeleokinError as exc:
+                results.append(exc)
+        return results
+
+    def assert_same_bits(self, tmp_path, rows):
+        live, recorded = self.both(tmp_path, raw_frame(rows))
+        assert same_bits(live, recorded)
+        return live.orientations
+
+    def test_sign_ties_at_every_level(self, tmp_path):
+        # every nonzero sign pattern of w, x, y, z over -1, -0.0, +0.0, +1, each at two scales
+        levels = (-1.0, -0.0, 0.0, 1.0)
+        rows = [(w, x, y, z) for w in levels for x in levels for y in levels for z in levels if (w, x, y, z) != (0, 0, 0, 0)]
+        assert len(rows) == 240
+        for scale in (1.0, 3e-3):
+            quats = self.assert_same_bits(tmp_path, [[scale * c for c in row] for row in rows])
+            first = [next(c for c in q if c != 0) for q in quats]
+            assert all(c > 0 for c in first)  # canonical: the first nonzero component is positive
+
+    def test_norms_at_and_just_above_the_degenerate_cut(self, tmp_path):
+        assert math.sqrt(_BELOW_CUT * _BELOW_CUT + float(_TO_CUT) ** 2) == 1e-6
+        for a in (_ABOVE_CUT, -_ABOVE_CUT):
+            quats = self.assert_same_bits(tmp_path, [[1, 0, 0, 0], [a, 0, 0, 0], [0, a, 0, 0], [0, 0, 0, a]])
+            assert quats[1:].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        above = float(np.nextafter(_TO_CUT, np.float32(1)))
+        self.assert_same_bits(tmp_path, [[_BELOW_CUT, above, 0, 0], [0, -above, 0, _BELOW_CUT]])
+        for row in ([_BELOW_CUT, 0, 0, 0], [0, 0, -_BELOW_CUT, 0], [_BELOW_CUT, _TO_CUT, 0, 0], [0, _TO_CUT, 0, -_BELOW_CUT]):
+            live, recorded = self.both(tmp_path, raw_frame([[1, 0, 0, 0], row]))
+            assert type(live) is type(recorded) is DegenerateQuaternion
+            assert str(live) == str(recorded) == "segment 1 has norm 1.000e-06"
+        # four equal components whose norm lands either side of the cut
+        half = np.float32(5e-7)
+        for a, kind in ((np.nextafter(half, np.float32(0)), DegenerateQuaternion), (half, DegenerateQuaternion),
+                        (np.nextafter(half, np.float32(1)), MocapFrame)):
+            live, recorded = self.both(tmp_path, raw_frame([[a, -a, a, -a]]))
+            assert type(live) is type(recorded) is kind
+            assert same_bits(live, recorded) if kind is MocapFrame else str(live) == str(recorded)
+
+    def test_float32_max_and_subnormal_components(self, tmp_path):
+        big, tiny = float(_F32.max), _SUBNORMAL
+        quats = self.assert_same_bits(tmp_path, [
+            [big, 0, 0, 0], [-big, big, -big, big], [0, -big, 0, 0], [big, tiny, -tiny, 0],
+            [1, tiny, 0, 0], [-tiny, 1, 0, 0], [tiny, 0, 0, -1], [0, -tiny, 1, 0],
+        ])
+        assert np.all(np.isfinite(quats))
+        live, recorded = self.both(tmp_path, raw_frame([[1, 0, 0, 0], [tiny, -tiny, tiny, tiny]]))
+        assert str(live) == str(recorded) == "segment 1 has norm 2.803e-45"
+
+    @pytest.mark.parametrize("bad, message", [
+        (0.0, "segment 2 has norm 0.000e+00"),
+        (math.nan, "segment 2 has norm nan"),
+        (math.inf, "segment 2 has norm inf"),
+        (-math.inf, "segment 2 has norm inf"),
+    ])
+    def test_a_degenerate_segment_raises_the_same_error_from_both(self, tmp_path, bad, message):
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [bad, 0, 0, 0], [math.nan, 0, 0, 0]]  # the first bad segment is named
+        live, recorded = self.both(tmp_path, raw_frame(rows))
+        assert type(live) is type(recorded) is DegenerateQuaternion
+        assert str(live) == str(recorded) == message
+
+    @pytest.mark.parametrize("count", [0, 1, 23])
+    def test_the_frame_owns_a_writeable_c_contiguous_float64_array(self, count):
+        quats = decode_frame(encode_frame(identity_frame(count))).orientations
+        assert (quats.shape, quats.dtype) == ((count, 4), np.float64)
+        assert quats.flags.c_contiguous and quats.flags.writeable
+        quats[:] = 0.5  # callers may write to it
+
+
 class _LoggedSlot(LatestFrameSlot):
     """A slot that keeps ``(arrival_us, seq)`` of every frame written to it."""
 
@@ -689,7 +787,8 @@ class TestDatagramSource:
         try:
             good = encode_frame(identity_frame(3, seq=4))
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
-                for data in (good[:10], encode_frame(identity_frame(3, seq=1)), b"JUNK" + good[4:], good):
+                for data in (good[:10], encode_frame(identity_frame(3, seq=1)), b"JUNK" + good[4:],
+                             degenerate(encode_frame(identity_frame(3, seq=2)), 1), good):
                     out.sendto(data, ("127.0.0.1", source.port))
             deadline = time.monotonic() + 5.0
             while slot.written < 2 and time.monotonic() < deadline:
@@ -698,8 +797,8 @@ class TestDatagramSource:
             source.stop()
         assert source.counters() == {
             "stream_received": 2, "stream_dropped": 2, "stream_duplicates": 0, "stream_out_of_order": 0,
-            "stream_restarts": 0, "stream_decode_errors": 2,
-            "stream_decode_errors_BadMagic": 1, "stream_decode_errors_TruncatedFrame": 1,
+            "stream_restarts": 0, "stream_decode_errors": 3, "stream_decode_errors_BadMagic": 1,
+            "stream_decode_errors_DegenerateQuaternion": 1, "stream_decode_errors_TruncatedFrame": 1,
         }
 
     def test_programming_error_is_not_counted_as_a_decode_error(self, monkeypatch):
