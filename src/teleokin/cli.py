@@ -126,7 +126,7 @@ def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, 
     parser.add_argument("--skeleton", default=str(sample_path(SAMPLE_SKELETON)), help="skeleton config file")
     parser.add_argument("--map", default=str(sample_path(SAMPLE_MAP)), help="retarget map file")
     parser.add_argument("--source", required=source is None, default=source,
-                        help="synth:<pattern> | replay:<file>[:speed] | live:<port>")
+                        help="synth:<pattern> | replay:<file>[:speed] | live:[<host>:]<port>")
     parser.add_argument("--sink", action="append", help="trace:<file> | datagram:<host>:<port> | validate | null (repeatable)")
     parser.add_argument("--rate", type=_POSITIVE, default=500.0, help="loop rate in Hz (default 500)")
     parser.add_argument("--frames", type=_POSITIVE_INT, default=frames, help="cycle budget (default %(default)s)")
@@ -141,10 +141,12 @@ def _add_loop_flags(parser, *, source=None, sink=None, clock="auto", noise=0.0, 
     parser.set_defaults(func=cmd_run, default_sinks=[sink] if sink else [])
 
 
-def _port(text: str, what: str) -> int:
-    if not text.isdecimal() or int(text) > 65535:
-        raise UsageError(f"{what} needs a port in 0..65535, got {text!r}")
-    return int(text)
+def _address(text: str, what: str) -> tuple[str, int]:
+    """``[<host>:]<port>`` as ``(host, port)``; the host defaults to 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not port.isdecimal() or int(port) > 65535:
+        raise UsageError(f"{what} needs a port in 0..65535, got {port!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def _parse_source(args, skeleton):
@@ -161,14 +163,17 @@ def _parse_source(args, skeleton):
             duration = args.frames / args.rate
         else:
             raise UsageError("synth source needs --frames or --duration")
-        frames = synth_motion(
-            pattern,
-            rate=args.source_rate,
-            duration=duration,
-            noise_std=args.noise,
-            seed=args.seed,
-            skeleton=skeleton,
-        )
+        try:
+            frames = synth_motion(
+                pattern,
+                rate=args.source_rate,
+                duration=duration,
+                noise_std=args.noise,
+                seed=args.seed,
+                skeleton=skeleton,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return schedule(frames), False
     if kind == "replay":
         path, _, speed_text = rest.partition(":")
@@ -182,10 +187,10 @@ def _parse_source(args, skeleton):
             raise UsageError(f"replay speed must be a positive number or 'inf', got {speed_text!r}")
         return schedule(_read_file(path, read_recording), speed=speed), False
     if kind == "live":
-        port = _port(rest, "live source")
+        host, port = _address(rest, "live source")
         if args.frames is None and args.duration is None:
             raise UsageError("live source needs --frames or --duration to bound the run")
-        return _opened(spec, DatagramSource, port), True
+        return _opened(spec, DatagramSource, port, host), True
     raise UsageError(f"unknown source {spec!r}; expected synth:*, replay:*, or live:*")
 
 
@@ -202,8 +207,7 @@ def _parse_sinks(args, model, opened: contextlib.ExitStack):
         elif kind == "datagram":
             if not rest:
                 raise UsageError("datagram sink needs an address: datagram:<host>:<port>")
-            host, _, port = rest.rpartition(":")
-            sink = _opened(spec, datagram_sink, (host or "127.0.0.1", _port(port, "datagram sink")))
+            sink = _opened(spec, datagram_sink, _address(rest, "datagram sink"))
         elif kind == "validate":
             sink = validator = validator_sink(model, Thresholds(args.acc_limit, args.margin), period_us=loop_period_us(args.rate))
         elif kind == "null":

@@ -392,9 +392,10 @@ def run_loop(
 
     Cycle k's tick is at ``start + k * period``, its window is the wait
     before it, and each window sends exactly one command, ``seq = k``.
-    Live, a wall clock wakes the wait as a datagram arrives: ``poll``
-    decodes it into the slot, and if window k has not sent its command the
-    loop steps the frame and sends it at once; tick k then sends nothing.
+    Live, a wall clock's wait returns as a datagram arrives: the loop polls
+    it into the slot, and if window k has not sent its command, steps the
+    frame and sends it at once (tick k then sends nothing), and waits again.
+    That work can end past the spin window; tick k then wakes late by as much.
     A frame still pending when a window opens (it came after the last
     window's command) goes at once too.  Every tick polls, for scheduled
     frames due by now and live ones that came in the spin window or under a
@@ -485,7 +486,8 @@ def run_loop(
                 break
             if slot.pending:  # came after the last window's command: this window's goes at once
                 arrived()
-            clk.sleep_until(target_us, slot.socket, arrived)
+            while clk.sleep_until(target_us, slot.socket):  # a datagram came before the spin window
+                arrived()
             now = clk.now_us()
             slot.poll()
             if slot.ended and not slot.pending and max_cycles is None and duration_s is None:

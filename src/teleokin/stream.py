@@ -558,6 +558,8 @@ def synth_motion(
         raise ValueError("rate must be positive")
     if not (duration > 0):
         raise ValueError("duration must be positive")
+    if not (rate * duration < math.inf):
+        raise ValueError(f"rate * duration must be finite, got rate={rate!r} and duration={duration!r}")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     if seed < 0:

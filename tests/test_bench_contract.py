@@ -4,8 +4,9 @@ Each case runs ``perfbench/run.py`` for half a second and checks that it
 exits 0 with every check correct and no failed operation on the last line.
 A change that breaks an entry point the child calls (``Pipeline``,
 ``pipeline.step``, the loader, ``run_loop``, the sinks) fails here.
-The traced cases also check that the batch FK's span times something.
-The live-udp case runs on the wall clock over loopback UDP, so it checks
+The traced cases also check that the batch FK's span times something;
+traced live-udp also runs the loop's wait through perfbench's span wrapper.
+The live-udp cases run on the wall clock over loopback UDP, so they check
 only perfbench's correctness verdict (``correct``, ``failed == 0``), never
 a timing.
 """
@@ -22,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("workload, trace", [
     ("offline-retarget", "0"), ("online-validate", "0"), ("offline-retarget", "1"), ("online-validate", "1"),
-    ("live-udp", "0"),
+    ("live-udp", "0"), ("live-udp", "1"),
 ])
 def test_workload_runs_correct_with_no_failures(workload, trace):
     result = subprocess.run(

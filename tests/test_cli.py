@@ -103,6 +103,15 @@ class TestRun:
         out = capsys.readouterr().out
         assert "verdict=pass" in out
 
+    def test_failed_validator_verdict_exits_1(self, capsys):
+        # walk-cycle frames come at 100 Hz into a 500 Hz loop: the second
+        # difference spikes at each fresh frame, past any small limit
+        code = run_cli("run", "--source", "synth:walk-cycle", "--frames", "100", "--sink", "validate",
+                       "--acc-limit", "1")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "verdict=fail" in out and "\nacceleration " in out
+
     def test_validate_sink_period_is_the_loop_period(self, tmp_path, capsys):
         # 1e6 / 300 is not a whole number of microseconds
         trace = tmp_path / "t.trc"
@@ -243,6 +252,29 @@ class TestRun:
         assert "error: datagram:no.such.host.invalid:9100: Name or service not known" in err
         assert "Traceback" not in err
 
+    def test_live_source_binds_the_host_it_names(self, capsys):
+        assert run_cli("run", "--source", "live:127.0.0.1:0", "--sink", "null", "--frames", "3") == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert 0 < int(kv["live_port"]) <= 65535 and kv["commands"] == "3"
+
+    def test_a_live_host_that_is_not_local_is_a_usage_error(self, capsys):
+        # 192.0.2.1 is TEST-NET-1: a literal, so no name lookup, and no interface has it
+        assert run_cli("run", "--source", "live:192.0.2.1:0", "--sink", "null", "--frames", "3") == 2
+        err = capsys.readouterr().err
+        assert "error: live:192.0.2.1:0: " in err and "Traceback" not in err
+
+    def test_a_synth_frame_count_that_overflows_is_a_usage_error(self, capsys):
+        assert run_cli("run", "--source", "synth:static", "--duration", "1e308", "--sink", "null") == 2
+        err = capsys.readouterr().err
+        assert "error: rate * duration must be finite, got rate=100.0 and duration=1e+308" in err
+
+    def test_a_malformed_robot_file_names_its_path(self, tmp_path, capsys):
+        robot = tmp_path / "bad.cfg"
+        robot.write_text("jiont j1\n")
+        assert run_cli("run", "--source", "synth:static", "--sink", "null", "--frames", "5",
+                       "--robot", str(robot)) == 2
+        assert f"error: {robot}: line 1, col 1: unknown directive 'jiont'" in capsys.readouterr().err
+
     def test_deterministic_under_seed_and_virtual_clock(self, tmp_path, capsys):
         blobs = []
         for name in ("a.trc", "b.trc"):
@@ -325,6 +357,13 @@ class TestValidateCommand:
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("validate", "--trace", str(tmp_path / "none.trc")) == 2
 
+    def test_corrupt_trace_names_its_path(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trc"
+        trace.write_bytes(b"NOTATRACE")
+        assert run_cli("validate", "--trace", str(trace)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {trace}: not a CMDTRC01 trace file" in err and "Traceback" not in err
+
 
 def _two_segment_skeleton(tmp_path):
     path = tmp_path / "skel.cfg"
@@ -360,6 +399,13 @@ class TestGen:
             run_cli("gen", "--pattern", "static", "--rate", "0", "--duration", "1",
                     "--out", str(tmp_path / "x.rec"))
         assert exc.value.code == 2
+
+    def test_a_frame_count_that_overflows_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.rec"
+        assert run_cli("gen", "--pattern", "static", "--rate", "1e308", "--duration", "10", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error: rate * duration must be finite, got rate=1e+308 and duration=10.0" in err
+        assert not out.exists()
 
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x.rec"

@@ -312,3 +312,8 @@ class TestRowKernels:
                 assert np.allclose(rows[i], quat_normalize(q[i]), rtol=0, atol=1e-12)
         assert (with_zeros[:, 0] == 0).any() and not (without_zeros[:, 0] == 0).any()
         assert (without_zeros[:, 0] < 0).any()
+
+
+def test_a_zero_axis_is_rejected():
+    with pytest.raises(ValueError, match="rotation axis has zero norm"):
+        quat_from_axis_angle([0.0, 0.0, 0.0], 0.5)

@@ -20,7 +20,9 @@ from teleokin.errors import (
 from teleokin.geometry import quat_from_axis_angle, quat_rotate_vector
 from teleokin.model import (
     CollisionSphere,
+    HumanSkeleton,
     RobotModel,
+    Segment,
     canonical_skeleton,
     forward_kinematics,
     forward_kinematics_batch,
@@ -415,3 +417,19 @@ def test_joint_axis_example_sanity():
     assert np.allclose(model.joints[0].axis, [0, 0, 1])
     q = quat_from_axis_angle(model.joints[0].axis, 0.5)
     assert np.allclose(q, quat_from_axis_angle([0, 0, 1], 0.5))
+
+
+def test_a_joint_before_the_joint_that_defines_its_parent_link_is_rejected():
+    doc = "joint j2 parent=link1 child=link2 origin=0,0,0;1,0,0,0 axis=0,0,1 limits=-1,1 soft=0 vmax=1 default=0\n"
+    with pytest.raises(ValidationError, match="^joint 'j2' attaches to link 'link1' before it is defined$"):
+        load_robot_model(doc + MINIMAL_ROBOT)
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([Segment("root", -1), Segment("root", 0)], "^duplicate segment names$"),
+    ([Segment("root", -1), Segment("arm", 2), Segment("hand", 0)], "^segment 'arm' declared before its parent$"),
+    ([Segment("root", -1), Segment("arm", -2)], "^segment 'arm' has an invalid parent index$"),
+], ids=["duplicate", "parent after", "bad index"])
+def test_a_skeleton_built_in_code_checks_its_tree(segments, message):
+    with pytest.raises(ValidationError, match=message):
+        HumanSkeleton(segments)

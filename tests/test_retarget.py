@@ -533,3 +533,9 @@ class TestRetargetStep:
         two_joints, _, _ = small_setup()
         with pytest.raises(DimensionMismatch, match="model"):
             Pipeline(skel, rmap, two_joints)
+
+
+def test_enforce_limits_takes_one_row():
+    model, _, _ = sample_setup()
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 23\)"):
+        enforce_limits(model, np.zeros((2, len(model))))

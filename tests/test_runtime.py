@@ -571,8 +571,8 @@ class TestRunLoop:
         # receive stamps on a little after the socket asks for them, and
         # stamps at recvmsg until then.
         class Deaf(WallClock):
-            def sleep_until(self, deadline_us, readable=None, on_readable=None):
-                super().sleep_until(deadline_us)
+            def sleep_until(self, deadline_us, readable=None):
+                return super().sleep_until(deadline_us)
 
         clock = Deaf()
         source = DatagramSource(port=0)
@@ -621,12 +621,13 @@ class TestRunLoop:
         class LateArrivals(WallClock):
             waits = 0
 
-            def sleep_until(self, deadline_us, readable=None, on_readable=None):
-                super().sleep_until(deadline_us, readable, on_readable)
+            def sleep_until(self, deadline_us, readable=None):
+                woke = super().sleep_until(deadline_us, readable)
                 self.waits += 1
                 if self.waits == 3:
                     _send(source, frame_a, frame_b)
                     assert select.select([readable], [], [], 5.0)[0]  # queued, not yet read
+                return woke
 
         sink = _CaptureSink()
         metrics = run_loop(source, pipeline, sink, rate_hz=50, max_cycles=4, clock=LateArrivals())
@@ -731,11 +732,12 @@ class TestRunLoop:
         class StallOnce(WallClock):
             waits = 0
 
-            def sleep_until(self, deadline_us, readable=None, on_readable=None):
-                super().sleep_until(deadline_us, readable, on_readable)
+            def sleep_until(self, deadline_us, readable=None):
+                woke = super().sleep_until(deadline_us, readable)
                 self.waits += 1
                 if self.waits == 100:
                     time.sleep(0.015)
+                return woke
 
         pipeline = sample_pipeline()
         steps = _recorded_steps(pipeline)
@@ -973,3 +975,14 @@ class TestDatagramSink:
         sink.close()
         assert sink.sent + sink.send_errors == 20
         assert sink.send_errors > 0
+
+
+def test_run_loop_rejects_a_rate_that_is_not_positive():
+    with pytest.raises(ValueError, match="rate_hz must be positive"):
+        run_loop(schedule([identity_frame(23)]), sample_pipeline(), NullSink(), rate_hz=0, clock=VirtualClock())
+
+
+def test_multi_sink_closes_every_sink(tmp_path):
+    traces = [trace_sink(tmp_path / name) for name in ("a.trc", "b.trc")]
+    MultiSink(traces).close()
+    assert [read_trace(t.path) for t in traces] == [[], []]  # each file's magic was flushed by its close

@@ -820,3 +820,10 @@ class TestDatagramSource:
             source.stop()
         assert source.decode_errors == {}
         assert slot.written == 0
+
+
+def test_input_checks():
+    with pytest.raises(ValueError, match="speed must be positive"):
+        schedule([identity_frame(3)], speed=0)
+    with pytest.raises(ValueError, match="segment count 256 exceeds"):
+        encode_frame(identity_frame(256))

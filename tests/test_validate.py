@@ -638,3 +638,11 @@ def test_the_collision_margin_is_added_at_compare_time(make_model):
         for v in hits:
             a, b = v.identifier.split(",")
             assert v.threshold == (radius[a] + radius[b]) + margin
+
+
+def test_input_checks():
+    with pytest.raises(ValueError, match="acceleration_limit must be positive or None"):
+        Thresholds(acceleration_limit=0)
+    model = load_robot_model(sample_text("g1_sample.cfg"))
+    with pytest.raises(EmptyTrace, match="no commands were streamed"):
+        validator_sink(model, Thresholds()).report()
