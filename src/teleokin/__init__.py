@@ -69,55 +69,3 @@ from .stream import (
 from .validate import Thresholds, ValidationReport, validate_trace
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "VirtualClock",
-    "WallClock",
-    "sample_path",
-    "sample_text",
-    "euler_decompose",
-    "quat_conjugate",
-    "quat_from_axis_angle",
-    "quat_identity",
-    "quat_multiply",
-    "quat_normalize",
-    "quat_rotate_vector",
-    "swing_twist",
-    "HumanSkeleton",
-    "RetargetMap",
-    "RobotModel",
-    "canonical_skeleton",
-    "forward_kinematics",
-    "forward_kinematics_batch",
-    "load_retarget_map",
-    "load_robot_model",
-    "load_skeleton",
-    "FilterState",
-    "JointCommand",
-    "Pipeline",
-    "enforce_limits",
-    "map_frame",
-    "smooth",
-    "LatestFrameSlot",
-    "LoopMetrics",
-    "MultiSink",
-    "NullSink",
-    "datagram_sink",
-    "read_trace",
-    "run_loop",
-    "trace_sink",
-    "validator_sink",
-    "DatagramSource",
-    "MocapFrame",
-    "StreamStats",
-    "decode_frame",
-    "encode_frame",
-    "identity_frame",
-    "read_recording",
-    "schedule",
-    "synth_motion",
-    "write_recording",
-    "Thresholds",
-    "ValidationReport",
-    "validate_trace",
-]

@@ -10,9 +10,10 @@ one or more sinks together:
 
 Exit codes: 0 success, 1 violations or sink backpressure, 2 usage, config
 or setup errors (such as an output directory that does not exist or a port
-in use).  Machine-readable output goes to stdout; diagnostics go to stderr at
-the verbosity selected by the ``TELEOP_LOG`` environment variable
-(error/warn/info/debug).
+in use), 141 stdout closed before the output was written (as a shell
+reports a command that SIGPIPE ended).  Machine-readable output goes to
+stdout; diagnostics go to stderr at the verbosity selected by the
+``TELEOP_LOG`` environment variable (error/warn/info/debug).
 """
 
 from __future__ import annotations
@@ -317,14 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+STDOUT_CLOSED = 141  # what a shell reports for a command killed by SIGPIPE: 128 + 13
+
+
 def main(argv=None) -> int:
     try:
         _configure_logging()
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed stdout raises below, not at interpreter exit
+        return code
     except (UsageError, TeleokinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``teleokin run ... | head -1``).  As the
+        # Python docs' SIGPIPE note advises, point stdout at devnull, so the
+        # flush at exit does not raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -123,6 +123,28 @@ class CollisionSphere:
     radius: float
 
 
+def _joint_fault(j: RobotJoint) -> tuple[str, str] | None:
+    """The first fault in one joint's own values: (the robot-file key that
+    holds it, message), or None."""
+    lower, upper = j.limit_min + j.soft_margin, j.limit_max - j.soft_margin
+    if not (j.limit_min < j.limit_max):
+        return "limits", f"min >= max on joint {j.name}"
+    if j.soft_margin < 0:
+        return "soft", f"negative soft margin on joint {j.name}"
+    if lower > upper:
+        return "soft", f"soft margin empties the soft interval on joint {j.name}"
+    if not (j.velocity_limit > 0):
+        return "vmax", f"non-positive velocity limit on joint {j.name}"
+    if not (lower <= j.default_angle <= upper):
+        return "default", f"default angle outside the soft interval on joint {j.name}"
+    return None
+
+
+def _sphere_fault(s: CollisionSphere) -> tuple[str, str] | None:
+    """A fault in one sphere's own values, as ``_joint_fault`` gives it, or None."""
+    return None if s.radius > 0 else ("radius", f"non-positive sphere radius on link {s.link}")
+
+
 class RobotModel:
     """Validated robot joint tree plus collision geometry.
 
@@ -167,26 +189,18 @@ class RobotModel:
             known.add(j.child_link)
 
         for j in joints:
-            if not (j.limit_min < j.limit_max):
-                raise ValidationError(f"min >= max on joint {j.name}")
-            if j.soft_margin < 0:
-                raise ValidationError(f"negative soft margin on joint {j.name}")
-            if j.limit_min + j.soft_margin > j.limit_max - j.soft_margin:
-                raise ValidationError(f"soft margin empties the soft interval on joint {j.name}")
-            if not (j.velocity_limit > 0):
-                raise ValidationError(f"non-positive velocity limit on joint {j.name}")
-            if not (
-                j.limit_min + j.soft_margin <= j.default_angle <= j.limit_max - j.soft_margin
-            ):
-                raise ValidationError(f"default angle outside the soft interval on joint {j.name}")
+            fault = _joint_fault(j)
+            if fault:
+                raise ValidationError(fault[1])
 
         refs: list[tuple[str, int]] = []  # (link, index within the link) of each sphere
         per_link: dict[str, int] = {}
         for s in spheres:
             if s.link not in known:
                 raise UnknownReference(f"collision sphere references unknown link {s.link!r}")
-            if not (s.radius > 0):
-                raise ValidationError(f"non-positive sphere radius on link {s.link}")
+            fault = _sphere_fault(s)
+            if fault:
+                raise ValidationError(fault[1])
             refs.append((s.link, per_link.get(s.link, 0)))
             per_link[s.link] = refs[-1][1] + 1
         number = {ref: k for k, ref in enumerate(refs)}
@@ -308,6 +322,11 @@ class _Directive:
     def error(self, kind: type[ValidationError], col: int, message: str) -> ValidationError:
         """A ``kind`` error whose message names this line and ``col``, as a ParseError's does."""
         return kind(f"line {self.lineno}, col {col}: {message}")
+
+    def check(self, fault: tuple[str, str] | None) -> None:
+        """Raise ``fault``, a (key, message) pair, as a ValidationError at that key's token; None passes."""
+        if fault:
+            raise self.error(ValidationError, self.pairs[fault[0]][0], fault[1])
 
     def resolve(self, lookup, col: int, name: str):
         """``lookup(name)``; an UnknownReference it raises names this line and ``col``."""
@@ -445,26 +464,38 @@ def load_skeleton(text: str) -> HumanSkeleton:
 def load_robot_model(text: str) -> RobotModel:
     """Parse and validate a robot document (``joint``/``sphere``/``exclude``).
 
-    A sphere may name a link, and an exclusion a sphere, declared further
-    down, so those references are checked once the document is read: the
-    first unknown one, in document order, names its line and token.
+    A joint's or sphere's own faults (a repeated joint name, limits out of
+    order, a default outside the soft interval, a non-positive radius, ...)
+    are raised as the directive is read, naming its line and the offending
+    token.  A sphere may name a link, and an exclusion a sphere, declared
+    further down, so those references are checked once the document is
+    read: the first unknown one, in document order, names its line and
+    token.  Faults of the link tree as a whole name no line.
     """
     joints: list[RobotJoint] = []
     spheres: list[CollisionSphere] = []
     exclusions: list[tuple[tuple[str, int], tuple[str, int]]] = []
     references: list[tuple[_Directive, int, str, int | None]] = []  # (directive, col, link, sphere index or None)
+    names: set[str] = set()
     for d in _directives(text, ("joint", "sphere", "exclude")):
         if d.keyword == "joint":
-            _, name = d.arg(0, "joint name")
+            ncol, name = d.arg(0, "joint name")
             f = d.fields(1, origin=_origin, axis=_axis, limits=_reals(2), parent=_text, child=_text,
                          soft=_real, vmax=_real, default=_real)
-            joints.append(RobotJoint(name, f["parent"], f["child"], *f["origin"], f["axis"], *f["limits"],
-                                     f["soft"], f["vmax"], f["default"]))
+            if name in names:
+                raise d.error(ValidationError, ncol, "duplicate joint names")
+            names.add(name)
+            joint = RobotJoint(name, f["parent"], f["child"], *f["origin"], f["axis"], *f["limits"],
+                               f["soft"], f["vmax"], f["default"])
+            d.check(_joint_fault(joint))
+            joints.append(joint)
         elif d.keyword == "sphere":
             col, link = d.arg(0, "link name")
             f = d.fields(1, center=_reals(3), radius=_real)
             references.append((d, col, link, None))
-            spheres.append(CollisionSphere(link, np.array(f["center"]), f["radius"]))
+            sphere = CollisionSphere(link, np.array(f["center"]), f["radius"])
+            d.check(_sphere_fault(sphere))
+            spheres.append(sphere)
         elif d.keyword == "exclude":
             refs = []
             for pos in range(2):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,10 @@ from .errors import DimensionMismatch, NonFiniteAngle
 from .geometry import _euler_angles, _twist_angle, euler_decompose
 from .model import HumanSkeleton, RetargetMap, RobotModel
 from .stream import MocapFrame
+
+# dtype objects, not types: np.frombuffer converts a type on every call,
+# which costs several microseconds when the step runs cold.
+_F8, _BOOL = np.dtype(float), np.dtype(bool)
 
 
 @dataclass
@@ -219,16 +224,17 @@ class Pipeline:
             raise DimensionMismatch("model does not match the one the map was loaded against")
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
+        self._pack = struct.Struct(f"{len(self.model)}d").pack  # native doubles, as numpy's float
 
     def step(self, frame: MocapFrame, dt: float, clock) -> tuple[JointCommand, RetargetDiagnostics]:
         """map_frame -> smooth -> enforce_limits, once, on one frame.
 
         The stages pass the map's float list along; ``angles`` and
-        ``clamped`` are the only arrays built.  The command is stamped with
-        ``clock`` when the clamp is done; the control loop sends it as soon
-        as the step returns, whether at a tick or as the frame arrives.  A
-        NaN or infinite angle raises NonFiniteAngle before the filter state
-        changes.
+        ``clamped`` are the only arrays built, and both are read-only.  The
+        command is stamped with ``clock`` when the clamp is done; the control
+        loop sends it as soon as the step returns, whether at a tick or as
+        the frame arrives.  A NaN or infinite angle raises NonFiniteAngle
+        before the filter state changes.
         """
         state = self.filter_state
         raw, gimbal_warnings = _map_frame(self.rmap, frame)
@@ -240,7 +246,9 @@ class Pipeline:
             source_seq=frame.seq,
             source_timestamp_us=frame.timestamp_us,
             emission_timestamp_us=clock.now_us(),
-            angles=np.array(angles),
-            clamped=np.array(flags, dtype=bool),
+            # Views of immutable bytes: read-only, so the loop's holds can
+            # share them, and cheaper to build than np.array.
+            angles=np.frombuffer(self._pack(*angles), _F8),
+            clamped=np.frombuffer(bytes(flags), _BOOL),
         )
         return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)

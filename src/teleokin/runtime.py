@@ -401,10 +401,12 @@ def run_loop(
     frames due by now and live ones that came in the spin window or under a
     virtual clock; if window k has not sent its command, tick k sends the
     newest pending frame's, or a hold repeating the last fresh angles (model
-    defaults before the first frame).  A fresh frame is smoothed with ``dt``
-    equal to the loop time since the previous fresh cycle, in whole periods
-    (one for the first; never 0, since a window sends one command), so the
-    filter's time constant holds whatever the source and loop rates.
+    defaults before the first frame).  A hold copies nothing: it shares the
+    last fresh command's ``angles`` and one all-False ``clamped`` row, all
+    read-only arrays.  A fresh frame is smoothed with ``dt`` equal to the
+    loop time since the previous fresh cycle, in whole periods (one for the
+    first; never 0, since a window sends one command), so the filter's time
+    constant holds whatever the source and loop rates.
 
     ``jitter_us`` records every tick's wake-up, a silent one's too.  A
     tick's ``compute_us`` starts after its poll, so it leaves out making a
@@ -422,7 +424,10 @@ def run_loop(
     slot = LatestFrameSlot()
     slot.segment_count = pipeline.rmap.segment_count
     metrics = LoopMetrics(period_us=period_us)
-    last = JointCommand(0, 0, 0, 0, pipeline.model.default_angles, None)  # the last fresh command; holds repeat it
+    defaults = pipeline.model.default_angles.copy()
+    unclamped = np.zeros(len(defaults), dtype=bool)
+    defaults.flags.writeable = unclamped.flags.writeable = False
+    last = JointCommand(0, 0, 0, 0, defaults, unclamped)  # the last fresh command; holds repeat it
     over_period = 0
     last_fresh_cycle = -1
     cycle = 0  # window `cycle` has sent its command once metrics.commands > cycle
@@ -449,8 +454,8 @@ def run_loop(
                 source_seq=last.source_seq,
                 source_timestamp_us=last.source_timestamp_us,
                 emission_timestamp_us=clk.now_us(),
-                angles=last.angles.copy(),
-                clamped=np.zeros(len(last.angles), dtype=bool),
+                angles=last.angles,
+                clamped=unclamped,
                 hold=True,
             )
             metrics.holds += 1

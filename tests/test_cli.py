@@ -547,3 +547,18 @@ class TestEnvAndEntryPoint:
         )
         assert result.returncode == 0
         assert "frames=5" in result.stdout
+
+    def test_a_closed_stdout_exits_141_without_a_traceback(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the run writes its report
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "teleokin", "run", "--source", "synth:static", "--clock", "virtual",
+                 "--frames", "3", "--sink", "null"],
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == cli.STDOUT_CLOSED == 141
+        assert result.stderr == ""

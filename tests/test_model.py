@@ -4,6 +4,7 @@ The FK oracle composes 4x4 homogeneous matrices built from the Rodrigues
 formula, sharing no code with the library's quaternion chain.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,7 +89,8 @@ def load(kind, text):
     return load_retarget_map(text, load_skeleton(TWO_SEGMENTS), load_robot_model(MINIMAL_ROBOT))
 
 
-# (case, document kind, document, error, (line, the token the column points at) for a ParseError, message)
+# (case, document kind, document, error, (line, the token the column points at) or None, message).  A
+# ParseError carries its line and column; any other error with a location starts "line L, col C: ".
 MALFORMED = [
     ("unknown key", "robot", J1 + " wat=1", ParseError, (1, "wat=1"), "unknown key 'wat'"),
     ("duplicate key", "robot", J1.replace("soft=0.05", "soft=0.05 soft=0.1"), ParseError, (1, "soft=0.1"),
@@ -121,16 +123,22 @@ MALFORMED = [
     ("exclusion with a key", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0.1\nexclude link1/0 link1/0 near=1",
      ParseError, (3, "near=1"), "unknown key 'near'"),
     ("no joints", "robot", "# no joints\n", ValidationError, None, "robot model declares no joints"),
-    ("duplicate joint names", "robot", J1 + "\n" + J1.replace("child=link1", "child=link2"), ValidationError, None,
-     "duplicate joint names"),
+    ("duplicate joint names", "robot", J1 + "\n" + J1.replace("child=link1", "child=link2"), ValidationError,
+     (2, "j1"), "duplicate joint names"),
     ("joint linking a link to itself", "robot", J1.replace("parent=base", "parent=link1"), ValidationError, None,
      "joint 'j1' connects link 'link1' to itself"),
-    ("negative soft margin", "robot", J1.replace("soft=0.05", "soft=-0.05"), ValidationError, None,
+    ("limits out of order", "robot", J1.replace("limits=-1,1", "limits=1,-1"), ValidationError, (1, "limits="),
+     "min >= max on joint j1"),
+    ("negative soft margin", "robot", J1.replace("soft=0.05", "soft=-0.05"), ValidationError, (1, "soft="),
      "negative soft margin on joint j1"),
-    ("non-positive vmax", "robot", J1.replace("vmax=10", "vmax=0"), ValidationError, None,
+    ("soft margin emptying the interval", "robot", J1.replace("soft=0.05", "soft=1.5"), ValidationError,
+     (1, "soft="), "soft margin empties the soft interval on joint j1"),
+    ("non-positive vmax", "robot", J1.replace("vmax=10", "vmax=0"), ValidationError, (1, "vmax="),
      "non-positive velocity limit on joint j1"),
-    ("non-positive sphere radius", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0", ValidationError, None,
-     "non-positive sphere radius on link link1"),
+    ("default outside the soft interval", "robot", J1.replace("default=0", "default=0.99"), ValidationError,
+     (1, "default="), "default angle outside the soft interval on joint j1"),
+    ("non-positive sphere radius", "robot", J1 + "\nsphere link1 center=0,0,0 radius=0", ValidationError,
+     (2, "radius="), "non-positive sphere radius on link link1"),
     ("empty skeleton", "skeleton", "# no segments\n", ValidationError, None,
      "skeleton document declares no segments"),
     ("two roots", "skeleton", "segment a parent=-\nsegment b parent=-\n", ValidationError, None,
@@ -164,8 +172,12 @@ def test_malformed_document_raises_its_error(kind, text, error, where, message):
         assert str(exc.value) == message
     else:
         line, token = where
-        assert (exc.value.line, exc.value.column) == (line, text.splitlines()[line - 1].index(token) + 1)
-        assert exc.value.message == message
+        column = text.splitlines()[line - 1].index(token) + 1
+        if error is ParseError:
+            assert (exc.value.line, exc.value.column) == (line, column)
+            assert exc.value.message == message
+        else:
+            assert str(exc.value) == f"line {line}, col {column}: {message}"
 
 
 class TestLoadRobotModel:
@@ -235,6 +247,17 @@ class TestLoadRobotModel:
             RobotModel(joints, [CollisionSphere("ghost", np.zeros(3), 0.1)])
         with pytest.raises(UnknownReference, match=r"^exclusion references missing sphere link1/1$"):
             RobotModel(joints, [CollisionSphere("link1", np.zeros(3), 0.1)], [(("link1", 0), ("link1", 1))])
+
+    def test_a_model_built_in_code_checks_each_part_without_a_location(self):
+        joint = load_robot_model(MINIMAL_ROBOT).joints[0]
+        with pytest.raises(ValidationError, match=r"^min >= max on joint j1$"):
+            RobotModel([dataclasses.replace(joint, limit_min=1.0, limit_max=-1.0)])
+        with pytest.raises(ValidationError, match=r"^default angle outside the soft interval on joint j1$"):
+            RobotModel([dataclasses.replace(joint, default_angle=0.99)])
+        with pytest.raises(ValidationError, match=r"^duplicate joint names$"):
+            RobotModel([joint, dataclasses.replace(joint, child_link="link2")])
+        with pytest.raises(ValidationError, match=r"^non-positive sphere radius on link link1$"):
+            RobotModel([joint], [CollisionSphere("link1", np.zeros(3), 0.0)])
 
     def test_sample_config_counts(self):
         model = load_robot_model(sample_text("g1_sample.cfg"))

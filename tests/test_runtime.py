@@ -402,6 +402,25 @@ class TestRunLoop:
         assert [c.hold for c in capture.commands] == [True] * 5 + [False]
         assert metrics.cycles == 6  # the source ended and its frame went: the loop stops
 
+    def test_a_hold_shares_the_read_only_arrays_of_the_last_fresh_command(self):
+        pipeline = sample_pipeline()
+        capture = _CaptureSink()
+        run_loop(schedule(frames_at_rate(4, 100)), pipeline, capture, rate_hz=500, max_cycles=25, clock=VirtualClock())
+        fresh = [c for c in capture.commands if not c.hold]
+        holds = [c for c in capture.commands if c.hold]
+        assert len(fresh) == 4 and len(holds) == 21
+        last = None
+        for cmd in capture.commands:
+            last = last if cmd.hold else cmd
+            assert not cmd.angles.flags.writeable and not cmd.clamped.flags.writeable
+            if cmd.hold:
+                assert cmd.angles is last.angles
+                assert cmd.clamped is holds[0].clamped and not cmd.clamped.any()
+        with pytest.raises(ValueError, match="read-only"):
+            fresh[0].angles[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            holds[0].clamped[0] = True
+
     def test_scheduled_frames_are_read_one_past_the_newest_due(self):
         frames = frames_at_rate(50, 100)
         read = []

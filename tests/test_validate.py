@@ -116,10 +116,10 @@ class TestValidateTrace:
         assert vel[0].value == pytest.approx(50.0)
         assert vel[0].threshold == model.joints[model.joint_index("waist_yaw")].velocity_limit
 
-    @pytest.mark.parametrize("period_us", [-2000, 0, math.nan, math.inf])
+    @pytest.mark.parametrize("period_us", [-2000, 0, math.nan, math.inf, 1e-160])
     def test_period_must_be_positive_and_finite(self, period_us):
         # A negative period would make every rate negative, so no rate check could
-        # trip on this 0.5 rad jump.
+        # trip on this 0.5 rad jump; at 1e-160 us, dt * dt is 0.
         model = sample_model()
         rows = np.zeros((4, len(model)))
         rows[2, model.joint_index("waist_yaw")] = 0.5
@@ -450,8 +450,8 @@ class TestRowKernel:
         model = make_model()
         limits = [math.inf] * len(model.sphere_pairs)
         for row in self.rows(model):
-            one = {v.identifier: v.value for v in validate._collisions(model, limits, row[None], 0)}
-            batch = validate._collisions(model, limits, np.stack([row, row]), 0)
+            one = {v.identifier: v.value for v in validate._row_collisions(model, limits, row.tolist())}
+            batch = validate._collisions(model, limits, np.stack([row, row]))
             two = {v.identifier: v.value for v in batch if v.cycle == 0}
             assert one.keys() == two.keys()
             np.testing.assert_allclose(list(one.values()), [two[pair] for pair in one], rtol=0, atol=1e-12)
@@ -461,7 +461,20 @@ def colliding_row(model):
     """A soft-interval pose with at least one self-collision."""
     rows = np.random.default_rng(21).uniform(model.soft_lower, model.soft_upper, size=(200, len(model)))
     limits = validate._pair_limits(model, 0.0)
-    return next(row for row in rows if validate._collisions(model, limits, row[None], 0))
+    return next(row for row in rows if validate._row_collisions(model, limits, row.tolist()))
+
+
+def count_rate_orders(monkeypatch):
+    """The order of each rate the streaming validator computes, in call order."""
+    orders = []
+    rate = validate.IncrementalValidator._rate
+
+    def counting(self, order, window):
+        orders.append(order)
+        return rate(self, order, window)
+
+    monkeypatch.setattr(validate.IncrementalValidator, "_rate", counting)
+    return orders
 
 
 @st.composite
@@ -576,14 +589,7 @@ class TestRowMemo:
         assert streamed(model, trace, thresholds=thresholds, period_us=period_us).format() == offline.format()
 
     def test_a_repeat_computes_only_the_rates_that_can_fire(self, monkeypatch):
-        orders = []
-        diff = np.diff
-
-        def counting(a, n=1, **kwargs):
-            orders.append(n)
-            return diff(a, n=n, **kwargs)
-
-        monkeypatch.setattr(np, "diff", counting)
+        orders = count_rate_orders(monkeypatch)
         model = sample_model()
         runs = [3, 5, 4]
         rng = np.random.default_rng(6)
@@ -616,6 +622,85 @@ class TestRowMemo:
         assert a.report().counts["self-collision"] and b.report().counts["self-collision"]
         assert {name: getattr(model, name) for name in compiled} == before
         assert set(vars(model)) == attributes
+
+
+class TestFloatRow:
+    """The streaming validator judges each row in plain floats, with no numpy
+    call; ``validate_trace``'s numpy checks are its oracle at the edges."""
+
+    THRESHOLDS = [Thresholds(), Thresholds(acceleration_limit=200.0)]
+
+    @staticmethod
+    def assert_matches(model, rows, thresholds):
+        trace = command_trace(model, rows, period_us=2000)
+        offline = validate_trace(model, trace, thresholds=thresholds, period_us=2000)
+        assert streamed(model, trace, thresholds=thresholds, period_us=2000).format() == offline.format()
+        return offline
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS, ids=["acc-off", "acc-on"])
+    def test_nan_and_infinite_angles(self, thresholds):
+        model = sample_model()
+        rows = np.zeros((7, len(model)))
+        rows[1, model.joint_index("waist_yaw")] = math.nan
+        rows[2:4, model.joint_index("left_knee")] = math.inf
+        rows[3:5, model.joint_index("right_elbow")] = -math.inf
+        rows[5, model.joint_index("left_knee")] = math.nan
+        report = self.assert_matches(model, rows, thresholds)
+        assert report.counts["limit"] == 6
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS, ids=["acc-off", "acc-on"])
+    def test_negative_zero_after_zero_is_judged_afresh(self, thresholds, monkeypatch):
+        orders = count_rate_orders(monkeypatch)
+        model = sample_model()
+        zero = np.zeros(len(model))
+        negative = zero.copy()
+        negative[model.joint_index("waist_yaw")] = -0.0
+        self.assert_matches(model, [zero, zero, zero, negative], thresholds)
+        validator = validator_sink(model, thresholds, period_us=2000)
+        for row in command_trace(model, [zero, zero, zero]):
+            validator.emit(row)
+        orders.clear()
+        validator.emit(command_trace(model, [negative])[0])
+        assert orders == [1, 2][: 1 + (thresholds.acceleration_limit is not None)]
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS, ids=["acc-off", "acc-on"])
+    def test_an_angle_on_a_soft_bound_is_inside(self, thresholds):
+        model = sample_model()
+        rows = np.zeros((4, len(model)))
+        rows[1] = model.soft_lower
+        rows[2] = model.soft_upper
+        rows[3] = np.nextafter(model.soft_upper, math.inf)
+        report = self.assert_matches(model, rows, thresholds)
+        assert [v.cycle for v in report.violations if v.kind == "limit"] == [3] * len(model)
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS, ids=["acc-off", "acc-on"])
+    def test_a_step_of_exactly_vmax_times_dt(self, thresholds):
+        model = sample_model()
+        step = model.velocity_limits * 0.002
+        rows = [np.zeros(len(model)), step, step * 2, np.nextafter(step * 3, math.inf), step * 3, step * 3]
+        report = self.assert_matches(model, np.clip(rows, model.soft_lower, model.soft_upper), thresholds)
+        assert [v.cycle for v in report.violations if v.kind == "velocity"] == [3] * len(model)  # one ulp over
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS, ids=["acc-off", "acc-on"])
+    def test_emit_of_a_fresh_row_and_a_hold_calls_no_numpy_function(self, thresholds, monkeypatch):
+        model = sample_model()
+        hit = colliding_row(model)
+        hit[model.joint_index("waist_yaw")] = math.inf
+        trace = command_trace(model, [np.zeros(len(model)), hit, hit, hit, np.ones(len(model))], period_us=2000)
+        expected = validate_trace(model, trace, thresholds=thresholds, period_us=2000).format()
+        validator = validator_sink(model, thresholds, period_us=2000)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("emit called numpy")
+
+        with monkeypatch.context() as patched:
+            for name in ("diff", "concatenate", "array", "nonzero", "where"):
+                patched.setattr(np, name, forbidden)
+            for cmd in trace:
+                validator.emit(cmd)
+        report = validator.report()
+        assert report.format() == expected
+        assert report.counts["limit"] and report.counts["self-collision"] and report.counts["velocity"]
 
 
 @pytest.mark.parametrize("make_model", [sample_model, random_tree_model], ids=["sample", "random-tree"])
