@@ -8,17 +8,16 @@ emitted vector never leaves the soft interval.  A NaN or infinite angle
 cannot be clamped into it, so the step raises ``NonFiniteAngle`` and leaves
 the filter state as it was.
 
-The three stages run on the Python floats the compiled map builds; the
-command's arrays are made once, at the end.  The smoothing rule and the soft
-clamp each live once, as float kernels; the public ``smooth`` and
-``enforce_limits`` are array wrappers around them.
+The three stages run on the Python floats the compiled map builds, and the
+command carries them as tuples: no array is built per step.  The smoothing
+rule and the soft clamp each live once, as float kernels; the public
+``smooth`` and ``enforce_limits`` are array wrappers around them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +26,6 @@ from .errors import DimensionMismatch, NonFiniteAngle
 from .geometry import _euler_angles, _twist_angle, euler_decompose
 from .model import HumanSkeleton, RetargetMap, RobotModel
 from .stream import MocapFrame
-
-# dtype objects, not types: np.frombuffer converts a type on every call,
-# which costs several microseconds when the step runs cold.
-_F8, _BOOL = np.dtype(float), np.dtype(bool)
-
 
 @dataclass
 class FilterState:
@@ -63,17 +57,20 @@ class JointCommand:
     """One synchronized vector of target angles, traceable to one frame.
 
     ``seq`` is the emission sequence number assigned by the control loop;
-    ``clamped`` flags the joints whose values the soft-limit stage changed;
     ``hold`` marks commands that repeat the previous posture because no
-    fresh frame was available.
+    fresh frame was available.  ``angles`` is a tuple of floats from the
+    loop, a float64 row from ``read_trace`` and ``decode_command_datagram``.
+    ``clamped``, a tuple of bools, flags the joints the soft clamp changed
+    (all False once decoded: flags are not on the wire); only perfbench's
+    traced step span reads it.
     """
 
     seq: int
     source_seq: int
     source_timestamp_us: int
     emission_timestamp_us: int
-    angles: np.ndarray
-    clamped: np.ndarray
+    angles: tuple
+    clamped: tuple
     hold: bool = False
 
 
@@ -224,14 +221,14 @@ class Pipeline:
             raise DimensionMismatch("model does not match the one the map was loaded against")
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
-        self._pack = struct.Struct(f"{len(self.model)}d").pack  # native doubles, as numpy's float
 
     def step(self, frame: MocapFrame, dt: float, clock) -> tuple[JointCommand, RetargetDiagnostics]:
         """map_frame -> smooth -> enforce_limits, once, on one frame.
 
-        The stages pass the map's float list along; ``angles`` and
-        ``clamped`` are the only arrays built, and both are read-only.  The
-        command is stamped with ``clock`` when the clamp is done; the control
+        The stages pass the map's float list along; the command's
+        ``angles`` and ``clamped`` are tuples of the clamp's floats and
+        flags, immutable, so the loop's holds can share them.  The command
+        is stamped with ``clock`` when the clamp is done; the control
         loop sends it as soon as the step returns, whether at a tick or as
         the frame arrives.  A NaN or infinite angle raises NonFiniteAngle
         before the filter state changes.
@@ -246,9 +243,7 @@ class Pipeline:
             source_seq=frame.seq,
             source_timestamp_us=frame.timestamp_us,
             emission_timestamp_us=clock.now_us(),
-            # Views of immutable bytes: read-only, so the loop's holds can
-            # share them, and cheaper to build than np.array.
-            angles=np.frombuffer(self._pack(*angles), _F8),
-            clamped=np.frombuffer(bytes(flags), _BOOL),
+            angles=tuple(angles),
+            clamped=tuple(flags),
         )
         return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)

@@ -27,12 +27,11 @@ distinct microsecond value, so the dump's memory does not grow with the run.
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import struct
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .clock import WallClock
 from .errors import SinkBackpressure, TruncatedFrame
@@ -189,16 +188,18 @@ class LoopMetrics:
 # Command record codec
 
 
+@functools.lru_cache(maxsize=256)  # one per joint count the u8 field can hold
+def _record_struct(count: int) -> struct.Struct:
+    return struct.Struct(f"{_RECORD_HEAD.format}{count}d?")  # "?" packs the hold flag's truth as 1 or 0
+
+
 def _record_body(cmd: JointCommand) -> bytes:
-    angles = np.ascontiguousarray(cmd.angles, dtype="<f8")
-    head = _RECORD_HEAD.pack(
-        cmd.seq & 0xFFFFFFFF,
-        cmd.source_seq & 0xFFFFFFFF,
-        cmd.source_timestamp_us,
-        cmd.emission_timestamp_us,
-        len(angles),
+    """The record's fields before its CRC, in one pack; 256 joints or more raise struct.error."""
+    count = len(cmd.angles)
+    return _record_struct(count).pack(
+        cmd.seq & 0xFFFFFFFF, cmd.source_seq & 0xFFFFFFFF, cmd.source_timestamp_us, cmd.emission_timestamp_us,
+        count, *cmd.angles, cmd.hold,
     )
-    return head + angles.tobytes() + (b"\x01" if cmd.hold else b"\x00")
 
 
 def encode_command_record(cmd: JointCommand) -> bytes:
@@ -232,20 +233,20 @@ def _checked_record(data: bytes, offset: int) -> int:
 def _commands(data: bytes, offset: int, records: int) -> list[JointCommand]:
     """The ``records`` checked, back-to-back, equally long records from ``offset``.
 
-    Their angles are converted in one go; every command holds a row of
-    them, and a row of one all-False block as its clamp flags (they are not
-    on the wire).
+    Their angles are converted in one go, and every command holds a row of
+    them; all share one all-False ``clamped`` tuple (flags are not on the
+    wire).
     """
     head = _RECORD_HEAD.size
     count = data[offset + head - 1]
     stride = head + count * 8 + 1 + CRC_SIZE
     angles = record_rows(data, offset, records, stride, head, head + count * 8, "<f8").astype(float)
-    flags = np.zeros((records, count), dtype=bool)
+    unclamped = (False,) * count
     commands = []
-    for at, row, clamped in zip(range(offset, len(data), stride), angles, flags):
+    for at, row in zip(range(offset, len(data), stride), angles):
         seq, source_seq, source_ts, emission_ts, _ = _RECORD_HEAD.unpack_from(data, at)
         hold = data[at + stride - CRC_SIZE - 1] != 0  # the hold byte ends the body
-        commands.append(JointCommand(seq, source_seq, source_ts, emission_ts, row, clamped, hold))
+        commands.append(JointCommand(seq, source_seq, source_ts, emission_ts, row, unclamped, hold))
     return commands
 
 
@@ -264,7 +265,9 @@ def read_trace(path) -> list[JointCommand]:
 
     Every record's head and CRC are checked, in file order, before any angle
     is converted; the first faulty record raises.  Each command's ``angles``
-    and ``clamped`` are rows of one block per run of equal joint counts.
+    is a float64 row of one block per run of equal joint counts, which
+    ``validate_trace`` stacks faster than tuples; its ``clamped`` is one
+    all-False tuple the run's commands share.
     """
     data = read_magic_file(path, TRACE_MAGIC, "trace file")
     runs: list = []
@@ -402,10 +405,10 @@ def run_loop(
     virtual clock; if window k has not sent its command, tick k sends the
     newest pending frame's, or a hold repeating the last fresh angles (model
     defaults before the first frame).  A hold copies nothing: it shares the
-    last fresh command's ``angles`` and one all-False ``clamped`` row, all
-    read-only arrays.  A fresh frame is smoothed with ``dt`` equal to the
-    loop time since the previous fresh cycle, in whole periods (one for the
-    first; never 0, since a window sends one command), so the filter's time
+    last fresh command's ``angles`` tuple and one all-False ``clamped``
+    tuple.  A fresh frame is smoothed with ``dt`` equal to the loop time
+    since the previous fresh cycle, in whole periods (one for the first;
+    never 0, since a window sends one command), so the filter's time
     constant holds whatever the source and loop rates.
 
     ``jitter_us`` records every tick's wake-up, a silent one's too.  A
@@ -424,9 +427,8 @@ def run_loop(
     slot = LatestFrameSlot()
     slot.segment_count = pipeline.rmap.segment_count
     metrics = LoopMetrics(period_us=period_us)
-    defaults = pipeline.model.default_angles.copy()
-    unclamped = np.zeros(len(defaults), dtype=bool)
-    defaults.flags.writeable = unclamped.flags.writeable = False
+    defaults = tuple(pipeline.model.default_angles.tolist())
+    unclamped = (False,) * len(defaults)
     last = JointCommand(0, 0, 0, 0, defaults, unclamped)  # the last fresh command; holds repeat it
     over_period = 0
     last_fresh_cycle = -1
@@ -450,13 +452,7 @@ def run_loop(
             metrics.frame_age_us.record(command.emission_timestamp_us - arrival_us)
         else:
             command = JointCommand(
-                seq=cycle,
-                source_seq=last.source_seq,
-                source_timestamp_us=last.source_timestamp_us,
-                emission_timestamp_us=clk.now_us(),
-                angles=last.angles,
-                clamped=unclamped,
-                hold=True,
+                cycle, last.source_seq, last.source_timestamp_us, clk.now_us(), last.angles, unclamped, hold=True
             )
             metrics.holds += 1
         sink_start = clk.now_us()

@@ -36,9 +36,11 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyTrace
 from .geometry import _quat_rotate, quat_rotate_rows
 from .model import RobotModel, forward_kinematics_batch, forward_kinematics_row
-from .retarget import _F8, JointCommand
+from .retarget import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
+
+_F8 = np.dtype(float)  # an ndarray row of this dtype converts with one tolist()
 
 # Trace rows per self-collision block: keeps the (rows, pairs) temporaries
 # small, so an audit's peak memory stays near that of its FK poses.
@@ -256,10 +258,11 @@ class IncrementalValidator:
 
     Each command is judged by the same checks as ``validate_trace``, in
     plain floats: its own (limit, self-collision) on its row, its rates
-    against the last two rows.  The arithmetic is ``validate_trace``'s (a
-    value outside ``lo <= v <= hi`` breaks its limit; see ``_rate`` for the
-    rates), so both report the same violations, bit for bit, in the same
-    order.  A row bit-identical to the previous one (its packed doubles:
+    against the last two rows.  A tuple of angles is taken as the row as it
+    is, so its items must be Python floats, as the control loop's are.  The
+    arithmetic is ``validate_trace``'s (a value outside ``lo <= v <= hi``
+    breaks its limit; see ``_rate`` for the rates), so both report the same
+    violations, bit for bit, in the same order.  A row bit-identical to the previous one (its packed doubles:
     ``-0.0`` is not ``0.0``, and NaN payloads count) reuses that row's own
     violations, stamped with the new cycle, and a rate of order k is skipped
     when the k rows before the new one are bit-identical to it: its
@@ -300,7 +303,10 @@ class IncrementalValidator:
         angles = cmd.angles
         if len(angles) != len(self._names):
             raise _length_mismatch(angles, len(self._names))
-        row = angles.tolist() if type(angles) is np.ndarray and angles.dtype is _F8 else [float(a) for a in angles]
+        if type(angles) is tuple:  # the loop's floats
+            row = list(angles)
+        else:
+            row = angles.tolist() if type(angles) is np.ndarray and angles.dtype is _F8 else [float(a) for a in angles]
         if self._cycle == 0:
             self._first = cmd
         elif self.period_us is None:

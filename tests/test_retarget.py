@@ -357,7 +357,7 @@ class TestRetargetStep:
         pipeline = Pipeline(skel, rmap, model, FilterState.create(2, tau=0.0))
         cmd, diag = pipeline.step(identity_frame(2), 0.01, VirtualClock())
         assert np.array_equal(cmd.angles, map_frame(rmap, identity_frame(2)))
-        assert not cmd.clamped.any()
+        assert cmd.clamped == (False, False)
         assert not cmd.hold
         assert diag.clamped_count == 0
         assert diag.worst_excursion == 0.0
@@ -502,8 +502,10 @@ class TestRetargetStep:
                 flags = angles != smoothed
                 excursion = max(0.0, float(np.max(np.abs(angles - smoothed))))
 
-                assert cmd.angles.dtype == np.float64 and cmd.angles.tobytes() == angles.tobytes()
-                assert cmd.clamped.dtype == bool and np.array_equal(cmd.clamped, flags)
+                assert type(cmd.angles) is tuple and all(type(a) is float for a in cmd.angles)
+                assert np.array(cmd.angles).tobytes() == angles.tobytes()
+                assert type(cmd.clamped) is tuple and cmd.clamped == tuple(flags.tolist())
+                assert all(type(f) is bool for f in cmd.clamped)
                 assert repr(diag.worst_excursion) == repr(excursion)
                 assert diag.clamped_count == np.count_nonzero(flags)
                 assert np.array(state.previous).tobytes() == smoothed.tobytes()

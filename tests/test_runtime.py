@@ -45,6 +45,7 @@ from teleokin.runtime import (
 )
 from teleokin import stream
 from teleokin.stream import DatagramSource, MocapFrame, encode_frame, identity_frame, schedule, synth_motion
+from teleokin.validate import Thresholds, validate_trace
 
 
 def sample_pipeline(tau=0.020):
@@ -222,6 +223,66 @@ class TestCommandCodec:
                 pass
 
 
+def reference_record(seq, source_seq, source_ts, emission_ts, angle_bits, hold, prefix=b""):
+    """README's command layout, field by field, with each angle given as its u64 bit pattern:
+    seq u32, source seq u32, source timestamp u64, emission timestamp u64, joint count u8,
+    angles float64, hold flag u8, then CRC-32 over every preceding byte, ``prefix`` included."""
+    body = prefix + struct.pack("<IIQQB", seq % 2**32, source_seq % 2**32, source_ts, emission_ts, len(angle_bits))
+    body += b"".join(struct.pack("<Q", bits) for bits in angle_bits) + bytes([1 if hold else 0])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# quiet NaNs with payloads of both signs, both infinities, both zeros, a subnormal and the largest float
+EDGE_BITS = [
+    0x7FF8_0000_0000_1234, 0xFFF8_0000_00AB_CDEF, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+    0x8000_0000_0000_0000, 0x0000_0000_0000_0000, 0x0000_0000_0000_0001, 0x7FEF_FFFF_FFFF_FFFF,
+    0x3FF8_0000_0000_0000, 0xC002_0000_0000_0000,
+]
+
+
+class TestCommandEncodersAgainstTheWireFormat:
+    """Both encoders, byte for byte, against README's layout built in the test with ``struct`` and ``zlib``."""
+
+    CASES = [  # seq, source seq, source timestamp, emission timestamp, angle bits, hold
+        (7, 9, 123_456, 130_000, EDGE_BITS, False),
+        (7, 9, 123_456, 130_000, EDGE_BITS, True),
+        (2**32 + 5, 2**40 + 3, 2**64 - 1, 2**63, EDGE_BITS[::-1], True),  # seqs past u32 are masked
+        (0, 0, 0, 0, [], False),
+        (1, 2, 3, 4, [0x3FB9_9999_9999_999A + k for k in range(255)], False),  # the largest joint count
+    ]
+
+    @staticmethod
+    def as_tuple(angle_bits):
+        return tuple(struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in angle_bits)
+
+    @staticmethod
+    def as_trace_row(angle_bits):
+        # a row of a float64 block, as read_trace and decode_command_datagram return
+        block = np.frombuffer(struct.pack(f"<{2 * len(angle_bits)}Q", *angle_bits, *angle_bits), "<f8")
+        return block.reshape(2, len(angle_bits)).astype(float)[1]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("form", ["tuple", "trace-row"])
+    def test_bytes_match_the_readme_layout(self, case, form):
+        seq, source_seq, source_ts, emission_ts, bits, hold = self.CASES[case]
+        angles = self.as_tuple(bits) if form == "tuple" else self.as_trace_row(bits)
+        cmd = JointCommand(seq, source_seq, source_ts, emission_ts, angles, (False,) * len(bits), hold)
+        record = reference_record(seq, source_seq, source_ts, emission_ts, bits, hold)
+        assert encode_command_record(cmd) == record
+        datagram = reference_record(seq, source_seq, source_ts, emission_ts, bits, hold, prefix=b"CMD1\x01")
+        assert encode_command_datagram(cmd) == datagram
+        assert len(datagram) == len(record) + 5
+
+    @pytest.mark.parametrize("form", ["tuple", "trace-row"])
+    def test_256_joints_do_not_fit_the_u8_count(self, form):
+        bits = [0] * 256
+        angles = self.as_tuple(bits) if form == "tuple" else self.as_trace_row(bits)
+        cmd = JointCommand(0, 0, 0, 0, angles, (False,) * 256)
+        for encode in (encode_command_record, encode_command_datagram):
+            with pytest.raises(struct.error, match="<= 255"):
+                encode(cmd)
+
+
 class TestTraceSink:
     def test_empty_trace_is_just_the_header(self, tmp_path):
         path = tmp_path / "empty.trc"
@@ -311,7 +372,7 @@ class TestWholeTraceDecode:
                 seq, source_seq, source_ts, emission_ts, hold
             )
             assert a.angles.dtype == np.float64 and a.angles.tobytes() == np.array(angles).tobytes()
-            assert a.clamped.dtype == bool and a.clamped.shape == a.angles.shape and not a.clamped.any()
+            assert a.clamped == (False,) * len(a.angles)
 
     def test_bad_crc_in_a_middle_record_raises(self, tmp_path):
         records = self.records([23] * 5 + [7] * 5)
@@ -412,13 +473,13 @@ class TestRunLoop:
         last = None
         for cmd in capture.commands:
             last = last if cmd.hold else cmd
-            assert not cmd.angles.flags.writeable and not cmd.clamped.flags.writeable
+            assert type(cmd.angles) is tuple and type(cmd.clamped) is tuple
             if cmd.hold:
                 assert cmd.angles is last.angles
-                assert cmd.clamped is holds[0].clamped and not cmd.clamped.any()
-        with pytest.raises(ValueError, match="read-only"):
+                assert cmd.clamped is holds[0].clamped and not any(cmd.clamped)
+        with pytest.raises(TypeError, match="does not support item assignment"):
             fresh[0].angles[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             holds[0].clamped[0] = True
 
     def test_scheduled_frames_are_read_one_past_the_newest_due(self):
@@ -545,13 +606,13 @@ class TestRunLoop:
             MocapFrame(seq=k, timestamp_us=k * 10_000, orientations=poses[30].orientations)
             for k in range(1, 30)
         ]
-        raw0, raw1 = (sample_pipeline(tau=0.0).step(f, 0.01, VirtualClock())[0].angles
+        raw0, raw1 = (np.asarray(sample_pipeline(tau=0.0).step(f, 0.01, VirtualClock())[0].angles)
                       for f in (poses[0], poses[30]))
         capture = _CaptureSink()
         run_loop(schedule(steps), sample_pipeline(tau), capture, rate_hz=500, clock=VirtualClock())
         fresh = [c for c in capture.commands if not c.hold]
         assert len(fresh) == len(steps)
-        assert not any(c.clamped.any() for c in fresh)
+        assert not any(any(c.clamped) for c in fresh)
         assert np.abs(raw1 - raw0).max() > 0.1
         for k, cmd in enumerate(fresh):
             expected = raw0 + (raw1 - raw0) * (1.0 - math.exp(-k * 0.010 / tau))
@@ -624,7 +685,7 @@ class TestRunLoop:
         ((decoded, dt),) = steps
         assert decoded.seq == frame.seq and dt == 0.020
         reference, _ = sample_pipeline().step(decoded, 0.020, VirtualClock())
-        assert fresh.angles.tobytes() == reference.angles.tobytes()
+        assert np.asarray(fresh.angles).tobytes() == np.asarray(reference.angles).tobytes()
         assert np.array_equal(fresh.clamped, reference.clamped)
 
     def test_overwritten_frame_does_not_lend_its_map(self):
@@ -655,7 +716,7 @@ class TestRunLoop:
         assert metrics.frames_overwritten == 1 and metrics.early_commands == 0
         assert [f.seq for f, _ in steps] == [frame_b.seq]
         reference, _ = sample_pipeline().step(steps[0][0], 0.020, VirtualClock())
-        assert fresh.angles.tobytes() == reference.angles.tobytes()
+        assert np.asarray(fresh.angles).tobytes() == np.asarray(reference.angles).tobytes()
         lent, _ = sample_pipeline().step(frame_a, 0.020, VirtualClock())
         assert not np.array_equal(fresh.angles, lent.angles)  # A's map would show
 
@@ -677,7 +738,7 @@ class TestRunLoop:
         assert metrics.frames_overwritten == 1 and metrics.early_commands == 1
         assert fresh.seq == 2 and fresh.source_seq == newer.seq
         reference, _ = sample_pipeline().step(steps[0][0], 0.020, VirtualClock())
-        assert fresh.angles.tobytes() == reference.angles.tobytes()
+        assert np.asarray(fresh.angles).tobytes() == np.asarray(reference.angles).tobytes()
 
     def test_frames_after_a_windows_command_go_in_the_next_window(self):
         # Two frames land back to back right after window 2's early command.
@@ -994,6 +1055,38 @@ class TestDatagramSink:
         sink.close()
         assert sink.sent + sink.send_errors == 20
         assert sink.send_errors > 0
+
+
+@pytest.mark.parametrize("acceleration_limit", [None, 200.0], ids=["acc-off", "acc-on"])
+def test_the_per_command_path_builds_no_numpy_array(tmp_path, monkeypatch, acceleration_limit):
+    # Fresh and hold cycles from the step through the trace, datagram and
+    # streaming-validator sinks; only the setup before the loop may build arrays.
+    pipeline = sample_pipeline()
+    frames = frames_at_rate(6, 100)
+    receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    receiver.bind(("127.0.0.1", 0))
+    receiver.settimeout(2.0)
+    thresholds = Thresholds(acceleration_limit=acceleration_limit)
+    validator = validator_sink(pipeline.model, thresholds, period_us=2000)
+    trace = trace_sink(tmp_path / "loop.trc")
+    sink = MultiSink([trace, datagram_sink(receiver.getsockname()), validator])
+    source = schedule(frames)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the per-command path called a numpy constructor")
+
+    with monkeypatch.context() as patched:
+        for name in ("frombuffer", "ascontiguousarray", "zeros", "array"):
+            patched.setattr(np, name, forbidden)
+        metrics = run_loop(source, pipeline, sink, rate_hz=500, max_cycles=40, clock=VirtualClock())
+    sink.close()
+    datagrams = [receiver.recv(65535) for _ in range(40)]
+    receiver.close()
+    assert metrics.holds and metrics.commands - metrics.holds == len(frames)
+    commands = read_trace(trace.path)
+    assert [encode_command_datagram(c) for c in commands] == datagrams
+    offline = validate_trace(pipeline.model, commands, thresholds=thresholds, period_us=2000)
+    assert validator.report().format() == offline.format()
 
 
 def test_run_loop_rejects_a_rate_that_is_not_positive():

@@ -87,7 +87,7 @@ class TestValidateTrace:
     def test_single_limit_violation_at_index(self):
         model, trace = pipeline_trace("static", seconds=0.2, noise=0.0)
         j = model.joint_index("left_knee")
-        doctored = trace[37].angles.copy()
+        doctored = np.array(trace[37].angles)
         doctored[j] = model.joints[j].limit_max + 0.1
         trace[37].angles = doctored
         report = validate_trace(
@@ -136,7 +136,7 @@ class TestValidateTrace:
         )
         j = model.joint_index("waist_yaw")
         for cmd in trace:
-            shifted = cmd.angles.copy()
+            shifted = np.array(cmd.angles)
             shifted[j] += 0.2
             cmd.angles = shifted
         report_after = validate_trace(
