@@ -156,8 +156,6 @@ def _parse_source(args, skeleton):
     kind, _, rest = spec.partition(":")
     if kind == "synth":
         pattern = rest or "arm-wave"
-        if pattern not in SYNTH_PATTERNS:
-            raise UsageError(f"unknown synth pattern {pattern!r}; expected one of {SYNTH_PATTERNS}")
         if args.duration is not None:
             duration = args.duration
         elif args.frames is not None:

@@ -273,12 +273,15 @@ class RetargetMap:
       with the axis indices and permutation sign of ``order``.
 
     ``gain`` is ``sign * scale``, the product the angle is multiplied by.
+    ``default_angles`` is the model's default angle per joint, as a tuple of
+    floats: the row a frame's mapping starts from, and the loop's hold
+    before its first frame.
     """
 
     twist_rules: tuple
     triple_rules: tuple
     joint_count: int
-    default_angles: np.ndarray
+    default_angles: tuple[float, ...]
     segment_count: int
 
 
@@ -561,7 +564,7 @@ def load_retarget_map(text: str, skeleton: HumanSkeleton, model: RobotModel) -> 
     missing = [n for n in model.joint_names if n not in seen]
     if missing:
         raise CoverageError(f"joints not covered by the map: {missing}")
-    return RetargetMap(tuple(twist_rules), tuple(triple_rules), len(model), model.default_angles.copy(), len(skeleton))
+    return RetargetMap(tuple(twist_rules), tuple(triple_rules), len(model), tuple(model.default_angles.tolist()), len(skeleton))
 
 
 # ---------------------------------------------------------------------------

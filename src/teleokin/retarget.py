@@ -89,7 +89,7 @@ def _map_frame(rmap: RetargetMap, frame: MocapFrame) -> tuple[list, int]:
             f"frame has {frame.segment_count} segments, map expects {rmap.segment_count}"
         )
     quats = frame.orientations.tolist()
-    out = rmap.default_angles.tolist()
+    out = list(rmap.default_angles)
     for segment, ax, ay, az, gain, offset, joint in rmap.twist_rules:
         w, x, y, z = quats[segment]
         twist = _twist_angle(w, x, y, z, ax, ay, az)

@@ -427,7 +427,7 @@ def run_loop(
     slot = LatestFrameSlot()
     slot.segment_count = pipeline.rmap.segment_count
     metrics = LoopMetrics(period_us=period_us)
-    defaults = tuple(pipeline.model.default_angles.tolist())
+    defaults = pipeline.rmap.default_angles
     unclamped = (False,) * len(defaults)
     last = JointCommand(0, 0, 0, 0, defaults, unclamped)  # the last fresh command; holds repeat it
     over_period = 0

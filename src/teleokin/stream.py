@@ -30,6 +30,12 @@ decoders raise the same errors (see ``errors``).
 passes; ``decode_frame`` decodes its one live frame in plain floats.  The
 two follow one normalisation and sign rule (``_unit_quats``), and tests pin
 them to the same bits.
+
+A synthetic motion pattern is data: rows of ``(segment, axis, shape,
+amplitude rad, frequency Hz, phase rad)`` in ``_PATTERNS``.  Each driven
+segment turns about its axis by ``amplitude * shape(2.0 * math.pi *
+frequency * t + phase)``, where ``shape`` is ``math.sin`` or the
+half-cosine lift ``0.5 * (1.0 - math.cos(x))``.
 """
 
 from __future__ import annotations
@@ -478,62 +484,45 @@ schedule = ScheduledSource
 # ---------------------------------------------------------------------------
 # Synthetic motion
 
-SYNTH_PATTERNS = ("static", "arm-wave", "squat", "walk-cycle")
-
-# Documented joint programs (segment, axis, amplitude rad, frequency Hz).
-# arm-wave: upper arms swing 0.5 rad at 1 Hz, forearms flex, hands twist.
-# squat: 0.5 Hz crouch: thighs -0.5, shanks +1.0, feet -0.5 (half-cosine).
-# walk-cycle: 1 s period: antiphase thighs 0.3 rad, shank flexion, arm swing.
 _AXIS_Y = (0.0, 1.0, 0.0)
 _AXIS_Z = (0.0, 0.0, 1.0)
 
-ARM_WAVE_AMPLITUDE = 0.5  # rad, upper-arm swing
-ARM_WAVE_FREQ = 1.0  # Hz
-SQUAT_FREQ = 0.5  # Hz
-WALK_PERIOD = 1.0  # s
+
+def _lift(x: float) -> float:
+    """The half-cosine lift: 0 at x = 0, rising to 1 at x = pi."""
+    return 0.5 * (1.0 - math.cos(x))
 
 
-def _pattern_angles(pattern: str, t: float) -> list[tuple[str, tuple, float]]:
-    two_pi = 2.0 * math.pi
-    if pattern == "static":
-        return []
-    if pattern == "arm-wave":
-        swing = ARM_WAVE_AMPLITUDE * math.sin(two_pi * ARM_WAVE_FREQ * t)
-        flex = 0.6 * 0.5 * (1.0 - math.cos(two_pi * ARM_WAVE_FREQ * t))
-        twist = 0.4 * math.sin(two_pi * ARM_WAVE_FREQ * t)
-        return [
-            ("left_upper_arm", _AXIS_Y, swing),
-            ("right_upper_arm", _AXIS_Y, swing),
-            ("left_forearm", _AXIS_Y, flex),
-            ("right_forearm", _AXIS_Y, flex),
-            ("left_hand", _AXIS_Z, twist),
-            ("right_hand", _AXIS_Z, -twist),
-        ]
-    if pattern == "squat":
-        crouch = 0.5 * (1.0 - math.cos(two_pi * SQUAT_FREQ * t))
-        return [
-            ("left_thigh", _AXIS_Y, -0.5 * crouch),
-            ("right_thigh", _AXIS_Y, -0.5 * crouch),
-            ("left_shank", _AXIS_Y, 1.0 * crouch),
-            ("right_shank", _AXIS_Y, 1.0 * crouch),
-            ("left_foot", _AXIS_Y, -0.5 * crouch),
-            ("right_foot", _AXIS_Y, -0.5 * crouch),
-        ]
-    if pattern == "walk-cycle":
-        phase = two_pi * t / WALK_PERIOD
-        stride = 0.3 * math.sin(phase)
-        left_lift = 0.2 * 0.5 * (1.0 - math.cos(phase))
-        right_lift = 0.2 * 0.5 * (1.0 - math.cos(phase + math.pi))
-        arm = 0.2 * math.sin(phase)
-        return [
-            ("left_thigh", _AXIS_Y, stride),
-            ("right_thigh", _AXIS_Y, -stride),
-            ("left_shank", _AXIS_Y, left_lift),
-            ("right_shank", _AXIS_Y, right_lift),
-            ("left_upper_arm", _AXIS_Y, -arm),
-            ("right_upper_arm", _AXIS_Y, arm),
-        ]
-    raise ValueError(f"unknown pattern {pattern!r}; expected one of {SYNTH_PATTERNS}")
+# Rows of (segment, axis, shape, amplitude rad, frequency Hz, phase rad), shape
+# math.sin or _lift (see the module docstring); unnamed segments stay at identity.
+_PATTERNS = {
+    "static": (),
+    "arm-wave": (  # upper arms swing 0.5 rad at 1 Hz, forearms flex, hands twist
+        ("left_upper_arm", _AXIS_Y, math.sin, 0.5, 1.0, 0.0),
+        ("right_upper_arm", _AXIS_Y, math.sin, 0.5, 1.0, 0.0),
+        ("left_forearm", _AXIS_Y, _lift, 0.6, 1.0, 0.0),
+        ("right_forearm", _AXIS_Y, _lift, 0.6, 1.0, 0.0),
+        ("left_hand", _AXIS_Z, math.sin, 0.4, 1.0, 0.0),
+        ("right_hand", _AXIS_Z, math.sin, -0.4, 1.0, 0.0),
+    ),
+    "squat": (  # 0.5 Hz crouch: thighs -0.5, shanks +1.0, feet -0.5
+        ("left_thigh", _AXIS_Y, _lift, -0.5, 0.5, 0.0),
+        ("right_thigh", _AXIS_Y, _lift, -0.5, 0.5, 0.0),
+        ("left_shank", _AXIS_Y, _lift, 1.0, 0.5, 0.0),
+        ("right_shank", _AXIS_Y, _lift, 1.0, 0.5, 0.0),
+        ("left_foot", _AXIS_Y, _lift, -0.5, 0.5, 0.0),
+        ("right_foot", _AXIS_Y, _lift, -0.5, 0.5, 0.0),
+    ),
+    "walk-cycle": (  # 1 s stride: antiphase thighs and shank lifts, counter-swinging arms
+        ("left_thigh", _AXIS_Y, math.sin, 0.3, 1.0, 0.0),
+        ("right_thigh", _AXIS_Y, math.sin, -0.3, 1.0, 0.0),
+        ("left_shank", _AXIS_Y, _lift, 0.2, 1.0, 0.0),
+        ("right_shank", _AXIS_Y, _lift, 0.2, 1.0, math.pi),
+        ("left_upper_arm", _AXIS_Y, math.sin, -0.2, 1.0, 0.0),
+        ("right_upper_arm", _AXIS_Y, math.sin, 0.2, 1.0, 0.0),
+    ),
+}
+SYNTH_PATTERNS = tuple(_PATTERNS)
 
 
 def synth_motion(
@@ -546,7 +535,7 @@ def synth_motion(
 ) -> Iterator[MocapFrame]:
     """Deterministic synthetic motion on the canonical skeleton, made frame by frame.
 
-    Patterns are the documented sinusoidal joint programs above.  Noise adds
+    A pattern is its rows in ``_PATTERNS`` above.  Noise adds
     an independent per-segment small-angle rotation about a random unit axis
     with angle ~ Normal(0, noise_std); identical seeds give byte-identical
     frame sequences.  The arguments are checked at the call; each frame is
@@ -565,22 +554,24 @@ def synth_motion(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     skel = skeleton if skeleton is not None else canonical_skeleton()
-    _pattern_angles(pattern, 0.0)  # validate the pattern name up front
+    if pattern not in _PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {SYNTH_PATTERNS}")
     rng = np.random.default_rng(seed)  # here, so a bad seed is rejected at the call
     return _synth_frames(pattern, rate, int(round(rate * duration)), noise_std, rng, skel)
 
 
 def _synth_frames(pattern: str, rate: float, n_frames: int, noise_std: float, rng, skel) -> Iterator[MocapFrame]:
     index = {s.name: i for i, s in enumerate(skel.segments)}
+    # 2.0 * math.pi * frequency, so each angle takes the table's order of operations
+    rows = [(index[segment], axis, shape, amplitude, 2.0 * math.pi * frequency, phase)
+            for segment, axis, shape, amplitude, frequency, phase in _PATTERNS[pattern]
+            if segment in index]  # a pattern drives only the segments the skeleton has
     for i in range(n_frames):
         t = i / rate
         quats = np.zeros((len(skel.segments), 4))
         quats[:, 0] = 1.0
-        for segment, axis, angle in _pattern_angles(pattern, t):
-            row = index.get(segment)
-            if row is None:
-                continue  # pattern only drives segments the skeleton has
-            half = 0.5 * angle
+        for row, axis, shape, amplitude, omega, phase in rows:
+            half = 0.5 * (amplitude * shape(omega * t + phase))
             s = math.sin(half)
             quats[row] = (math.cos(half), s * axis[0], s * axis[1], s * axis[2])
         if noise_std > 0:

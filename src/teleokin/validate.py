@@ -40,8 +40,6 @@ from .retarget import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
 
-_F8 = np.dtype(float)  # an ndarray row of this dtype converts with one tolist()
-
 # Trace rows per self-collision block: keeps the (rows, pairs) temporaries
 # small, so an audit's peak memory stays near that of its FK poses.
 _BLOCK_ROWS = 128
@@ -258,8 +256,8 @@ class IncrementalValidator:
 
     Each command is judged by the same checks as ``validate_trace``, in
     plain floats: its own (limit, self-collision) on its row, its rates
-    against the last two rows.  A tuple of angles is taken as the row as it
-    is, so its items must be Python floats, as the control loop's are.  The
+    against the last two rows.  Each angle is taken as the Python float
+    ``float(angle)`` gives, whatever its type, as ``validate_trace`` takes it.  The
     arithmetic is ``validate_trace``'s (a value outside ``lo <= v <= hi``
     breaks its limit; see ``_rate`` for the rates), so both report the same
     violations, bit for bit, in the same order.  A row bit-identical to the previous one (its packed doubles:
@@ -289,7 +287,8 @@ class IncrementalValidator:
         self._rates = [("velocity", model.velocity_limits.tolist())]  # (kind, per-joint limits) by order
         if self.thresholds.acceleration_limit is not None:
             self._rates.append(("acceleration", [float(self.thresholds.acceleration_limit)] * len(model)))
-        self._pack = struct.Struct(f"<{len(model)}d").pack
+        row_struct = struct.Struct(f"<{len(model)}d")
+        self._pack, self._unpack = row_struct.pack, row_struct.unpack
         self._tail: list[list] = []  # the last two rows, oldest first
         self._cycle = 0
         self._first = None
@@ -303,15 +302,12 @@ class IncrementalValidator:
         angles = cmd.angles
         if len(angles) != len(self._names):
             raise _length_mismatch(angles, len(self._names))
-        if type(angles) is tuple:  # the loop's floats
-            row = list(angles)
-        else:
-            row = angles.tolist() if type(angles) is np.ndarray and angles.dtype is _F8 else [float(a) for a in angles]
+        key = self._pack(*angles)
+        row = list(self._unpack(key))  # each item as the Python float float(item) gives
         if self._cycle == 0:
             self._first = cmd
         elif self.period_us is None:
             self.period_us = _infer_period_us([self._first, cmd])
-        key = self._pack(*row)
         if self._pose[0] == key:
             self._repeats = min(self._repeats + 1, 2)
         else:

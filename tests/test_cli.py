@@ -136,6 +136,11 @@ class TestRun:
             run_cli("run", "--source", "synth:static", "--sink", "null", "--wat")
         assert exc.value.code == 2
 
+    def test_unknown_synth_pattern_exits_2_and_names_it(self, capsys):
+        code = run_cli("run", "--source", "synth:moonwalk", "--frames", "5", "--sink", "null")
+        assert code == 2
+        assert "moonwalk" in capsys.readouterr().err
+
     def test_no_sink_is_usage_error(self, capsys):
         code = run_cli("run", "--source", "synth:static", "--frames", "10")
         assert code == 2

@@ -1,5 +1,6 @@
 """Wire codec, stream accounting, recordings, scheduling, synthesis, UDP source."""
 
+import hashlib
 import math
 import socket
 import struct
@@ -26,6 +27,7 @@ from teleokin.model import canonical_skeleton
 from teleokin.runtime import LatestFrameSlot
 from teleokin.stream import (
     FRAME_MAGIC,
+    SYNTH_PATTERNS,
     DatagramSource,
     MocapFrame,
     StreamStats,
@@ -716,6 +718,34 @@ class TestSynth:
             synth_motion("moonwalk", rate=100, duration=1)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             synth_motion("static", rate=100, duration=1, seed=-1)
+
+
+# SHA-256 of each frame's seq and timestamp (u32, u64) and float64
+# orientations, over 6 s of frames at 120 Hz with seed 3.  Unlike the
+# golden trace digests, these see ``static`` and every segment, mapped or not.
+SYNTH_SHA256 = {
+    ("static", 0.0): "f53e89b38866414492d3ed9d6bf6f041e6058b9ce72f86a29107eb9ee46907ed",
+    ("static", 0.01): "0b0f5c841ded8ac8391705346097a500b3e1e661ed114c1e6c28fb24cf84e494",
+    ("arm-wave", 0.0): "9c6590e141ba1949654dea510e8f4634c80c39056c8171afd95ac8c633963fd7",
+    ("arm-wave", 0.01): "3ea860326a02a982eecd15b4b0e23259834d10ce5ea38f1b7951572cb36ab802",
+    ("squat", 0.0): "dff907cab069da4f4d81190c65c2e8f575054c5fae13cd37cc445d3c00d192e1",
+    ("squat", 0.01): "ddffdfd77e8ca5744655e0c48ed655ee620ede17586ed20a44ec2b0021c99801",
+    ("walk-cycle", 0.0): "153dcbc1433eeccc365b449565ab9b808b544d01d510450654a2f475626bce95",
+    ("walk-cycle", 0.01): "4b443b253cf746a299ecd9d9702d6c9aba4ecbff2d9fac4b229efde0e478b2ea",
+}
+
+
+@pytest.mark.parametrize("pattern, noise", sorted(SYNTH_SHA256))
+def test_synth_frames_match_pinned_digest(pattern, noise):
+    digest = hashlib.sha256()
+    for f in synth_motion(pattern, rate=120, duration=6.0, noise_std=noise, seed=3):
+        digest.update(struct.pack("<IQ", f.seq, f.timestamp_us))
+        digest.update(f.orientations.astype("<f8").tobytes())
+    assert digest.hexdigest() == SYNTH_SHA256[pattern, noise]
+
+
+def test_every_synth_pattern_is_pinned():
+    assert {pattern for pattern, _ in SYNTH_SHA256} == set(SYNTH_PATTERNS)
 
 
 def send_and_drain(source, slot, *seqs):

@@ -703,6 +703,18 @@ class TestFloatRow:
         assert report.counts["limit"] and report.counts["self-collision"] and report.counts["velocity"]
 
 
+@pytest.mark.parametrize("thresholds", TestFloatRow.THRESHOLDS, ids=["acc-off", "acc-on"])
+def test_a_tuple_of_float32_angles_is_judged_in_float64(thresholds):
+    # Each item is judged as the Python float float(item) gives, as
+    # validate_trace judges it, not in the item's own float32 arithmetic.
+    model = sample_model()
+    rows = np.random.default_rng(4).uniform(-3.5, 3.5, size=(20, len(model))).astype(np.float32)
+    trace = [dataclasses.replace(cmd, angles=tuple(row)) for cmd, row in zip(command_trace(model, rows, 2000), rows)]
+    offline = validate_trace(model, trace, thresholds=thresholds, period_us=2000)
+    assert streamed(model, trace, thresholds=thresholds, period_us=2000).format() == offline.format()
+    assert offline.counts["velocity"] and offline.counts["self-collision"]
+
+
 @pytest.mark.parametrize("make_model", [sample_model, random_tree_model], ids=["sample", "random-tree"])
 def test_the_collision_margin_is_added_at_compare_time(make_model):
     model = make_model()
