@@ -17,9 +17,12 @@ u64, joint count u8, angles float64 each, hold flag u8, CRC-32 u32 over the
 preceding record bytes.
 
 Both use ``stream``'s framing helpers, so their decoders raise the same errors
-as the motion-frame codec.  A truncated final trace record raises.
+as the motion-frame codec, and ``stream.check_record`` measures both by one
+rule: a 25-byte head (30 with a datagram's prefix) ending in the joint
+count, 8 bytes per angle, the 1-byte hold flag, then the CRC-32.
 
-``read_trace`` decodes a trace file whole, like ``stream.read_recording``.
+``read_trace`` decodes a trace file whole through ``stream.scan_records``,
+like ``stream.read_recording``, but a truncated final record raises.
 
 ``LoopMetrics`` times the loop with ``Histogram``s, which keep one count per
 distinct microsecond value, so the dump's memory does not grow with the run.
@@ -34,9 +37,9 @@ import struct
 from dataclasses import dataclass, field
 
 from .clock import WallClock
-from .errors import SinkBackpressure, TruncatedFrame
+from .errors import SinkBackpressure
 from .retarget import JointCommand, Pipeline
-from .stream import CRC_SIZE, append_crc, check_crc, extend_runs, read_magic_file, record_rows, unpack_prefix
+from .stream import CRC_SIZE, append_crc, check_record, read_magic_file, record_rows, scan_records, unpack_prefix
 from .validate import IncrementalValidator
 
 log = logging.getLogger(__name__)
@@ -212,24 +215,6 @@ def encode_command_datagram(cmd: JointCommand) -> bytes:
     return append_crc(_DGRAM_PREFIX.pack(COMMAND_MAGIC, COMMAND_VERSION) + _record_body(cmd))
 
 
-def _record_length(data: bytes, offset: int) -> int:
-    """Bytes of the record at ``offset`` before its CRC; raises TruncatedFrame unless both fit."""
-    head_size = _RECORD_HEAD.size
-    if len(data) - offset < head_size:
-        raise TruncatedFrame("record header truncated")
-    body_len = head_size + data[offset + head_size - 1] * 8 + 1
-    if len(data) - offset < body_len + CRC_SIZE:
-        raise TruncatedFrame(f"record truncated ({len(data) - offset} of {body_len + CRC_SIZE} bytes)")
-    return body_len
-
-
-def _checked_record(data: bytes, offset: int) -> int:
-    """Bytes of the trace record at ``offset``, CRC included, after checking the CRC."""
-    body_len = _record_length(data, offset)
-    check_crc(data, offset, offset + body_len, "command record")
-    return body_len + CRC_SIZE
-
-
 def _commands(data: bytes, offset: int, records: int) -> list[JointCommand]:
     """The ``records`` checked, back-to-back, equally long records from ``offset``.
 
@@ -253,10 +238,7 @@ def _commands(data: bytes, offset: int, records: int) -> list[JointCommand]:
 def decode_command_datagram(data: bytes) -> JointCommand:
     """Parse one CMD1 datagram; every fault raises one of the codec errors."""
     unpack_prefix(_DGRAM_PREFIX, data, COMMAND_MAGIC, COMMAND_VERSION, "command datagram")
-    total = _DGRAM_PREFIX.size + _record_length(data, _DGRAM_PREFIX.size)
-    if len(data) != total + CRC_SIZE:
-        raise TruncatedFrame("datagram length mismatch")
-    check_crc(data, 0, total, "command datagram")
+    check_record(data, 0, _DGRAM_PREFIX.size + _RECORD_HEAD.size, 8, 1, "command datagram", whole=True)
     return _commands(data, _DGRAM_PREFIX.size, 1)[0]
 
 
@@ -270,12 +252,11 @@ def read_trace(path) -> list[JointCommand]:
     all-False tuple the run's commands share.
     """
     data = read_magic_file(path, TRACE_MAGIC, "trace file")
-    runs: list = []
-    offset = len(TRACE_MAGIC)
-    while offset < len(data):
-        length = _checked_record(data, offset)
-        extend_runs(runs, offset, length)
-        offset += length
+    runs, _, fault = scan_records(
+        data, len(TRACE_MAGIC), check_record, _RECORD_HEAD.size, 8, 1, "command record"
+    )
+    if fault is not None:  # a truncated tail too
+        raise fault
     return [cmd for offset, records, _ in runs for cmd in _commands(data, offset, records)]
 
 

@@ -21,10 +21,17 @@ relative to its parent segment, so the calibration pose is all identities.
 A recording file is the 8-byte magic ``MOCREC01`` followed by back-to-back
 encoded frames.
 
-The framing helpers below (CRC trailer, magic + version prefix, magic-checked
-file read, a strided view of equal records' payloads) also frame
-``runtime``'s command datagrams and trace files, so all three formats'
-decoders raise the same errors (see ``errors``).
+The framing helpers below also frame ``runtime``'s command datagrams and
+trace files, so all three formats' decoders raise the same errors (see
+``errors``).  A record of any of the three is a head ending in a u8 item
+count, count items, a tail and a CRC-32 (``record_length``): a frame's head
+is 19 bytes, its items 16 per segment and its tail empty; a trace record's
+head is 25 bytes, a command datagram's 30 (the 5-byte prefix, then a trace
+record's head), their items 8 per angle and their tail the 1-byte hold flag.
+``check_record`` checks a record's length, then its CRC; ``scan_records``
+checks a file's records in order, into runs of equal length.  Both file
+readers share that scan and keep their own tail policy: a recording drops a
+truncated final frame, a trace file raises.
 
 ``read_recording`` decodes a file whole, not frame by frame, in numpy
 passes; ``decode_frame`` decodes its one live frame in plain floats.  The
@@ -63,6 +70,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .geometry import canonicalize_rows, quat_multiply_rows
+from .model import canonical_skeleton
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +101,6 @@ def append_crc(body: bytes) -> bytes:
     return body + _CRC.pack(zlib.crc32(body))
 
 
-def check_crc(data: bytes, start: int, end: int, what: str) -> None:
-    """Raise CrcMismatch unless the u32 at ``end`` is the CRC-32 of ``data[start:end]``."""
-    (crc,) = _CRC.unpack_from(data, end)
-    if crc != zlib.crc32(data[start:end]):
-        raise CrcMismatch(f"{what} checksum mismatch")
-
-
 def unpack_prefix(
     header: struct.Struct, data: bytes, magic: bytes, version: int, what: str, offset: int = 0
 ) -> tuple:
@@ -126,17 +127,54 @@ def read_magic_file(path, magic: bytes, what: str) -> bytes:
     return data
 
 
-def extend_runs(runs: list, offset: int, length: int) -> None:
-    """Add the ``length``-byte record at ``offset`` to ``runs``.
+def record_length(data: bytes, offset: int, head: int, item: int, tail: int) -> int | None:
+    """Bytes in the record at ``offset``: ``head`` bytes ending in a u8 item count, count *
+    ``item`` bytes, ``tail`` bytes and the CRC; None if the head does not fit in ``data``."""
+    if len(data) - offset < head:
+        return None
+    return head + data[offset + head - 1] * item + tail + CRC_SIZE
 
-    ``runs`` lists ``[offset, records, length]`` for each stretch of
-    back-to-back records of equal length, whose fields one ``record_rows``
-    view can read without per-record bookkeeping.
+
+def check_record(data: bytes, offset: int, head: int, item: int, tail: int, what: str, whole: bool = False) -> int:
+    """Bytes in the record at ``offset`` (see ``record_length``), after checking its length and CRC.
+
+    A ``whole`` record must end where ``data`` does, any other must fit in
+    it; if not, raises TruncatedFrame before the CRC is read, then
+    CrcMismatch unless the u32 after the record is the CRC-32 of its bytes.
     """
-    if runs and runs[-1][2] == length:
-        runs[-1][1] += 1
-    else:
-        runs.append([offset, 1, length])
+    have = len(data) - offset
+    length = record_length(data, offset, head, item, tail)
+    if length is None:
+        raise TruncatedFrame(f"{what} has {have} bytes, fewer than its {head}-byte head")
+    if have < length or whole and have != length:
+        raise TruncatedFrame(f"{what} has {have} bytes, its head declares {length}")
+    end = offset + length - CRC_SIZE
+    if _CRC.unpack_from(data, end)[0] != zlib.crc32(data[offset:end]):
+        raise CrcMismatch(f"{what} checksum mismatch")
+    return length
+
+
+def scan_records(data: bytes, offset: int, check, *args) -> tuple[list, int, TeleokinError | None]:
+    """Check the records from ``offset`` to the end of ``data`` in order.
+
+    ``check(data, at, *args)`` checks the record at ``at`` and returns its
+    length.  Returns the runs, ``[offset, records, length]`` for each stretch
+    of back-to-back records of equal length (one ``record_rows`` view reads
+    a run's fields without per-record bookkeeping); the offset where the
+    scan stopped; and the error ``check`` raised there, or None at the end.
+    """
+    runs: list = []
+    while offset < len(data):
+        try:
+            length = check(data, offset, *args)
+        except TeleokinError as exc:
+            return runs, offset, exc
+        if runs and runs[-1][2] == length:
+            runs[-1][1] += 1
+        else:
+            runs.append([offset, 1, length])
+        offset += length
+    return runs, offset, None
 
 
 def record_rows(data: bytes, offset: int, rows: int, stride: int, start: int, stop: int, dtype: str) -> np.ndarray:
@@ -184,19 +222,10 @@ def encode_frame(frame: MocapFrame) -> bytes:
     return append_crc(header + quats.tobytes())
 
 
-def _frame_head(data: bytes, offset: int, length: int) -> tuple[int, int, int]:
-    """``(seq, timestamp_us, segment count)`` of the ``length``-byte frame at ``offset``.
-
-    Checks the magic, version, length and CRC, in that order.
-    """
-    _flags, seq, timestamp_us, count = unpack_prefix(
-        _HEADER, data, FRAME_MAGIC, PROTOCOL_VERSION, "frame", offset
-    )
-    expected = HEADER_SIZE + count * _SEGMENT_SIZE + CRC_SIZE
-    if length != expected:
-        raise TruncatedFrame(f"expected {expected} bytes for {count} segments, got {length}")
-    check_crc(data, offset, offset + expected - CRC_SIZE, "frame")
-    return seq, timestamp_us, count
+def _frame_length(data: bytes, offset: int = 0, whole: bool = False) -> int:
+    """Bytes in the frame at ``offset``; checks the magic, version, length and CRC, in that order."""
+    unpack_prefix(_HEADER, data, FRAME_MAGIC, PROTOCOL_VERSION, "frame", offset)
+    return check_record(data, offset, HEADER_SIZE, _SEGMENT_SIZE, 0, "frame", whole)
 
 
 def _unit_quats(wire: np.ndarray) -> np.ndarray:
@@ -232,7 +261,8 @@ def decode_frame(data: bytes) -> MocapFrame:
     runs cold.  ``_unit_quats``'s rule is written out per segment, so this
     gives ``read_recording``'s bits.
     """
-    seq, timestamp_us, count = _frame_head(data, 0, len(data))
+    _frame_length(data, whole=True)
+    _magic, _version, _flags, seq, timestamp_us, count = _HEADER.unpack_from(data)
     values = iter(struct.unpack_from(f"<{4 * count}f", data, HEADER_SIZE))
     rows = []
     for segment, (w, x, y, z) in enumerate(zip(values, values, values, values)):
@@ -390,35 +420,21 @@ def read_recording(path) -> list[MocapFrame]:
     A short tail whose magic or version bytes are wrong is a corrupt frame,
     not a truncated one, and raises BadMagic or UnsupportedVersion.
 
-    Each frame's framing and CRC are checked in file order; then the frames
-    of each run of equal segment counts are decoded together by
+    ``scan_records`` checks each frame's framing and CRC in file order; then
+    the frames of each run of equal segment counts are decoded together by
     ``_unit_quats``, up to ``_DECODE_ROWS`` per numpy pass, and every
     frame's ``orientations`` is a row view of its pass's block.  A file
     with several faults raises the first faulty frame's error, as decoding
     frame by frame would.
     """
     data = read_magic_file(path, RECORDING_MAGIC, "recording")
-    runs: list = []
-    fault = None  # the framing error that stopped the scan
+    runs, end, fault = scan_records(data, len(RECORDING_MAGIC), _frame_length)
     dropped = None  # the truncated tail's warning
-    offset = len(RECORDING_MAGIC)
-    while offset < len(data):
-        remaining = len(data) - offset
-        frame_len = None
-        if remaining >= HEADER_SIZE:
-            frame_len = HEADER_SIZE + data[offset + HEADER_SIZE - 1] * _SEGMENT_SIZE + CRC_SIZE
-        if frame_len is None or remaining < frame_len:
-            fault = _tail_fault(data, offset)  # a corrupt tail is no truncated frame
-            size = f"{remaining} trailing bytes" if frame_len is None else f"{remaining} of {frame_len} bytes"
-            dropped = f"dropping truncated final frame ({size})"
-            break
-        try:
-            _frame_head(data, offset, frame_len)
-        except TeleokinError as exc:
-            fault = exc
-            break
-        extend_runs(runs, offset, frame_len)
-        offset += frame_len
+    if isinstance(fault, TruncatedFrame):  # a frame runs past the end: a truncated tail
+        fault = _tail_fault(data, end)  # a corrupt tail is no truncated frame
+        remaining, frame_len = len(data) - end, record_length(data, end, HEADER_SIZE, _SEGMENT_SIZE, 0)
+        size = f"{remaining} trailing bytes" if frame_len is None else f"{remaining} of {frame_len} bytes"
+        dropped = f"dropping truncated final frame ({size})"
     frames = []
     for offset, count_frames, stride in runs:
         wire = record_rows(data, offset, count_frames, stride, HEADER_SIZE, stride - CRC_SIZE, "<f4")
@@ -541,8 +557,6 @@ def synth_motion(
     frame sequences.  The arguments are checked at the call; each frame is
     made, and its noise drawn, when the returned iterator is advanced.
     """
-    from .model import canonical_skeleton  # local import to avoid cycles
-
     if not (rate > 0):
         raise ValueError("rate must be positive")
     if not (duration > 0):
