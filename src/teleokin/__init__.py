@@ -5,7 +5,8 @@ Submodules:
 
 - ``geometry``  quaternion algebra, swing-twist and Euler decompositions
 - ``model``     robot / skeleton / map configs and forward kinematics
-- ``stream``    motion-frame wire codec, recordings, synthesis, UDP source
+- ``wire``      motion frames, joint commands and their three wire formats
+- ``stream``    frame sources: scheduled playback, synthesis, UDP
 - ``retarget``  the per-frame map -> smooth -> clamp pipeline
 - ``runtime``   fixed-rate loop, latest-frame slot, sinks, metrics
 - ``validate``  limit / continuity / self-collision audit of command traces
@@ -37,7 +38,6 @@ from .model import (
 )
 from .retarget import (
     FilterState,
-    JointCommand,
     Pipeline,
     enforce_limits,
     map_frame,
@@ -49,23 +49,26 @@ from .runtime import (
     MultiSink,
     NullSink,
     datagram_sink,
-    read_trace,
     run_loop,
     trace_sink,
     validator_sink,
 )
 from .stream import (
     DatagramSource,
-    MocapFrame,
     StreamStats,
+    schedule,
+    synth_motion,
+)
+from .validate import Thresholds, ValidationReport, validate_trace
+from .wire import (
+    JointCommand,
+    MocapFrame,
     decode_frame,
     encode_frame,
     identity_frame,
     read_recording,
-    schedule,
-    synth_motion,
+    read_trace,
     write_recording,
 )
-from .validate import Thresholds, ValidationReport, validate_trace
 
 __version__ = "0.1.0"

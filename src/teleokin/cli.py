@@ -35,7 +35,6 @@ from .runtime import (
     NullSink,
     datagram_sink,
     loop_period_us,
-    read_trace,
     run_loop,
     trace_sink,
     validator_sink,
@@ -43,12 +42,11 @@ from .runtime import (
 from .stream import (
     SYNTH_PATTERNS,
     DatagramSource,
-    read_recording,
     schedule,
     synth_motion,
-    write_recording,
 )
 from .validate import Thresholds, validate_trace
+from .wire import read_recording, read_trace, write_recording
 
 log = logging.getLogger(__name__)
 

@@ -70,16 +70,17 @@ def _quat_mul(a: tuple, b: tuple) -> tuple:
 
 def _quat_rotate(q: tuple, v: tuple) -> tuple:
     # The 3-vector v rotated by the unit quadruple q:
-    # v' = v + w*t + q_vec x t  with  t = 2 * (q_vec x v).
+    # v' = v + w*t + q_vec x t  with  t = 2 * (q_vec x v), summed in quat_rotate_rows'
+    # order, so the row FK gives the batch FK's bits.
     w, x, y, z = q
     vx, vy, vz = v
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
     return (
-        vx + w * tx + y * tz - z * ty,
-        vy + w * ty + z * tx - x * tz,
-        vz + w * tz + x * ty - y * tx,
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
     )
 
 

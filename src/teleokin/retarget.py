@@ -11,7 +11,8 @@ the filter state as it was.
 The three stages run on the Python floats the compiled map builds, and the
 command carries them as tuples: no array is built per step.  The smoothing
 rule and the soft clamp each live once, as float kernels; the public
-``smooth`` and ``enforce_limits`` are array wrappers around them.
+``smooth`` and ``enforce_limits`` are array wrappers around them.  The
+frame and command records are ``wire``'s.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteAngle
 from .geometry import _euler_angles, _twist_angle, euler_decompose
 from .model import HumanSkeleton, RetargetMap, RobotModel
-from .stream import MocapFrame
+from .wire import JointCommand, MocapFrame
 
 @dataclass
 class FilterState:
@@ -50,28 +51,6 @@ class FilterState:
         if not isinstance(tau, numbers.Real) or not 0 <= tau < math.inf:
             raise ValueError(f"tau must be one finite number >= 0, got {tau!r}")
         return cls(previous=[0.0] * joint_count, tau=float(tau))
-
-
-@dataclass(eq=False)
-class JointCommand:
-    """One synchronized vector of target angles, traceable to one frame.
-
-    ``seq`` is the emission sequence number assigned by the control loop;
-    ``hold`` marks commands that repeat the previous posture because no
-    fresh frame was available.  ``angles`` is a tuple of floats from the
-    loop, a float64 row from ``read_trace`` and ``decode_command_datagram``.
-    ``clamped``, a tuple of bools, flags the joints the soft clamp changed
-    (all False once decoded: flags are not on the wire); only perfbench's
-    traced step span reads it.
-    """
-
-    seq: int
-    source_seq: int
-    source_timestamp_us: int
-    emission_timestamp_us: int
-    angles: tuple
-    clamped: tuple
-    hold: bool = False
 
 
 @dataclass
@@ -221,6 +200,8 @@ class Pipeline:
             raise DimensionMismatch("model does not match the one the map was loaded against")
         if self.filter_state is None:
             self.filter_state = FilterState.create(len(self.model))
+        elif len(self.filter_state.previous) != len(self.model):
+            raise DimensionMismatch(f"filter has {len(self.filter_state.previous)} joints, model has {len(self.model)}")
 
     def step(self, frame: MocapFrame, dt: float, clock) -> tuple[JointCommand, RetargetDiagnostics]:
         """map_frame -> smooth -> enforce_limits, once, on one frame.

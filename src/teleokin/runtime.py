@@ -5,24 +5,8 @@ and a write replaces whatever is there.  Each cycle consumes the newest
 frame if one arrived and emits exactly one command — a fresh one, or a hold
 command repeating the last posture when the source went quiet.
 
-Command wire formats (all integers little-endian):
-
-- datagram: magic ``43 4D 44 31`` ("CMD1"), version u8=1, then the record
-  fields, with CRC-32 over all preceding bytes.
-- trace file: 8-byte magic ``CMDTRC01`` followed by back-to-back records
-  (no per-record magic/version).
-
-record := seq u32, source seq u32, source timestamp u64, emission timestamp
-u64, joint count u8, angles float64 each, hold flag u8, CRC-32 u32 over the
-preceding record bytes.
-
-Both use ``stream``'s framing helpers, so their decoders raise the same errors
-as the motion-frame codec, and ``stream.check_record`` measures both by one
-rule: a 25-byte head (30 with a datagram's prefix) ending in the joint
-count, 8 bytes per angle, the 1-byte hold flag, then the CRC-32.
-
-``read_trace`` decodes a trace file whole through ``stream.scan_records``,
-like ``stream.read_recording``, but a truncated final record raises.
+The sinks write ``wire``'s command formats (a trace file, or one datagram
+per command) or audit the commands as they stream (``validator_sink``).
 
 ``LoopMetrics`` times the loop with ``Histogram``s, which keep one count per
 distinct microsecond value, so the dump's memory does not grow with the run.
@@ -30,26 +14,17 @@ distinct microsecond value, so the dump's memory does not grow with the run.
 
 from __future__ import annotations
 
-import functools
 import logging
 import socket
-import struct
 from dataclasses import dataclass, field
 
 from .clock import WallClock
 from .errors import SinkBackpressure
-from .retarget import JointCommand, Pipeline
-from .stream import CRC_SIZE, append_crc, check_record, read_magic_file, record_rows, scan_records, unpack_prefix
+from .retarget import Pipeline
 from .validate import IncrementalValidator
+from .wire import TRACE_MAGIC, JointCommand, encode_command_datagram, encode_command_record
 
 log = logging.getLogger(__name__)
-
-TRACE_MAGIC = b"CMDTRC01"
-COMMAND_MAGIC = b"CMD1"
-COMMAND_VERSION = 1
-
-_DGRAM_PREFIX = struct.Struct("<4sB")
-_RECORD_HEAD = struct.Struct("<IIQQB")  # seq, source seq, source ts, emission ts, joint count
 
 
 # ---------------------------------------------------------------------------
@@ -185,79 +160,6 @@ class LoopMetrics:
             lines.append(f"{name}_max={hist.maximum()}")
             lines.extend(f"{name}_lt_{upper}us={count}" for upper, count in hist.bucket_counts().items())
         return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Command record codec
-
-
-@functools.lru_cache(maxsize=256)  # one per joint count the u8 field can hold
-def _record_struct(count: int) -> struct.Struct:
-    return struct.Struct(f"{_RECORD_HEAD.format}{count}d?")  # "?" packs the hold flag's truth as 1 or 0
-
-
-def _record_body(cmd: JointCommand) -> bytes:
-    """The record's fields before its CRC, in one pack; 256 joints or more raise struct.error."""
-    count = len(cmd.angles)
-    return _record_struct(count).pack(
-        cmd.seq & 0xFFFFFFFF, cmd.source_seq & 0xFFFFFFFF, cmd.source_timestamp_us, cmd.emission_timestamp_us,
-        count, *cmd.angles, cmd.hold,
-    )
-
-
-def encode_command_record(cmd: JointCommand) -> bytes:
-    """Trace-file record: fields + CRC, no magic/version."""
-    return append_crc(_record_body(cmd))
-
-
-def encode_command_datagram(cmd: JointCommand) -> bytes:
-    """Datagram: CMD1 magic + version + fields + CRC over everything before it."""
-    return append_crc(_DGRAM_PREFIX.pack(COMMAND_MAGIC, COMMAND_VERSION) + _record_body(cmd))
-
-
-def _commands(data: bytes, offset: int, records: int) -> list[JointCommand]:
-    """The ``records`` checked, back-to-back, equally long records from ``offset``.
-
-    Their angles are converted in one go, and every command holds a row of
-    them; all share one all-False ``clamped`` tuple (flags are not on the
-    wire).
-    """
-    head = _RECORD_HEAD.size
-    count = data[offset + head - 1]
-    stride = head + count * 8 + 1 + CRC_SIZE
-    angles = record_rows(data, offset, records, stride, head, head + count * 8, "<f8").astype(float)
-    unclamped = (False,) * count
-    commands = []
-    for at, row in zip(range(offset, len(data), stride), angles):
-        seq, source_seq, source_ts, emission_ts, _ = _RECORD_HEAD.unpack_from(data, at)
-        hold = data[at + stride - CRC_SIZE - 1] != 0  # the hold byte ends the body
-        commands.append(JointCommand(seq, source_seq, source_ts, emission_ts, row, unclamped, hold))
-    return commands
-
-
-def decode_command_datagram(data: bytes) -> JointCommand:
-    """Parse one CMD1 datagram; every fault raises one of the codec errors."""
-    unpack_prefix(_DGRAM_PREFIX, data, COMMAND_MAGIC, COMMAND_VERSION, "command datagram")
-    check_record(data, 0, _DGRAM_PREFIX.size + _RECORD_HEAD.size, 8, 1, "command datagram", whole=True)
-    return _commands(data, _DGRAM_PREFIX.size, 1)[0]
-
-
-def read_trace(path) -> list[JointCommand]:
-    """Read a CMDTRC01 file back into commands (clamp flags come back False).
-
-    Every record's head and CRC are checked, in file order, before any angle
-    is converted; the first faulty record raises.  Each command's ``angles``
-    is a float64 row of one block per run of equal joint counts, which
-    ``validate_trace`` stacks faster than tuples; its ``clamped`` is one
-    all-False tuple the run's commands share.
-    """
-    data = read_magic_file(path, TRACE_MAGIC, "trace file")
-    runs, _, fault = scan_records(
-        data, len(TRACE_MAGIC), check_record, _RECORD_HEAD.size, 8, 1, "command record"
-    )
-    if fault is not None:  # a truncated tail too
-        raise fault
-    return [cmd for offset, records, _ in runs for cmd in _commands(data, offset, records)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,20 @@ The offline checker, ``validate_trace``, runs each check over the whole
 trace in numpy: a limit mask, ``np.diff`` for the rates, and the batch FK
 with numpy sphere distances in blocks for self-collision.  The streaming
 validator judges one command per call in plain floats, so it fits in a
-500 Hz control loop: the row's limits against the model's float bounds,
-its self-collision on the plain-float row FK, and its rates against the
-last two rows kept as float lists, with ``np.diff``'s IEEE arithmetic.
-``validate_trace`` is its oracle: both report the same violations, bit for
-bit, in the same order.  Both FKs live in ``model`` and read the chain,
-sphere and pair tables the model compiles once at load; this module adds
-the collision margin to each pair's radius sum, once per validator and per
-``validate_trace`` call, and writes nothing on the model.  A 500 Hz loop
-fed at 100-120 Hz repeats most commands as holds, so the streaming
-validator keeps the last row's own violations, and a row bit-identical to
-it gets them back stamped with its cycle; it skips each rate whose rows are
-all bit-identical, which could not fire.
+500 Hz control loop: the row's limits against the model's float bounds, its
+self-collision on the plain-float row FK, which gives the batch FK's bits
+(see ``forward_kinematics_row``), each pair near its limit measured by the
+batch arithmetic, and its rates against the last two rows kept as float
+lists, with ``np.diff``'s IEEE arithmetic.  ``validate_trace`` is its
+oracle: both report the same violations, bit for bit, in the same order.
+Both FKs live in ``model`` and read the chain, sphere and pair tables the
+model compiles once at load; this module adds the collision margin to each
+pair's radius sum, once per validator and per ``validate_trace`` call, and
+writes nothing on the model.  A 500 Hz loop fed at 100-120 Hz repeats most
+commands as holds, so the streaming validator keeps the last row's own
+violations, and a row bit-identical to it gets them back stamped with its
+cycle; it skips each rate whose rows are all bit-identical, which could not
+fire.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyTrace
 from .geometry import _quat_rotate, quat_rotate_rows
 from .model import RobotModel, forward_kinematics_batch, forward_kinematics_row
-from .retarget import JointCommand
+from .wire import JointCommand
 
 KINDS = ("limit", "velocity", "acceleration", "self-collision")
 
@@ -145,17 +147,27 @@ def _collisions(model: RobotModel, limits: list[float], angles: np.ndarray) -> l
 
 def _row_collisions(model: RobotModel, limits: list[float], row: list) -> list[Violation]:
     """Self-collision violations of one row of finite or NaN floats, as cycle 0:
-    the plain-float row FK, sphere centres and pair distances."""
+    the plain-float row FK, sphere centres and pair distances.
+
+    ``math.dist`` screens the pairs; one under its limit, or less than a
+    relative 1e-12 above it, is measured again as ``_collisions`` measures
+    it, so both validators judge one distance.
+    """
     poses = forward_kinematics_row(model, row)
     centers = []
     for link, center in model.sphere_centers:
         (px, py, pz), q = poses[link]
         dx, dy, dz = _quat_rotate(q, center)
         centers.append((px + dx, py + dy, pz + dz))
-    pairs = model.sphere_pairs
-    dist = [math.dist(centers[a], centers[b]) for a, b, _, _ in pairs]
-    hits = zip(pairs, dist, limits)
-    return [Violation("self-collision", 0, pair, d, limit) for (_, _, pair, _), d, limit in hits if d < limit]
+    found = []
+    for (a, b, pair, _), limit in zip(model.sphere_pairs, limits):
+        if math.dist(centers[a], centers[b]) < limit * (1 + 1e-12):
+            (ax, ay, az), (bx, by, bz) = centers[a], centers[b]
+            dx, dy, dz = ax - bx, ay - by, az - bz
+            d = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            if d < limit:
+                found.append(Violation("self-collision", 0, pair, d, limit))
+    return found
 
 
 def _pose_violations(model: RobotModel, limits: list[float], angles: np.ndarray) -> list[Violation]:

@@ -40,22 +40,19 @@ from teleokin.runtime import (
     MultiSink,
     NullSink,
     datagram_sink,
-    decode_command_datagram,
-    read_trace,
     run_loop,
     trace_sink,
 )
-from teleokin.stream import (
-    DatagramSource,
+from teleokin.stream import DatagramSource, StreamStats, schedule, synth_motion
+from teleokin.validate import Thresholds, collision_pairs, validate_trace
+from teleokin.wire import (
     MocapFrame,
-    StreamStats,
+    decode_command_datagram,
     decode_frame,
     encode_frame,
     identity_frame,
-    schedule,
-    synth_motion,
+    read_trace,
 )
-from teleokin.validate import Thresholds, collision_pairs, validate_trace
 
 from test_model import oracle_fk
 from test_retarget import _measured_phase_lag
@@ -327,7 +324,7 @@ def test_criterion_7d_collision_brute_force():
         by_ref[(s.link, idx)] = s
     rng = np.random.default_rng(73)
     rows = rng.uniform(model.soft_lower, model.soft_upper, size=(1000, len(model)))
-    from teleokin.retarget import JointCommand
+    from teleokin.wire import JointCommand
 
     trace = [
         JointCommand(i, i, i * 10_000, i * 10_000, rows[i], np.zeros(len(model), dtype=bool))

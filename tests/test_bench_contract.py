@@ -5,7 +5,8 @@ exits 0 with every check correct and no failed operation on the last line.
 A change that breaks an entry point the child calls (``Pipeline``,
 ``pipeline.step``, the loader, ``run_loop``, the sinks) fails here.
 The traced cases also check that the batch FK's span times something;
-traced live-udp also runs the loop's wait through perfbench's span wrapper.
+traced live-udp also runs the loop's wait through perfbench's span wrapper,
+and checks that the live decode's span times something.
 The live-udp cases run on the wall clock over loopback UDP, so they check
 only perfbench's correctness verdict (``correct``, ``failed == 0``), never
 a timing.
@@ -37,3 +38,7 @@ def test_workload_runs_correct_with_no_failures(workload, trace):
         # The span wraps the batch FK at ``validate.forward_kinematics_batch``;
         # a call that bypasses that global would read 0 here.
         assert last["metrics"]["model.fk_batch_us_per_command"]["value"] > 0, result.stdout[-2000:]
+        if workload == "live-udp":
+            # The span wraps the live decode at ``stream.decode_frame``, the
+            # global ``DatagramSource`` calls; a bypass would read 0 here.
+            assert last["metrics"]["stream.decode_us_p50"]["value"] > 0, result.stdout[-2000:]

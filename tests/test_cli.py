@@ -15,15 +15,9 @@ from teleokin.cli import main
 from teleokin.data import sample_text
 from teleokin.errors import SinkBackpressure
 from teleokin.model import load_robot_model
-from teleokin.retarget import JointCommand
-from teleokin.runtime import LoopMetrics, read_trace, trace_sink
-from teleokin.stream import (
-    DatagramSource,
-    encode_frame,
-    identity_frame,
-    synth_motion,
-    write_recording,
-)
+from teleokin.runtime import LoopMetrics, trace_sink
+from teleokin.stream import DatagramSource, synth_motion
+from teleokin.wire import JointCommand, encode_frame, identity_frame, read_trace, write_recording
 
 
 def run_cli(*argv):

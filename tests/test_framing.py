@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from teleokin.errors import BadMagic, CrcMismatch, DegenerateQuaternion, TruncatedFrame, UnsupportedVersion
-from teleokin.retarget import JointCommand
-from teleokin.runtime import (
+from teleokin.wire import (
+    RECORDING_MAGIC,
     TRACE_MAGIC,
+    JointCommand,
+    MocapFrame,
     decode_command_datagram,
+    decode_frame,
     encode_command_datagram,
     encode_command_record,
+    encode_frame,
+    read_recording,
     read_trace,
 )
-from teleokin.stream import RECORDING_MAGIC, MocapFrame, decode_frame, encode_frame, read_recording
 
 CODEC_ERRORS = (BadMagic, UnsupportedVersion, TruncatedFrame, CrcMismatch, DegenerateQuaternion)
 RUN_COUNTS = [23] * 6 + [5] * 3 + [0] + [23] * 3  # segment or joint counts: four runs

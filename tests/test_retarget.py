@@ -27,7 +27,8 @@ from teleokin.retarget import (
     map_frame,
     smooth,
 )
-from teleokin.stream import MocapFrame, identity_frame, synth_motion
+from teleokin.stream import synth_motion
+from teleokin.wire import MocapFrame, identity_frame
 
 
 def sample_setup():
@@ -535,6 +536,12 @@ class TestRetargetStep:
         two_joints, _, _ = small_setup()
         with pytest.raises(DimensionMismatch, match="model"):
             Pipeline(skel, rmap, two_joints)
+
+    def test_pipeline_rejects_a_filter_of_another_joint_count(self):
+        # Accepted, it would raise at the first step, ending a loop on its first fresh frame.
+        model, skel, rmap = sample_setup()
+        with pytest.raises(DimensionMismatch, match="filter has 5 joints, model has 23"):
+            Pipeline(skel, rmap, model, FilterState.create(5))
 
 
 def test_enforce_limits_takes_one_row():

@@ -27,7 +27,7 @@ from teleokin.errors import (
 )
 from teleokin.geometry import quat_from_axis_angle
 from teleokin.model import load_retarget_map, load_robot_model, load_skeleton
-from teleokin.retarget import FilterState, JointCommand, Pipeline
+from teleokin.retarget import FilterState, Pipeline
 from teleokin.runtime import (
     Histogram,
     LatestFrameSlot,
@@ -35,17 +35,23 @@ from teleokin.runtime import (
     MultiSink,
     NullSink,
     datagram_sink,
-    decode_command_datagram,
-    encode_command_datagram,
-    encode_command_record,
-    read_trace,
     run_loop,
     trace_sink,
     validator_sink,
 )
 from teleokin import stream
-from teleokin.stream import DatagramSource, MocapFrame, encode_frame, identity_frame, schedule, synth_motion
+from teleokin.stream import DatagramSource, schedule, synth_motion
 from teleokin.validate import Thresholds, validate_trace
+from teleokin.wire import (
+    JointCommand,
+    MocapFrame,
+    decode_command_datagram,
+    encode_command_datagram,
+    encode_command_record,
+    encode_frame,
+    identity_frame,
+    read_trace,
+)
 
 
 def sample_pipeline(tau=0.020):

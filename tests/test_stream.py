@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from teleokin import stream
+from teleokin import stream, wire
 from teleokin.clock import VirtualClock, WallClock
 from teleokin.errors import (
     BadMagic,
@@ -25,18 +25,14 @@ from teleokin.errors import (
 from teleokin.geometry import swing_twist
 from teleokin.model import canonical_skeleton
 from teleokin.runtime import LatestFrameSlot
-from teleokin.stream import (
+from teleokin.stream import SYNTH_PATTERNS, DatagramSource, StreamStats, schedule, synth_motion
+from teleokin.wire import (
     FRAME_MAGIC,
-    SYNTH_PATTERNS,
-    DatagramSource,
     MocapFrame,
-    StreamStats,
     decode_frame,
     encode_frame,
     identity_frame,
     read_recording,
-    schedule,
-    synth_motion,
     write_recording,
 )
 
@@ -388,10 +384,10 @@ def wire_frame(rng, seq, count):
 
 def degenerate(encoded: bytes, segment: int = 0) -> bytes:
     """``encoded`` with one segment zeroed and the CRC recomputed."""
-    body = bytearray(encoded[: -stream.CRC_SIZE])
-    start = stream.HEADER_SIZE + 16 * segment
+    body = bytearray(encoded[: -wire.CRC_SIZE])
+    start = wire.HEADER_SIZE + 16 * segment
     body[start : start + 16] = bytes(16)
-    return stream.append_crc(bytes(body))
+    return wire.append_crc(bytes(body))
 
 
 def corrupt(encoded: bytes) -> bytes:
@@ -413,7 +409,7 @@ class TestWholeFileDecode:
     """``read_recording`` decodes runs of frames at once; ``decode_frame`` is its oracle."""
 
     def write(self, path, encoded):
-        path.write_bytes(stream.RECORDING_MAGIC + b"".join(encoded))
+        path.write_bytes(wire.RECORDING_MAGIC + b"".join(encoded))
 
     def test_equals_frame_by_frame_decode(self, tmp_path, caplog):
         rng = np.random.default_rng(31)
@@ -495,7 +491,7 @@ def raw_frame(rows, seq=0) -> bytes:
     """An encoded frame of the float32 ``rows`` exactly as given: no normalisation, no sign fix."""
     quats = np.asarray(rows, dtype="<f4").reshape(-1, 4)
     header = struct.pack("<4sBBIQB", FRAME_MAGIC, 1, 0, seq, 0, len(quats))
-    return stream.append_crc(header + quats.tobytes())
+    return wire.append_crc(header + quats.tobytes())
 
 
 _F32 = np.finfo(np.float32)
@@ -516,7 +512,7 @@ class TestDecodeRule:
     def both(self, tmp_path, encoded):
         """``decode_frame``'s and ``read_recording``'s frame, or the error each raised."""
         path = tmp_path / "one.rec"
-        path.write_bytes(stream.RECORDING_MAGIC + encoded)
+        path.write_bytes(wire.RECORDING_MAGIC + encoded)
         results = []
         for decode in (lambda: decode_frame(encoded), lambda: read_recording(path)[0]):
             try:

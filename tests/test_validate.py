@@ -23,10 +23,11 @@ from teleokin.model import (
     load_skeleton,
 )
 from teleokin import validate
-from teleokin.retarget import FilterState, JointCommand, Pipeline
+from teleokin.retarget import FilterState, Pipeline
 from teleokin.runtime import run_loop, validator_sink
 from teleokin.stream import schedule, synth_motion
 from teleokin.validate import KINDS, Thresholds, collision_pairs, validate_trace
+from teleokin.wire import JointCommand
 
 from test_model import oracle_fk
 
@@ -444,6 +445,30 @@ class TestRowKernel:
             poses = list(zip(positions[:, i], rotations[:, i]))
             self.assert_poses_match(model, forward_kinematics(model, row), poses)
 
+    def test_row_fk_equals_the_batch_fk_bit_for_bit(self, make_model):
+        model = make_model()
+        rows = np.random.default_rng(1).uniform(model.soft_lower, model.soft_upper, size=(500, len(model)))
+        positions, rotations = forward_kinematics_batch(model, rows)
+        differing = 0
+        for i, row in enumerate(rows):
+            for link, (position, rotation) in enumerate(forward_kinematics_row(model, row.tolist())):
+                differing += position != tuple(positions[link, i].tolist())
+                differing += rotation != tuple(rotations[link, i].tolist())
+        assert differing == 0
+
+    @pytest.mark.parametrize("margin", [0.0, 0.05])
+    def test_streamed_violations_equal_the_trace_audits_values_included(self, make_model, margin):
+        # Random in-limit poses collide often; each reported distance and
+        # rate must be the same float on both paths.
+        model = make_model()
+        rows = np.random.default_rng(1).uniform(model.soft_lower, model.soft_upper, size=(400, len(model)))
+        trace = command_trace(model, rows, period_us=2000)
+        thresholds = Thresholds(collision_margin=margin)
+        offline = validate_trace(model, trace, thresholds=thresholds, period_us=2000)
+        online = streamed(model, trace, thresholds=thresholds, period_us=2000)
+        assert offline.counts["self-collision"] > 0
+        assert [dataclasses.astuple(v) for v in online.violations] == [dataclasses.astuple(v) for v in offline.violations]
+
     def test_row_distances_match_the_batch_distances(self, make_model):
         # With every limit infinite, each pair of finite distance is reported
         # with its distance: one row takes the row FK, two rows the batch FK.
@@ -454,7 +479,7 @@ class TestRowKernel:
             batch = validate._collisions(model, limits, np.stack([row, row]))
             two = {v.identifier: v.value for v in batch if v.cycle == 0}
             assert one.keys() == two.keys()
-            np.testing.assert_allclose(list(one.values()), [two[pair] for pair in one], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(list(one.values()), [two[pair] for pair in one])
 
 
 def colliding_row(model):
