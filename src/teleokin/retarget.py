@@ -203,6 +203,12 @@ class Pipeline:
         elif len(self.filter_state.previous) != len(self.model):
             raise DimensionMismatch(f"filter has {len(self.filter_state.previous)} joints, model has {len(self.model)}")
 
+    def _compute(self, frame: MocapFrame, dt: float) -> tuple[list, list, list, float, int]:
+        """map -> smooth -> clamp, committing nothing: the smoothed angles, ``_clamped``'s results, gimbal warnings."""
+        raw, gimbal_warnings = _map_frame(self.rmap, frame)
+        smoothed = _smoothed(self.filter_state, raw, dt)
+        return (smoothed, *_clamped(self.model, smoothed), gimbal_warnings)
+
     def step(self, frame: MocapFrame, dt: float, clock) -> tuple[JointCommand, RetargetDiagnostics]:
         """map_frame -> smooth -> enforce_limits, once, on one frame.
 
@@ -214,11 +220,8 @@ class Pipeline:
         the frame arrives.  A NaN or infinite angle raises NonFiniteAngle
         before the filter state changes.
         """
-        state = self.filter_state
-        raw, gimbal_warnings = _map_frame(self.rmap, frame)
-        smoothed = _smoothed(state, raw, dt)
-        angles, flags, excursion = _clamped(self.model, smoothed)
-        state.previous, state.initialized = smoothed, True
+        smoothed, angles, flags, excursion, gimbal_warnings = self._compute(frame, dt)
+        self.filter_state.previous, self.filter_state.initialized = smoothed, True
         command = JointCommand(
             seq=0,
             source_seq=frame.seq,
@@ -228,3 +231,13 @@ class Pipeline:
             clamped=tuple(flags),
         )
         return command, RetargetDiagnostics(flags.count(True), excursion, gimbal_warnings)
+
+    def rehearse(self, frame: MocapFrame, dt: float) -> None:
+        """Run ``step``'s map, smooth and clamp on ``frame`` and keep nothing, so the next step runs warm.
+
+        The filter state, cached gain included, stays bit for bit as it was,
+        whatever ``dt``.  A frame that has been stepped once cannot make it raise.
+        """
+        gains = self.filter_state._gains
+        self._compute(frame, dt)
+        self.filter_state._gains = gains

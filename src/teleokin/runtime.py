@@ -10,6 +10,13 @@ per command) or audit the commands as they stream (``validator_sink``).
 
 ``LoopMetrics`` times the loop with ``Histogram``s, which keep one count per
 distinct microsecond value, so the dump's memory does not grow with the run.
+
+A fresh frame comes after an idle wait of one or more periods, and code
+that last ran that long ago runs cold: a paced fresh step costs about three
+times a step in a tight loop.  So under a wall clock, after each hold's
+command, the loop rehearses the fresh path on the last fresh frame (the
+source's decode, then map, smooth and clamp) and keeps nothing of it; see
+``run_loop``.
 """
 
 from __future__ import annotations
@@ -46,7 +53,9 @@ class LatestFrameSlot:
     ``poll`` once at each tick, after the wait.  A live source also sets
     ``socket`` to the socket its ``poll`` drains; the loop waits on it and
     calls ``poll`` as soon as it is readable.  A source whose frames run
-    out sets ``ended``; a live source never does.  The loop sets
+    out sets ``ended``; a live source never does.  A live source also sets
+    ``rehearse``, which decodes its last valid datagram again and keeps
+    nothing; the loop calls it only once a frame has come.  The loop sets
     ``segment_count`` to the count its map expects; a live source drops a
     frame of another count as undecodable (None accepts any count).
     """
@@ -56,6 +65,7 @@ class LatestFrameSlot:
         self._arrival_us = 0
         self.poll = None
         self.socket = None
+        self.rehearse = None
         self.ended = False
         self.segment_count = None
         self.written = 0
@@ -138,10 +148,12 @@ class LoopMetrics:
     worst_excursion_rad: float = 0.0  # largest distance beyond a soft bound before clamping
     gimbal_warnings: int = 0
     early_commands: int = 0  # fresh commands sent during the wait, before their tick
+    rehearsals: int = 0  # holds followed by a rehearsal of the fresh path
     compute_us: Histogram = field(default_factory=Histogram)
     fresh_compute_us: Histogram = field(default_factory=Histogram)  # compute_us of fresh cycles
     frame_age_us: Histogram = field(default_factory=Histogram)
     jitter_us: Histogram = field(default_factory=Histogram)
+    rehearse_us: Histogram = field(default_factory=Histogram)
 
     def headroom_ratio(self) -> float:
         """Period over ``fresh_compute_us_p99``; 0.0 when no fresh cycle took measurable time."""
@@ -150,10 +162,10 @@ class LoopMetrics:
 
     def format(self) -> str:
         scalars = ("cycles", "commands", "holds", "frames_written", "frames_consumed", "frames_overwritten",
-                   "clamped_joints", "worst_excursion_rad", "gimbal_warnings", "early_commands")
+                   "clamped_joints", "worst_excursion_rad", "gimbal_warnings", "early_commands", "rehearsals")
         lines = [f"{name}={getattr(self, name)}" for name in scalars]  # str of a float is its repr
         lines.append(f"headroom_ratio={self.headroom_ratio():.2f}")
-        for name in ("compute_us", "fresh_compute_us", "frame_age_us", "jitter_us"):
+        for name in ("compute_us", "fresh_compute_us", "frame_age_us", "jitter_us", "rehearse_us"):
             hist = getattr(self, name)
             lines.append(f"{name}_p50={hist.percentile(50)}")
             lines.append(f"{name}_p99={hist.percentile(99)}")
@@ -250,6 +262,7 @@ class MultiSink:
 
 
 BACKPRESSURE_LIMIT = 8  # consecutive sink calls longer than a period before aborting
+REHEARSAL_BOUND_US = 400  # a rehearsal starts only this long or more before the next spin window
 
 
 def loop_period_us(rate_hz: float) -> int:
@@ -294,6 +307,17 @@ def run_loop(
     never 0, since a window sends one command), so the filter's time
     constant holds whatever the source and loop rates.
 
+    Under a wall clock, a tick that sent a hold then rehearses the fresh
+    path, once a fresh frame has come: the slot's ``rehearse`` (a live
+    source decodes its last valid datagram again), then
+    ``Pipeline.rehearse`` of the last step, its frame at its ``dt``.
+    Nothing of it is kept but ``rehearsals`` and ``rehearse_us``: no
+    command, no filter or stream state.  It is skipped when it would start
+    less than REHEARSAL_BOUND_US before the next tick's spin window, a bound
+    above its live p99 (README, design notes), so only a host stall can
+    carry it into that window.  A virtual clock's wait does not idle, so a
+    rehearsal there would only add work: a virtual run never rehearses.
+
     ``jitter_us`` records every tick's wake-up, a silent one's too.  A
     tick's ``compute_us`` starts after its poll, so it leaves out making a
     scheduled frame and draining the socket; an early command's runs from
@@ -313,6 +337,8 @@ def run_loop(
     defaults = pipeline.rmap.default_angles
     unclamped = (False,) * len(defaults)
     last = JointCommand(0, 0, 0, 0, defaults, unclamped)  # the last fresh command; holds repeat it
+    last_step = None  # the (frame, dt) of the last fresh command
+    warm = isinstance(clk, WallClock)  # only a wall clock's wait idles
     over_period = 0
     last_fresh_cycle = -1
     cycle = 0  # window `cycle` has sent its command once metrics.commands > cycle
@@ -321,13 +347,14 @@ def run_loop(
 
     def send(taken, work_start: int) -> None:
         """Emit cycle ``cycle``'s command: the taken frame's, or a hold without one."""
-        nonlocal last, last_fresh_cycle, over_period
+        nonlocal last, last_step, last_fresh_cycle, over_period
         if taken is not None:
             frame, arrival_us = taken
             # integer us, so equal spans give bit-equal dt
             periods = cycle - last_fresh_cycle if last_fresh_cycle >= 0 else 1
-            command, diag = pipeline.step(frame, periods * period_us / 1e6, clk)
-            last, last_fresh_cycle = command, cycle
+            dt = periods * period_us / 1e6
+            command, diag = pipeline.step(frame, dt, clk)
+            last, last_step, last_fresh_cycle = command, (frame, dt), cycle
             command.seq = cycle  # the step's command is this loop's own
             metrics.clamped_joints += diag.clamped_count
             metrics.worst_excursion_rad = max(metrics.worst_excursion_rad, diag.worst_excursion)
@@ -352,6 +379,17 @@ def run_loop(
                 f"sink exceeded the {period_us} us period for {over_period} consecutive cycles",
                 metrics=metrics,
             )
+
+    def rehearse(spin_us: int) -> None:
+        """After a hold: the fresh path on the last fresh step, if it ends before ``spin_us``."""
+        began = clk.now_us()
+        if last_step is None or began + REHEARSAL_BOUND_US > spin_us:
+            return
+        if slot.rehearse is not None:
+            slot.rehearse()
+        pipeline.rehearse(*last_step)
+        metrics.rehearsals += 1
+        metrics.rehearse_us.record(clk.now_us() - began)
 
     def arrived():
         woke = clk.now_us()
@@ -378,7 +416,10 @@ def run_loop(
                 break  # source end; an explicit budget keeps the loop holding instead
             metrics.jitter_us.record(abs(now - target_us))
             if metrics.commands == cycle:
-                send(slot.take(), clk.now_us())
+                taken = slot.take()
+                send(taken, clk.now_us())
+                if taken is None and warm:
+                    rehearse(start_us + (cycle + 1) * period_us - clk.SPIN_WINDOW_US)
             cycle += 1
     finally:
         source.stop()

@@ -82,6 +82,7 @@ clamped_joints=0
 worst_excursion_rad=0.0
 gimbal_warnings=0
 early_commands=0
+rehearsals=0
 headroom_ratio=0.00
 compute_us_p50=0
 compute_us_p99=0
@@ -99,6 +100,9 @@ jitter_us_p50=0
 jitter_us_p99=0
 jitter_us_max=0
 jitter_us_lt_1us=1000
+rehearse_us_p50=0
+rehearse_us_p99=0
+rehearse_us_max=0
 # kinematic trace audit
 # cycles=1000 period_us=2000
 # velocity threshold: per-joint vmax from the robot model
@@ -118,6 +122,7 @@ clamped_joints=0
 worst_excursion_rad=0.0
 gimbal_warnings=0
 early_commands=0
+rehearsals=0
 headroom_ratio=0.00
 compute_us_p50=0
 compute_us_p99=0
@@ -135,6 +140,9 @@ jitter_us_p50=0
 jitter_us_p99=0
 jitter_us_max=0
 jitter_us_lt_1us=996
+rehearse_us_p50=0
+rehearse_us_p99=0
+rehearse_us_max=0
 # kinematic trace audit
 # cycles=996 period_us=2000
 # velocity threshold: per-joint vmax from the robot model

@@ -519,6 +519,28 @@ class TestRetargetStep:
             Pipeline(skel, rmap, model, state).step(identity_frame(2), 0.002, VirtualClock())
         assert not state.initialized and state.previous == [0.0, 0.0]
 
+    @pytest.mark.parametrize("rehearsed_dt", [0.008, 0.004], ids=["cached-dt", "other-dt"])
+    def test_rehearse_leaves_the_filter_bit_for_bit(self, rehearsed_dt):
+        # Between two steps at dt 0.008, a rehearsal at that dt (the cached
+        # gain's) or at another; the step after it sends the bytes of a
+        # pipeline that never rehearsed.
+        model, skel, rmap = sample_setup()
+        frames = list(synth_motion("arm-wave", rate=100, duration=0.05, noise_std=0.01, seed=5))
+        rehearsed, plain = (Pipeline(skel, rmap, model, FilterState.create(len(model), tau=0.020)) for _ in range(2))
+        clock = VirtualClock()
+        for pipeline in (rehearsed, plain):
+            for frame in frames[:2]:
+                pipeline.step(frame, 0.008, clock)
+        state = rehearsed.filter_state
+        before = repr((state.previous, state.initialized, state._gains))  # a float's repr is its bits
+        rehearsed.rehearse(frames[1], rehearsed_dt)
+        assert repr((state.previous, state.initialized, state._gains)) == before
+        for frame, dt in ((frames[2], 0.004), (frames[3], 0.010)):
+            got, got_diag = rehearsed.step(frame, dt, clock)
+            expected, expected_diag = plain.step(frame, dt, clock)
+            assert np.array(got.angles).tobytes() == np.array(expected.angles).tobytes()
+            assert got.clamped == expected.clamped and got_diag == expected_diag
+
     def test_pipeline_wrapper(self):
         model, skel, rmap = sample_setup()
         pipeline = Pipeline(skel, rmap, model)

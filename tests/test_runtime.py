@@ -888,6 +888,75 @@ class TestRunLoop:
         assert {c.source_seq for c in sink.commands if not c.hold} <= {0, 2}
         assert metrics.cycles == 50 and metrics.frames_consumed >= 1
 
+    def test_holds_rehearse_the_fresh_path_and_leave_no_trace(self):
+        # A frame lands every 5 windows, and one corrupt datagram after the
+        # third; the holds between them rehearse.  Nothing of a rehearsal
+        # may show: one step per fresh frame, stream counts that are the
+        # datagrams sent, and the commands of a pipeline that never rehearsed.
+        clock = WallClock()
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(40, 100)
+        pipeline = sample_pipeline()
+        steps = _recorded_steps(pipeline)
+        sent = {n: [frames[n]] for n in range(2, 40, 5)}
+        corrupt = bytearray(encode_frame(frames[0]))
+        corrupt[-1] ^= 0xFF
+
+        class SendCorrupt(_SendOnEmit):
+            def emit(self, cmd):
+                super().emit(cmd)
+                if len(self.commands) == 14:
+                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+                        out.sendto(bytes(corrupt), ("127.0.0.1", source.port))
+
+        sink = SendCorrupt(source, clock, sent)
+        metrics = run_loop(source, pipeline, sink, rate_hz=500, max_cycles=45, clock=clock)
+        fresh = [c for c in sink.commands if not c.hold]
+        assert metrics.rehearsals > 0 and len(metrics.rehearse_us) == metrics.rehearsals
+        assert metrics.rehearsals <= metrics.holds
+        dump = dict(line.split("=", 1) for line in metrics.format().splitlines())
+        assert dump["rehearsals"] == str(metrics.rehearsals)
+        assert dump["rehearse_us_max"] == str(metrics.rehearse_us.maximum())
+        assert len(steps) == len(fresh) == metrics.frames_consumed > 0
+        counters = source.counters()
+        assert counters["stream_received"] == metrics.frames_written == len(sent)
+        assert counters["stream_decode_errors"] == counters["stream_decode_errors_CrcMismatch"] == 1
+        assert metrics.frames_written == metrics.frames_consumed + metrics.frames_overwritten
+        reference = sample_pipeline()
+        for (frame, dt), command in zip(steps, fresh):
+            expected, _ = reference.step(frame, dt, VirtualClock())
+            assert np.asarray(command.angles).tobytes() == np.asarray(expected.angles).tobytes()
+
+    def test_a_rehearsal_that_could_reach_the_next_spin_window_is_skipped(self):
+        # Each command takes the sink 3.4 ms of a 4 ms period, so a hold's
+        # command ends past the point from which a rehearsal could run into
+        # the next tick's spin window.
+        clock = WallClock()
+        source = DatagramSource(port=0)
+        frames = frames_at_rate(10, 100)
+
+        class Slow(_SendOnEmit):
+            def emit(self, cmd):
+                super().emit(cmd)
+                time.sleep(0.0034)
+
+        sink = Slow(source, clock, {2: [frames[1]], 6: [frames[5]]})
+        metrics = run_loop(source, sample_pipeline(), sink, rate_hz=250, max_cycles=12, clock=clock)
+        assert metrics.frames_consumed == 2 and metrics.holds > 0
+        assert metrics.rehearsals == 0 and len(metrics.rehearse_us) == 0
+
+    def test_a_virtual_clock_run_never_rehearses(self):
+        pipeline = sample_pipeline()
+
+        def no_rehearsal(frame, dt):
+            raise AssertionError("rehearsed under the virtual clock")
+
+        pipeline.rehearse = no_rehearsal
+        source = schedule(synth_motion("arm-wave", rate=100, duration=0.5))
+        metrics = run_loop(source, pipeline, NullSink(), rate_hz=500, clock=VirtualClock())
+        assert metrics.holds > 0 and metrics.frames_consumed == 50
+        assert metrics.rehearsals == 0 and len(metrics.rehearse_us) == 0
+
     def test_metrics_dump_format(self):
         pipeline = sample_pipeline()
         frames = frames_at_rate(50, 100)

@@ -379,11 +379,7 @@ def assert_streaming_equals_offline(rows, thresholds, period_us):
     ]
     for a, b in zip(online.violations, offline.violations):
         assert a.threshold == b.threshold
-        if a.kind == "self-collision":
-            # one streamed row takes the plain-float row FK, a trace the batch FK
-            assert a.value == pytest.approx(b.value, rel=0, abs=1e-9)
-        else:
-            assert a.value == b.value
+        assert a.value == b.value
     return offline
 
 
