@@ -39,12 +39,7 @@ from .runtime import (
     trace_sink,
     validator_sink,
 )
-from .stream import (
-    SYNTH_PATTERNS,
-    DatagramSource,
-    schedule,
-    synth_motion,
-)
+from .stream import SYNTH_PATTERNS, DatagramSource, schedule, synth_motion
 from .validate import Thresholds, validate_trace
 from .wire import read_recording, read_trace, write_recording
 

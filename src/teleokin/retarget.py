@@ -17,6 +17,7 @@ frame and command records are ``wire``'s.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -36,15 +37,13 @@ class FilterState:
     first smoothed frame passes through unchanged, so there is no startup
     transient from an arbitrary initial state.  ``previous``, the last
     output, is a list of floats; a step commits it only once the clamp has
-    accepted the step's angles.  The gain for the last ``dt`` is kept (one
-    entry, so memory is bounded however many distinct steps a run sees).
+    accepted the step's angles.  That commit is the only write: the
+    smoothing rule reads the state and keeps nothing in it.
     """
 
     previous: list
     tau: float
     initialized: bool = False
-    # (dt, alpha, 1 - alpha) for the last dt the smoothing rule saw
-    _gains: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, joint_count: int, tau: float = 0.020) -> "FilterState":
@@ -95,24 +94,26 @@ def map_frame(rmap: RetargetMap, frame: MocapFrame) -> np.ndarray:
     return np.array(_map_frame(rmap, frame)[0])
 
 
+@functools.lru_cache(maxsize=16)  # a loop's dt is a few whole periods, so a few entries serve a run
+def _weights(dt: float, tau: float) -> tuple[float, float]:
+    """``(alpha, 1 - alpha)`` for a step of ``dt``; numpy's exp, as math.exp can differ in the last bit."""
+    alpha = float(1.0 - np.exp(-dt / tau)) if tau > 0 else 1.0
+    return alpha, 1.0 - alpha
+
+
 def _smoothed(state: FilterState, raw: list, dt: float) -> list:
     """The smoothing rule on floats: the filter's next output for ``raw``.
 
-    ``alpha * x + (1 - alpha) * previous`` per joint, with ``alpha`` of
-    ``dt`` computed once per distinct ``dt``.  The caller stores the output
-    in ``state`` once it has been accepted.
+    ``alpha * x + (1 - alpha) * previous`` per joint, with the gains of
+    ``dt`` from a small memo.  It reads ``state`` and writes nothing; the
+    caller stores the output there once it has been accepted.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if len(raw) != len(state.previous):
         raise DimensionMismatch(f"expected {len(state.previous)} angles, got shape ({len(raw)},)")
     if state.initialized:
-        cached_dt, alpha, keep = state._gains
-        if cached_dt != dt:
-            # numpy's exp, not math.exp: the two can differ in the last bit
-            alpha = float(1.0 - np.exp(-dt / state.tau)) if state.tau > 0 else 1.0
-            keep = 1.0 - alpha
-            state._gains = (dt, alpha, keep)
+        alpha, keep = _weights(dt, state.tau)
         return [alpha * x + keep * p for x, p in zip(raw, state.previous)]
     return list(raw)
 
@@ -235,9 +236,7 @@ class Pipeline:
     def rehearse(self, frame: MocapFrame, dt: float) -> None:
         """Run ``step``'s map, smooth and clamp on ``frame`` and keep nothing, so the next step runs warm.
 
-        The filter state, cached gain included, stays bit for bit as it was,
-        whatever ``dt``.  A frame that has been stepped once cannot make it raise.
+        The compute writes no state, so the filter stays as it was.  A
+        frame that has been stepped once cannot make it raise.
         """
-        gains = self.filter_state._gains
         self._compute(frame, dt)
-        self.filter_state._gains = gains

@@ -202,9 +202,7 @@ class TraceSink:
         self.count += 1
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        self._fh.close()  # closes the file even when its flush raises; a second close does nothing
 
 
 trace_sink = TraceSink
@@ -243,7 +241,7 @@ validator_sink = IncrementalValidator
 
 
 class MultiSink:
-    """Fans one command stream out to several sinks, in order."""
+    """Fans one command stream out to several sinks, in order; ``close`` closes each, then raises the first error."""
 
     def __init__(self, sinks):
         self.sinks = list(sinks)
@@ -253,8 +251,14 @@ class MultiSink:
             sink.emit(cmd)
 
     def close(self) -> None:
+        error = None
         for sink in self.sinks:
-            sink.close()
+            try:
+                sink.close()
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
 
 # ---------------------------------------------------------------------------

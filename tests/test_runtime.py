@@ -1,6 +1,8 @@
 """Control loop, latest-frame slot, sinks, and command codecs."""
 
+import hashlib
 import math
+import os
 import random
 import select
 import socket
@@ -13,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_golden import GOLDEN_SHA256
 
 from teleokin import clock as clock_module
 from teleokin.clock import VirtualClock, WallClock
@@ -332,6 +335,15 @@ class TestTraceSink:
         path.write_bytes(b"CMDTRC01" + record + record[:-1])
         with pytest.raises(TruncatedFrame):
             read_trace(path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+    def test_a_close_whose_flush_fails_still_closes_the_file(self):
+        sink = trace_sink("/dev/full")
+        sink.emit(make_command(n=23))
+        with pytest.raises(OSError):
+            sink.close()
+        assert sink._fh.closed
+        sink.close()  # a second close does nothing
 
 
 def decode_trace_records(data):
@@ -957,6 +969,36 @@ class TestRunLoop:
         assert metrics.holds > 0 and metrics.frames_consumed == 50
         assert metrics.rehearsals == 0 and len(metrics.rehearse_us) == 0
 
+    @pytest.mark.parametrize("pattern", sorted(GOLDEN_SHA256))
+    def test_a_run_that_rehearses_after_every_hold_keeps_the_golden_bytes(self, pattern, tmp_path):
+        # The golden synth runs again, on a wall clock whose time is virtual:
+        # every hold after the first fresh command rehearses, whatever the
+        # host's timing, and the trace is still the one pinned.
+        class RehearsingVirtualClock(WallClock):
+            def __init__(self):
+                self._now = 0
+
+            def now_us(self):
+                return self._now
+
+            def sleep_until(self, deadline_us, readable=None):
+                self._now = max(self._now, deadline_us)
+                return False
+
+        pipeline = sample_pipeline()
+        frames = synth_motion(pattern, rate=100, duration=2.0, noise_std=0.01, skeleton=pipeline.skeleton)
+        sink = trace_sink(tmp_path / f"{pattern}.trc")
+        try:
+            metrics = run_loop(schedule(frames), pipeline, sink, rate_hz=500, max_cycles=1000,
+                               clock=RehearsingVirtualClock())
+        finally:
+            sink.close()
+        commands = read_trace(sink.path)
+        first_fresh = next(n for n, c in enumerate(commands) if not c.hold)
+        assert metrics.holds == 800
+        assert metrics.rehearsals == sum(c.hold for c in commands[first_fresh:]) > 0
+        assert hashlib.sha256(sink.path.read_bytes()).hexdigest() == GOLDEN_SHA256[pattern]
+
     def test_metrics_dump_format(self):
         pipeline = sample_pipeline()
         frames = frames_at_rate(50, 100)
@@ -1173,3 +1215,24 @@ def test_multi_sink_closes_every_sink(tmp_path):
     traces = [trace_sink(tmp_path / name) for name in ("a.trc", "b.trc")]
     MultiSink(traces).close()
     assert [read_trace(t.path) for t in traces] == [[], []]  # each file's magic was flushed by its close
+
+
+def test_multi_sink_closes_every_sink_when_a_close_raises():
+    closed = []
+
+    class Closing(_CaptureSink):
+        def __init__(self, name, error=None):
+            super().__init__()
+            self.name, self.error = name, error
+
+        def close(self):
+            closed.append(self.name)
+            if self.error is not None:
+                raise self.error
+
+    first, second = OSError("first"), ValueError("second")
+    sinks = [Closing("a"), Closing("b", first), Closing("c"), Closing("d", second)]
+    with pytest.raises(OSError) as raised:
+        MultiSink(sinks).close()
+    assert raised.value is first
+    assert closed == ["a", "b", "c", "d"]
